@@ -19,10 +19,13 @@ from . import equilibria, integrate, model, montecarlo, thresholds
 from .errors import (
     ConfigurationError,
     CriterionInapplicableError,
+    DegenerateFrequenciesError,
     DomainError,
+    InsufficientDataError,
     IntegrationFailure,
     PreconditionError,
     SizeLimitError,
+    UnsupportedOperationError,
 )
 from .integrate import SolverOptions
 from .model import InteractionSpec, SystemConfig
@@ -33,19 +36,38 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# The package's own input errors; any other exception is a bug and propagates.
 _CONFIG_ERRORS = (
     ConfigurationError,
+    CriterionInapplicableError,
+    DegenerateFrequenciesError,
     DomainError,
+    InsufficientDataError,
     PreconditionError,
     SizeLimitError,
-    CriterionInapplicableError,
-    KeyError,
-    ValueError,
+    UnsupportedOperationError,
 )
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+def _setting(cfg, key: str, default=None, cast=float):
+    """cfg[key] (or default) converted by cast; ConfigurationError names a missing or bad key."""
+    value = cfg.get(key, default)
+    if value is None:
+        raise ConfigurationError(f"missing required setting: {key}")
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"bad value for {key}: {value!r}") from None
+
+
+def _floats(cfg: dict, key: str) -> np.ndarray:
+    """cfg[key] as a float vector, from a JSON list or a comma-separated string."""
+    value = cfg.get(key, "")
+    items = [x for x in value.split(",") if x.strip() != ""] if isinstance(value, str) else value
+    try:
+        return np.array([float(x) for x in items])
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{key}: expected comma-separated numbers, got {value!r}") from None
 
 
 def _load_config(args: argparse.Namespace) -> dict:
@@ -59,10 +81,11 @@ def _load_config(args: argparse.Namespace) -> dict:
         if key in ("config", "command", "func") or value is None:
             continue
         cfg[key] = value
-    env_seed = os.environ.get("WINFREE_SEED")
-    if env_seed is not None:
-        cfg["seed"] = int(env_seed)
-    cfg.setdefault("seed", 0)
+    if "WINFREE_SEED" in os.environ:
+        cfg["seed"] = _setting(os.environ, "WINFREE_SEED", cast=int)
+    cfg["seed"] = _setting(cfg, "seed", 0, int)
+    if cfg["seed"] < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {cfg['seed']}")
     return cfg
 
 
@@ -73,12 +96,12 @@ def _quantile_frequencies(n: int, gamma: float) -> np.ndarray:
 
 def _system_config(cfg: dict) -> SystemConfig:
     if "omega" in cfg:
-        omega = np.asarray(_parse_floats(cfg["omega"]) if isinstance(cfg["omega"], str) else cfg["omega"], dtype=float)
-        n = int(cfg.get("n", len(omega)))
+        omega = _floats(cfg, "omega")
+        n = _setting(cfg, "n", len(omega), int)
     else:
-        n = int(cfg.get("n", 100))
-        omega = _quantile_frequencies(n, float(cfg.get("gamma", 1.0)))
-    return SystemConfig(n=n, omega=omega, kappa=float(cfg.get("kappa", 1.0)))
+        n = _setting(cfg, "n", 100, int)
+        omega = _quantile_frequencies(n, _setting(cfg, "gamma", 1.0))
+    return SystemConfig(n=n, omega=omega, kappa=_setting(cfg, "kappa", 1.0))
 
 
 def _interaction_spec(cfg: dict) -> InteractionSpec:
@@ -86,47 +109,46 @@ def _interaction_spec(cfg: dict) -> InteractionSpec:
     if family == "sinusoidal":
         return model.sinusoidal()
     if family == "power_cosine":
-        return model.power_cosine(int(cfg.get("power", 1)))
+        return model.power_cosine(_setting(cfg, "power", 1, int))
     if family == "rectified_poisson":
-        return model.rectified_poisson(float(cfg.get("r_pk", 0.0)))
+        return model.rectified_poisson(_setting(cfg, "r_pk", 0.0))
     if family == "custom":
-        i_table = model.load_custom_table(cfg["influence_table"])
-        s_table = model.load_custom_table(cfg["sensitivity_table"])
+        i_table = model.load_custom_table(_setting(cfg, "influence_table", cast=str))
+        s_table = model.load_custom_table(_setting(cfg, "sensitivity_table", cast=str))
         return model.custom_interaction(i_table, s_table)
     raise ConfigurationError(f"unknown interaction family: {family}")
 
 
 def _solver_options(cfg: dict) -> SolverOptions:
-    horizon = float(cfg.get("horizon", 500.0))
-    stride = float(cfg.get("sample_stride", 1.0))
+    horizon = _setting(cfg, "horizon", 500.0)
+    stride = _setting(cfg, "sample_stride", 1.0)
     method = cfg.get("method", "dormand_prince45")
     if method == "rk4_fixed":
-        return integrate.rk4_options(float(cfg.get("dt", 0.01)), horizon, stride)
+        return integrate.rk4_options(_setting(cfg, "dt", 0.01), horizon, stride)
     return integrate.dp45_options(
         horizon,
         stride,
-        abs_tol=float(cfg.get("abs_tol", 1e-9)),
-        rel_tol=float(cfg.get("rel_tol", 1e-9)),
-        max_dt=float(cfg.get("max_dt", 0.1)),
+        abs_tol=_setting(cfg, "abs_tol", 1e-9),
+        rel_tol=_setting(cfg, "rel_tol", 1e-9),
+        max_dt=_setting(cfg, "max_dt", 0.1),
     )
 
 
 def _mc_config(cfg: dict) -> McConfig:
     return McConfig(
-        samples=int(cfg.get("samples", 1000)),
-        seed=int(cfg.get("seed", 0)),
-        workers=int(cfg.get("workers", 1)),
+        samples=_setting(cfg, "samples", 1000, int),
+        seed=cfg["seed"],
+        workers=_setting(cfg, "workers", 1, int),
     )
 
 
 def _initial_state(cfg: dict, n: int) -> np.ndarray:
     if "initial" in cfg:
-        init = cfg["initial"]
-        theta = np.asarray(_parse_floats(init) if isinstance(init, str) else init, dtype=float)
+        theta = _floats(cfg, "initial")
         if theta.shape != (n,):
             raise ConfigurationError("initial state length must equal n")
         return theta
-    return np.random.default_rng((int(cfg.get("seed", 0)), 0)).uniform(-np.pi, np.pi, n)
+    return np.random.default_rng((cfg["seed"], 0)).uniform(-np.pi, np.pi, n)
 
 
 def _write_json(cfg: dict, payload: dict, default_path: str) -> None:
@@ -168,18 +190,14 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    n = 800 if cfg.get("full") else int(cfg.get("n", 100))
-    kappa_grid = cfg.get("kappa_grid")
-    gamma_grid = cfg.get("gamma_grid")
-    if isinstance(kappa_grid, str):
-        kappa_grid = _parse_floats(kappa_grid)
-    if isinstance(gamma_grid, str):
-        gamma_grid = _parse_floats(gamma_grid)
-    if not kappa_grid or not gamma_grid:
+    n = 800 if cfg.get("full") else _setting(cfg, "n", 100, int)
+    kappa_grid = _floats(cfg, "kappa_grid")
+    gamma_grid = _floats(cfg, "gamma_grid")
+    if kappa_grid.size == 0 or gamma_grid.size == 0:
         raise ConfigurationError("sweep requires non-empty kappa_grid and gamma_grid")
     opts = _solver_options(cfg)
     spec = _interaction_spec(cfg)
-    seed = int(cfg.get("seed", 0))
+    seed = cfg["seed"]
     rows = ["kappa,gamma,regime,death_fraction,mean_R_final"]
     cell = 0
     for gamma in gamma_grid:
@@ -213,9 +231,9 @@ def cmd_equilibria(cfg: dict) -> int:
 def cmd_critical_coupling(cfg: dict) -> int:
     config = _system_config(cfg)
     kc = equilibria.critical_coupling(config.omega)
-    degenerate = bool(np.all(config.omega == 0.0))
     print(f"{kc:.10g}")
-    _write_json(cfg, {"kappa_c": kc, "degenerate": degenerate}, "-") if cfg.get("output") else None
+    if cfg.get("output"):
+        _write_json(cfg, {"kappa_c": kc, "degenerate": bool(np.all(config.omega == 0.0))}, "-")
     return EXIT_OK
 
 
@@ -223,7 +241,7 @@ def cmd_bounds(cfg: dict) -> int:
     kind = cfg.get("kind")
     if not kind:
         raise ConfigurationError("bounds requires --kind")
-    n = int(cfg.get("n", 100))
+    n = _setting(cfg, "n", 100, int)
     params = BoundParams(
         epsilon=cfg.get("epsilon"),
         delta=cfg.get("delta"),
@@ -240,7 +258,7 @@ def cmd_bounds(cfg: dict) -> int:
     spec = _interaction_spec(cfg)
     payload: dict = {"kind": kind, "n": n}
     if kind == "SincosTime":
-        t0 = thresholds.sincos_death_time(n, float(cfg["kappa"]), float(cfg["epsilon"]))
+        t0 = thresholds.sincos_death_time(n, _setting(cfg, "kappa"), _setting(cfg, "epsilon"))
         payload["T0"] = t0
         if params.T is None:
             params = BoundParams(epsilon=params.epsilon, kappa=params.kappa, T=t0 + 1.0)
@@ -255,8 +273,8 @@ def cmd_montecarlo(cfg: dict) -> int:
     mc = _mc_config(cfg)
     spec = _interaction_spec(cfg)
     if kind == "order-param-cdf":
-        n = int(cfg.get("n", 10))
-        t_level = float(cfg.get("t_level", 0.5))
+        n = _setting(cfg, "n", 10, int)
+        t_level = _setting(cfg, "t_level", 0.5)
         est = montecarlo.empirical_order_param_cdf(n, t_level, mc)
         bound = thresholds.probability_bound("OrderParamCDF", n, BoundParams(t_level=t_level))
         payload = montecarlo.result_json_dict(kind, {"n": n, "t_level": t_level}, est, bound)
@@ -276,8 +294,8 @@ def cmd_montecarlo(cfg: dict) -> int:
     elif kind == "escape":
         config = _system_config(cfg)
         opts = _solver_options(cfg)
-        delta = float(cfg.get("delta", 0.5))
-        t_horizon = float(cfg.get("t_horizon", 10.0))
+        delta = _setting(cfg, "delta", 0.5)
+        t_horizon = _setting(cfg, "t_horizon", 10.0)
         est = montecarlo.estimate_escape_measure(config, spec, delta, t_horizon, opts, mc)
         bound = thresholds.probability_bound(
             "EscapeMeasure",
@@ -298,7 +316,7 @@ def cmd_verify(cfg: dict) -> int:
     spec = _interaction_spec(cfg)
     opts = _solver_options(cfg)
     initial = _initial_state(cfg, config.n)
-    mu = float(cfg.get("mu", 0.5))
+    mu = _setting(cfg, "mu", 0.5)
     traj = integrate.simulate(config, spec, initial, opts)
     report = integrate.verify_theorem_conclusions(traj, config, mu)
     payload = {
@@ -313,46 +331,12 @@ def cmd_verify(cfg: dict) -> int:
     return EXIT_OK
 
 
-def estimate_pathwise_critical_coupling(
-    config: SystemConfig, spec: InteractionSpec, initial, opts: SolverOptions
-) -> float:
-    """Bisection estimate of the smallest coupling whose trajectory dies.
-
-    Horizon-dependent by construction; bracketed above by the elementary
-    threshold, 30 bisection iterations.
-    """
-    upper, _ = thresholds.toy_thresholds(spec, config, list(range(config.n)))
-    if upper == 0.0:
-        return 0.0
-
-    def dies(kappa: float) -> bool:
-        cfg = SystemConfig(n=config.n, omega=config.omega, kappa=kappa)
-        try:
-            traj = integrate.simulate(cfg, spec, initial, opts)
-        except IntegrationFailure:
-            return False
-        return bool(np.all(integrate.detect_death(traj, 0.0)))
-
-    if dies(0.0):
-        return 0.0
-    lo, hi = 0.0, upper
-    if not dies(hi):
-        return hi
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if dies(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def cmd_kappa_pc(cfg: dict) -> int:
     config = _system_config(cfg)
     spec = _interaction_spec(cfg)
     opts = _solver_options(cfg)
     initial = _initial_state(cfg, config.n)
-    value = estimate_pathwise_critical_coupling(config, spec, initial, opts)
+    value = integrate.estimate_pathwise_critical_coupling(config, spec, initial, opts)
     _write_json(cfg, {"kappa_pc": value, "horizon_dependent": True}, "-")
     return EXIT_OK
 

@@ -26,6 +26,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .model import SystemConfig
+from .thresholds import _golden_min
 
 SCAN_POINTS = 4096
 ROOT_TOL = 1e-12
@@ -99,12 +100,7 @@ class WPolynomial:
                     return r - r * r + np.sum(sigma * p, axis=-1) / n
 
                 roots.extend(_scan_roots(h, a, hi))
-        roots = sorted(roots)
-        keep: list[float] = []
-        for r in roots:
-            if not keep or r - keep[-1] > DEDUP_TOL:
-                keep.append(r)
-        return np.asarray(keep)
+        return np.asarray(_merge_close(roots, DEDUP_TOL))
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -123,6 +119,29 @@ def _r_equation(config: SystemConfig, sigma: np.ndarray):
     return f
 
 
+def _bisect(f, a: float, b: float, fa: float) -> float:
+    """Root of f in the bracket [a, b], f(a) = fa, bisected until |f| < ROOT_TOL."""
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        fm = float(f(mid))
+        if abs(fm) < ROOT_TOL or b - a < 1e-16:
+            break
+        if fa * fm < 0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
+def _merge_close(roots, tol: float) -> list[float]:
+    """Sorted roots, dropping each one within tol of the last one kept."""
+    keep: list[float] = []
+    for r in sorted(roots):
+        if not keep or r - keep[-1] > tol:
+            keep.append(r)
+    return keep
+
+
 def _scan_roots(f, lo: float, hi: float) -> list[float]:
     """Roots of f on [lo, hi]: grid sign scan, bisection, tangency detection."""
     grid = np.linspace(lo, hi, SCAN_POINTS + 1)
@@ -132,25 +151,12 @@ def _scan_roots(f, lo: float, hi: float) -> list[float]:
         roots.append(float(grid[0]))
     signs = np.sign(vals)
     for k in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-        a, b = grid[k], grid[k + 1]
-        fa = vals[k]
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = float(f(mid))
-            if abs(fm) < ROOT_TOL or b - a < 1e-16:
-                break
-            if fa * fm < 0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + b))
+        roots.append(_bisect(f, grid[k], grid[k + 1], vals[k]))
     # tangential (double) roots: local minima of |f| that nearly touch zero
     absvals = np.abs(vals)
     for k in range(1, SCAN_POINTS):
         if absvals[k] <= absvals[k - 1] and absvals[k] <= absvals[k + 1] and absvals[k] < 1e-6:
             if signs[k - 1] * signs[k + 1] > 0:  # not already caught by bisection
-                from .thresholds import _golden_min
-
                 x, v = _golden_min(lambda r: abs(float(f(r))), grid[k - 1], grid[k + 1])
                 if v < TANGENT_TOL:
                     roots.append(x)
@@ -174,13 +180,7 @@ def solve_R_equation(config: SystemConfig, signature: Signature) -> list[float]:
     r_lo = config.omega_max / abs(config.kappa)
     if r_lo > R_UPPER:
         return []
-    f = _r_equation(config, sigma)
-    roots = sorted(_scan_roots(f, r_lo, R_UPPER))
-    dedup = []
-    for r in roots:
-        if not dedup or r - dedup[-1] > 1e-10:
-            dedup.append(r)
-    return dedup
+    return _merge_close(_scan_roots(_r_equation(config, sigma), r_lo, R_UPPER), 1e-10)
 
 
 def _canonical(theta: np.ndarray) -> np.ndarray:
@@ -196,25 +196,28 @@ def _equilibrium_theta(config: SystemConfig, sigma: np.ndarray, r: float) -> np.
     return _canonical(theta)
 
 
+def _stability(config: SystemConfig, r: float, theta: np.ndarray) -> tuple[str, float]:
+    """(label, max real eigenvalue part) of the Jacobian, thresholds +-1e-8.
+
+    Indeterminate without eigenvalues on the boundary |kappa|*R = max|omega|.
+    """
+    if abs(abs(config.kappa) * r - config.omega_max) < 1e-12:
+        return "Indeterminate", float("nan")
+    max_eig = float(np.max(np.linalg.eigvals(model.jacobian(config, theta)).real))
+    if max_eig > 1e-8:
+        return "Unstable", max_eig
+    if max_eig < -1e-8:
+        return "Stable", max_eig
+    return "Indeterminate", max_eig
+
+
 def _record(config: SystemConfig, sigma: np.ndarray, r: float, theta: np.ndarray) -> EquilibriumRecord:
-    div = model.divergence(config, model.sinusoidal(), theta)
-    boundary = abs(abs(config.kappa) * r - config.omega_max) < 1e-12
-    if boundary:
-        stability, max_eig = "Indeterminate", float("nan")
-    else:
-        jac = model.jacobian(config, theta)
-        max_eig = float(np.max(np.linalg.eigvals(jac).real))
-        if max_eig > 1e-8:
-            stability = "Unstable"
-        elif max_eig < -1e-8:
-            stability = "Stable"
-        else:
-            stability = "Indeterminate"
+    stability, max_eig = _stability(config, r, theta)
     return EquilibriumRecord(
         R=float(r),
         theta=theta,
         signature=Signature(sigma),
-        divergence=div,
+        divergence=model.divergence(config, model.sinusoidal(), theta),
         stability=stability,
         max_eig_real=max_eig,
     )
@@ -242,13 +245,7 @@ def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
             if r <= 0:
                 continue
             theta = _equilibrium_theta(config, sigma, r)
-            duplicate = False
-            for prev in seen:
-                diff = np.abs(model.wrap_to_pi(theta - prev))
-                if np.max(diff) < DEDUP_TOL:
-                    duplicate = True
-                    break
-            if duplicate:
+            if any(np.max(np.abs(model.wrap_to_pi(theta - prev))) < DEDUP_TOL for prev in seen):
                 continue
             seen.append(theta)
             records.append(_record(config, sigma, r, theta))
@@ -329,18 +326,7 @@ def construct_prescribed_equilibrium(
     if change.size == 0:
         raise DomainError("no fixed-point root in the prescribed interval")
     k = int(change[np.argmin(np.abs(grid[change] - rho0))])
-    a, b = grid[k], grid[k + 1]
-    fa = vals[k]
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = float(f(mid))
-        if abs(fm) < ROOT_TOL or b - a < 1e-16:
-            break
-        if fa * fm < 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    r = 0.5 * (a + b)
+    r = _bisect(f, grid[k], grid[k + 1], vals[k])
     theta = _equilibrium_theta(config, sigma, r)
     record = _record(config, sigma, r, theta)
     # per-oscillator bracket bounds around the branch centers
@@ -483,15 +469,7 @@ def _poly_add_term(element: dict, mask: int, poly):
 
 def classify_stability(config: SystemConfig, eq: EquilibriumRecord) -> str:
     """Linear stability from Jacobian eigenvalues (thresholds +-1e-8)."""
-    if abs(abs(config.kappa) * eq.R - config.omega_max) < 1e-12:
-        return "Indeterminate"
-    jac = model.jacobian(config, eq.theta)
-    max_eig = float(np.max(np.linalg.eigvals(jac).real))
-    if max_eig > 1e-8:
-        return "Unstable"
-    if max_eig < -1e-8:
-        return "Stable"
-    return "Indeterminate"
+    return _stability(config, eq.R, eq.theta)[0]
 
 
 def equilibria_to_json(records: list[EquilibriumRecord], path) -> None:

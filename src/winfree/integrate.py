@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import model
+from . import model, thresholds
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -161,18 +161,10 @@ def simulate(
         raise ConfigurationError("initial state length must equal config.n")
     omega = config.omega
     kappa = config.kappa
+    influence, sensitivity = model.FAMILIES[spec.family][:2]  # one RHS for every family
 
-    if spec.family == "sinusoidal":
-
-        def rhs(y):
-            r = np.mean(1.0 + np.cos(y))
-            return omega - kappa * r * np.sin(y)
-
-    else:
-
-        def rhs(y):
-            r = np.mean(model.influence(spec, y))
-            return omega + kappa * r * model.sensitivity(spec, y)
+    def rhs(y):
+        return omega + kappa * np.mean(influence(spec, y)) * sensitivity(spec, y)
 
     targets = _sample_times(opts)
     times = [0.0]
@@ -232,7 +224,7 @@ def simulate(
 
     times_arr = np.asarray(times)
     states_arr = np.vstack(states)
-    r_series = np.array([np.mean(model.influence(spec, s)) for s in states_arr])
+    r_series = np.mean(influence(spec, states_arr), axis=1)
     traj = Trajectory(
         times=times_arr,
         states=states_arr,
@@ -244,6 +236,40 @@ def simulate(
     if failure is not None:
         raise IntegrationFailure(failure, partial_trajectory=traj)
     return traj
+
+
+def estimate_pathwise_critical_coupling(
+    config: SystemConfig, spec: InteractionSpec, initial, opts: SolverOptions
+) -> float:
+    """Bisection estimate of the smallest coupling whose trajectory dies.
+
+    Horizon-dependent by construction; bracketed above by the elementary
+    threshold, 30 bisection iterations.
+    """
+    upper, _ = thresholds.toy_thresholds(spec, config, list(range(config.n)))
+    if upper == 0.0:
+        return 0.0
+
+    def dies(kappa: float) -> bool:
+        cfg = SystemConfig(n=config.n, omega=config.omega, kappa=kappa)
+        try:
+            traj = simulate(cfg, spec, initial, opts)
+        except IntegrationFailure:
+            return False
+        return bool(np.all(detect_death(traj, 0.0)))
+
+    if dies(0.0):
+        return 0.0
+    lo, hi = 0.0, upper
+    if not dies(hi):
+        return hi
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        if dies(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def rotation_numbers(traj: Trajectory) -> np.ndarray:

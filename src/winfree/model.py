@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,6 +30,62 @@ def wrap_to_pi(theta):
     return np.mod(np.asarray(theta, dtype=float) + np.pi, _TWO_PI) - np.pi
 
 
+_GRID = np.linspace(-np.pi, np.pi, TABLE_SIZE)
+
+
+class Family(NamedTuple):
+    """Elementwise I, S, I' and S' of one interaction family, each f(spec, theta).
+
+    Closed forms take any real theta; tables wrap it to [-pi, pi) for np.interp.
+    """
+
+    influence: Callable
+    sensitivity: Callable
+    influence_deriv: Callable
+    sensitivity_deriv: Callable
+
+
+def _minus_sin(spec, th):
+    return -np.sin(th)
+
+
+def _minus_cos(spec, th):
+    return -np.cos(th)
+
+
+def _poisson_influence(spec, th):
+    r = spec.r_pk
+    return (1.0 - r) * (1.0 + np.cos(th)) / (1.0 - 2.0 * r * np.cos(th) + r * r)
+
+
+def _poisson_influence_deriv(spec, th):
+    r = spec.r_pk
+    return -np.sin(th) * (1.0 - r) * (1.0 + r) ** 2 / (1.0 - 2.0 * r * np.cos(th) + r * r) ** 2
+
+
+def _tabulated(table: str) -> Callable:
+    return lambda spec, th: np.interp(wrap_to_pi(th), _GRID, getattr(spec, table))
+
+
+def _centred_difference(f: Callable) -> Callable:
+    return lambda spec, th: (f(spec, th + FD_STEP) - f(spec, th - FD_STEP)) / (2.0 * FD_STEP)
+
+
+_CUSTOM_I, _CUSTOM_S = _tabulated("i_table"), _tabulated("s_table")
+
+FAMILIES = {
+    "sinusoidal": Family(lambda spec, th: 1.0 + np.cos(th), _minus_sin, _minus_sin, _minus_cos),
+    "power_cosine": Family(
+        lambda spec, th: (1.0 + np.cos(th)) ** spec.n,
+        _minus_sin,
+        lambda spec, th: -spec.n * np.sin(th) * (1.0 + np.cos(th)) ** (spec.n - 1),
+        _minus_cos,
+    ),
+    "rectified_poisson": Family(_poisson_influence, _minus_sin, _poisson_influence_deriv, _minus_cos),
+    "custom": Family(_CUSTOM_I, _CUSTOM_S, _centred_difference(_CUSTOM_I), _centred_difference(_CUSTOM_S)),
+}
+
+
 @dataclass(frozen=True)
 class InteractionSpec:
     """Influence/sensitivity pair plus the structural constants.
@@ -44,7 +100,7 @@ class InteractionSpec:
       (c7) I(theta) >= c5*(pi-|theta|)^r_exp.
     """
 
-    family: str  # "sinusoidal" | "power_cosine" | "rectified_poisson" | "custom"
+    family: str  # a key of FAMILIES
     n: int = 1
     r_pk: float = 0.0
     i_table: Optional[np.ndarray] = field(default=None, repr=False)
@@ -62,7 +118,7 @@ class InteractionSpec:
     sup_I: float = 2.0
 
     def __post_init__(self):
-        if self.family not in ("sinusoidal", "power_cosine", "rectified_poisson", "custom"):
+        if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown interaction family: {self.family}")
         if self.family == "power_cosine" and self.n < 1:
             raise ConfigurationError("power_cosine exponent n must be >= 1")
@@ -122,9 +178,8 @@ def rectified_poisson(r_pk: float) -> InteractionSpec:
     )
     # c4 has no simple closed form here; take the grid infimum of
     # S'(theta) / (I_star - I(theta)) away from the sign-change point.
-    th = np.linspace(-np.pi, np.pi, TABLE_SIZE)
-    gap = i_star - influence(spec, th)
-    sp = sensitivity_deriv(spec, th)
+    gap = i_star - influence(spec, _GRID)
+    sp = sensitivity_deriv(spec, _GRID)
     mask = np.abs(gap) > 1e-6
     ratios = sp[mask] / gap[mask]
     c4 = max(float(np.min(ratios)), 0.0) * (1.0 - 1e-6)
@@ -148,24 +203,19 @@ def load_custom_table(path) -> np.ndarray:
 
     Returns the values resampled onto the uniform TABLE_SIZE grid over [-pi, pi].
     """
-    thetas, values = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        if next(reader, None) is None:
             raise ConfigurationError(f"empty CSV table: {path}")
-        for row in reader:
-            if not row:
-                continue
-            thetas.append(float(row[0]))
-            values.append(float(row[1]))
-    if not thetas:
+        rows = [row[:2] for row in reader if row]
+    if not rows:
         raise ConfigurationError(f"CSV table has no data rows: {path}")
-    order = np.argsort(thetas)
-    th = np.asarray(thetas, dtype=float)[order]
-    val = np.asarray(values, dtype=float)[order]
-    grid = np.linspace(-np.pi, np.pi, TABLE_SIZE)
-    return np.interp(grid, th, val)
+    try:
+        th, val = np.array(rows, dtype=float).T
+    except ValueError:
+        raise ConfigurationError(f"CSV table rows must be numeric theta,value pairs: {path}") from None
+    order = np.argsort(th)
+    return np.interp(_GRID, th[order], val[order])
 
 
 def _resample(values: np.ndarray) -> np.ndarray:
@@ -174,8 +224,7 @@ def _resample(values: np.ndarray) -> np.ndarray:
     if len(values) == TABLE_SIZE:
         return values
     src = np.linspace(-np.pi, np.pi, len(values))
-    grid = np.linspace(-np.pi, np.pi, TABLE_SIZE)
-    return np.interp(grid, src, values)
+    return np.interp(_GRID, src, values)
 
 
 @dataclass(frozen=True)
@@ -225,47 +274,22 @@ def _phases(state) -> np.ndarray:
 
 def influence(spec: InteractionSpec, theta):
     """Evaluate I(theta); 2*pi periodic, vectorized."""
-    th = wrap_to_pi(theta)
-    if spec.family == "sinusoidal":
-        return 1.0 + np.cos(th)
-    if spec.family == "power_cosine":
-        return (1.0 + np.cos(th)) ** spec.n
-    if spec.family == "rectified_poisson":
-        r = spec.r_pk
-        return (1.0 - r) * (1.0 + np.cos(th)) / (1.0 - 2.0 * r * np.cos(th) + r * r)
-    grid = np.linspace(-np.pi, np.pi, TABLE_SIZE)
-    return np.interp(th, grid, spec.i_table)
+    return FAMILIES[spec.family].influence(spec, theta)
 
 
 def sensitivity(spec: InteractionSpec, theta):
     """Evaluate S(theta); 2*pi periodic, vectorized."""
-    th = wrap_to_pi(theta)
-    if spec.family in ("sinusoidal", "power_cosine", "rectified_poisson"):
-        return -np.sin(th)
-    grid = np.linspace(-np.pi, np.pi, TABLE_SIZE)
-    return np.interp(th, grid, spec.s_table)
+    return FAMILIES[spec.family].sensitivity(spec, theta)
 
 
 def influence_deriv(spec: InteractionSpec, theta):
     """dI/dtheta (closed form for built-ins, centered differences for custom)."""
-    th = wrap_to_pi(theta)
-    if spec.family == "sinusoidal":
-        return -np.sin(th)
-    if spec.family == "power_cosine":
-        return -spec.n * np.sin(th) * (1.0 + np.cos(th)) ** (spec.n - 1)
-    if spec.family == "rectified_poisson":
-        r = spec.r_pk
-        denom = 1.0 - 2.0 * r * np.cos(th) + r * r
-        return -np.sin(th) * (1.0 - r) * (1.0 + r) ** 2 / denom**2
-    return (influence(spec, th + FD_STEP) - influence(spec, th - FD_STEP)) / (2.0 * FD_STEP)
+    return FAMILIES[spec.family].influence_deriv(spec, theta)
 
 
 def sensitivity_deriv(spec: InteractionSpec, theta):
     """dS/dtheta (closed form for built-ins, centered differences for custom)."""
-    th = wrap_to_pi(theta)
-    if spec.family in ("sinusoidal", "power_cosine", "rectified_poisson"):
-        return -np.cos(th)
-    return (sensitivity(spec, th + FD_STEP) - sensitivity(spec, th - FD_STEP)) / (2.0 * FD_STEP)
+    return FAMILIES[spec.family].sensitivity_deriv(spec, theta)
 
 
 def order_parameter(spec: InteractionSpec, state) -> float:
@@ -281,20 +305,16 @@ def vector_field(config: SystemConfig, spec: InteractionSpec, state) -> np.ndarr
 
 
 def divergence(config: SystemConfig, spec: InteractionSpec, state) -> float:
-    """Divergence of the vector field at the given state.
+    """Divergence (kappa/N) * (sum_j I * sum_i S' + sum_i I' * S) of the vector field.
 
-    For the sinusoidal family this is exactly
+    For the sinusoidal family this is
     kappa * (N*R*(1-R) + (1/N) sum_i sin^2 theta_i).
     """
     theta = _phases(state)
-    n = config.n
-    if spec.family == "sinusoidal":
-        r = np.mean(1.0 + np.cos(theta))
-        return float(config.kappa * (n * r * (1.0 - r) + np.mean(np.sin(theta) ** 2)))
     sum_i = np.sum(influence(spec, theta))
     sum_sp = np.sum(sensitivity_deriv(spec, theta))
     sum_is = np.sum(influence_deriv(spec, theta) * sensitivity(spec, theta))
-    return float(config.kappa / n * (sum_i * sum_sp + sum_is))
+    return float(config.kappa / config.n * (sum_i * sum_sp + sum_is))
 
 
 def divergence_lower_bound(config: SystemConfig, spec: InteractionSpec, state) -> float:
@@ -306,8 +326,8 @@ def divergence_lower_bound(config: SystemConfig, spec: InteractionSpec, state) -
 def jacobian(config: SystemConfig, state) -> np.ndarray:
     """Jacobian of the sinusoidal vector field; trace equals the divergence.
 
-    Raises for non-sinusoidal specs (callers pass the spec implicitly by
-    contract; an explicit spec argument guards misuse).
+    Takes no spec: it always differentiates the sinusoidal field, whatever
+    family the caller simulates.
     """
     theta = _phases(state)
     n = config.n
@@ -319,17 +339,8 @@ def jacobian(config: SystemConfig, state) -> np.ndarray:
     return jac
 
 
-def jacobian_for_spec(config: SystemConfig, spec: InteractionSpec, state) -> np.ndarray:
-    """Jacobian with the family guard required by the public contract."""
-    if spec.family != "sinusoidal":
-        raise UnsupportedOperationError("jacobian is only defined for the sinusoidal family")
-    return jacobian(config, state)
-
-
 def is_gradient_spec(spec: InteractionSpec, tol: float = 1e-8) -> bool:
     """True when S = I' holds (numerically on a grid), i.e. gradient flow."""
-    if spec.family == "sinusoidal":
-        return True
     th = np.linspace(-np.pi, np.pi, 2048)
     return bool(np.max(np.abs(sensitivity(spec, th) - influence_deriv(spec, th))) < tol)
 

@@ -208,6 +208,36 @@ def limit_R_lower_bound(omega_max: float, kappa: float) -> float:
     return math.sqrt(0.5 + math.sqrt(0.25 - (omega_max / kappa) ** 2))
 
 
+def _crossover_time(n: int, q: float, a: float, b: float) -> float:
+    """Time T0 at which the two phases of _two_phase_failure hand over.
+
+    With x = sqrt(q) * exp(-a) and lx = N log x,
+    T0 = (lx + log((1 + 2/N) - (2/N) exp(-lx))) / b.
+    """
+    lx = n * (0.5 * math.log(q) - a)
+    return (lx + math.log((1.0 + 2.0 / n) - (2.0 / n) * math.exp(-lx))) / b
+
+
+def _two_phase_failure(n: int, q: float, a: float, b: float, t: float) -> float:
+    """Failure measure shared by the finite-time death and escape bounds.
+
+    q is the reciprocal square of the head's per-oscillator base, a the
+    tail's per-oscillator exponent and b the decay rate.  Up to the crossover
+    time T0:
+    q^(-N/2) / (N/2 + 1) * (1 - exp(-b t)) + exp(-N a - b t);
+    after it: (q * (1 + b (t - T0) / N))^(-N/2).
+    """
+    t0 = _crossover_time(n, q, a, b)
+    if t <= t0:
+        return q ** (-n / 2.0) / (n / 2.0 + 1.0) * (1.0 - math.exp(-b * t)) + math.exp(-n * a - b * t)
+    return (q * (1.0 + b * (t - t0) / n)) ** (-n / 2.0)
+
+
+def _sincos_time_params(n: int, kappa: float, epsilon: float) -> tuple[float, float, float]:
+    """(q, a, b) of the finite-time sinusoidal death bound."""
+    return 20.0 / (np.pi * np.e * epsilon), epsilon**2 / 25.0, kappa * n * epsilon * (5.0 - epsilon) / 25.0
+
+
 def sincos_death_time(n: int, kappa: float, epsilon: float) -> float:
     """Crossover time T0 of the finite-time sinusoidal death bound."""
     if n < 2:
@@ -216,11 +246,7 @@ def sincos_death_time(n: int, kappa: float, epsilon: float) -> float:
         raise DomainError("epsilon must lie in (0, 1]")
     if kappa <= 0.0:
         raise DomainError("kappa must be positive")
-    b = kappa * n * epsilon * (5.0 - epsilon) / 25.0
-    x = 2.0 * math.sqrt(5.0) / (math.sqrt(np.pi * epsilon) * math.exp(0.5 + epsilon**2 / 25.0))
-    lx = n * math.log(x)
-    log_inner = lx + math.log((1.0 + 2.0 / n) - (2.0 / n) * math.exp(-lx))
-    return log_inner / b
+    return _crossover_time(n, *_sincos_time_params(n, kappa, epsilon))
 
 
 def _clamp01(x: float) -> float:
@@ -231,31 +257,9 @@ def _escape_measure_bound(n: int, kappa: float, delta: float, t_horizon: float) 
     """Upper bound on the measure of initial data keeping R < 1-delta up to T."""
     pi_e = np.pi * np.e
     if delta < 0.25:
-        x = 2.0 / (math.sqrt(np.pi * delta) * math.exp(0.5 + delta**2))
-        lx = n * math.log(x)
-        t0 = (lx + math.log((1.0 + 2.0 / n) - (2.0 / n) * math.exp(-lx))) / (
-            kappa * n * delta * (1.0 - delta)
-        )
-        if t_horizon <= t0:
-            b = kappa * n * delta * (1.0 - delta)
-            head = (1.0 / (n / 2.0 + 1.0)) * (math.sqrt(pi_e * delta) / 2.0) ** n
-            return head * (1.0 - math.exp(-b * t_horizon)) + math.exp(
-                -n * delta**2 - b * t_horizon
-            )
-        base = 4.0 / (pi_e * delta) + 4.0 * kappa * (1.0 - delta) / pi_e * (t_horizon - t0)
-        return base ** (-n / 2.0)
+        return _two_phase_failure(n, 4.0 / (pi_e * delta), delta**2, kappa * n * delta * (1.0 - delta), t_horizon)
     if delta < 0.5:
-        x = 4.0 / (math.sqrt(np.pi) * math.exp(0.5 + delta**2))
-        lx = n * math.log(x)
-        t0 = (lx + math.log((1.0 + 2.0 / n) - (2.0 / n) * math.exp(-lx))) * 16.0 / (3.0 * kappa * n)
-        if t_horizon <= t0:
-            b = 3.0 * kappa * n / 16.0
-            head = (1.0 / (n / 2.0 + 1.0)) * (math.sqrt(pi_e) / 4.0) ** n
-            return head * (1.0 - math.exp(-b * t_horizon)) + math.exp(
-                -n * delta**2 - b * t_horizon
-            )
-        base = 16.0 / pi_e + 3.0 * kappa / pi_e * (t_horizon - t0)
-        return base ** (-n / 2.0)
+        return _two_phase_failure(n, 16.0 / pi_e, delta**2, 3.0 * kappa * n / 16.0, t_horizon)
     if delta < 0.75:
         base = math.exp(2.0 * delta**2) + 4.0 * kappa * delta * t_horizon / pi_e
         return base ** (-n / 2.0)
@@ -292,16 +296,7 @@ def probability_bound(
             raise DomainError("SincosTime requires epsilon in (0, 1]")
         if kappa is None or kappa <= 0 or t_h is None or t_h < 0:
             raise DomainError("SincosTime requires kappa > 0 and T >= 0")
-        t0 = sincos_death_time(n, kappa, eps)
-        pi_e = np.pi * np.e
-        if t_h <= t0:
-            b = kappa * n * eps * (5.0 - eps) / 25.0
-            head = (1.0 / (n / 2.0 + 1.0)) * (math.sqrt(pi_e * eps) / (2.0 * math.sqrt(5.0))) ** n
-            fail = head * (1.0 - math.exp(-b * t_h)) + math.exp(-n * eps**2 / 25.0 - b * t_h)
-        else:
-            base = 20.0 / (pi_e * eps) + 4.0 * kappa * (5.0 - eps) / (5.0 * pi_e) * (t_h - t0)
-            fail = base ** (-n / 2.0)
-        return _clamp01(1.0 - fail)
+        return _clamp01(1.0 - _two_phase_failure(n, *_sincos_time_params(n, kappa, eps), t_h))
     if kind == "OrderParamCDF":
         t = params.t_level
         if t is None or not 0.0 < t < 1.0:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -159,3 +161,33 @@ def test_pathwise_critical_coupling_zero_frequencies():
     opts = wf.dp45_options(horizon=20.0, sample_stride=1.0)
     val = wf.estimate_pathwise_critical_coupling(cfg, wf.sinusoidal(), np.array([0.1, -0.1]), opts)
     assert val == 0.0
+
+
+def test_internal_value_error_is_not_a_configuration_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(wf.integrate, "simulate", broken)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["simulate", "--omega", "0.1,-0.1", "--kappa", "3", "--horizon", "10"])
+
+
+def test_configuration_errors_name_the_setting(tmp_path, monkeypatch, capsys):
+    assert main(["bounds", "--kind", "SincosTime", "--n", "800", "--epsilon", "1"]) == 2
+    assert "missing required setting: kappa" in capsys.readouterr().err
+    cfg_path = tmp_path / "custom.json"
+    cfg_path.write_text(json.dumps({"family": "custom", "omega": [0.1, -0.1]}))
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert "influence_table" in capsys.readouterr().err
+    monkeypatch.setenv("WINFREE_SEED", "seven")
+    assert main(["critical-coupling", "--omega", "1,1"]) == 2
+    assert "WINFREE_SEED" in capsys.readouterr().err
+
+
+def test_import_winfree_leaves_cli_unloaded():
+    src = os.path.dirname(os.path.dirname(wf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, winfree; print('argparse' in sys.modules, 'winfree.cli' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]

@@ -181,3 +181,20 @@ def test_verify_theorem_conclusions_strong_coupling():
     traj = wf.simulate(cfg, SPEC, rng.uniform(-2.0, 2.0, n), opts)
     rep = wf.verify_theorem_conclusions(traj, cfg, 0.5)
     assert rep.all_ok
+
+
+@pytest.mark.parametrize("opts", [
+    wf.dp45_options(horizon=200.0, sample_stride=5.0, abs_tol=1e-6, rel_tol=1e-6),
+    wf.rk4_options(0.05, 50.0, 1.0),
+], ids=["dp45", "rk4"])
+def test_one_rhs_path_for_every_family(opts):
+    # power_cosine(1) is the sinusoidal kernel; only a shared right-hand
+    # side makes the two runs agree to the last bit
+    rng = np.random.default_rng(20)
+    cfg = wf.SystemConfig(n=20, omega=rng.uniform(-1, 1, 20), kappa=2.5)
+    theta0 = rng.uniform(-np.pi, np.pi, 20)
+    a = wf.simulate(cfg, wf.sinusoidal(), theta0, opts)
+    b = wf.simulate(cfg, wf.power_cosine(1), theta0, opts)
+    assert a.times.tobytes() == b.times.tobytes()
+    assert a.states.tobytes() == b.states.tobytes()
+    assert (a.accepted_steps, a.rejected_steps) == (b.accepted_steps, b.rejected_steps)

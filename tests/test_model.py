@@ -176,3 +176,43 @@ def test_load_custom_table(tmp_path):
     assert table.shape == (4096,)
     spec = wf.custom_interaction(table, table)
     assert wf.influence(spec, 0.5) == pytest.approx(1 + math.cos(0.5), abs=1e-4)
+
+
+def _non_sinusoidal_families():
+    th = np.linspace(-np.pi, np.pi, 4096)
+    custom = wf.custom_interaction(1.0 + np.cos(th) + 0.2 * np.sin(2 * th), -np.sin(th) + 0.1 * np.cos(th))
+    # (spec, derivative tolerance): a centred difference of a linear
+    # interpolant is off by about f'' * grid spacing next to the knots
+    return {
+        "power_cosine(2)": (wf.power_cosine(2), 1e-7),
+        "rectified_poisson(0.3)": (wf.rectified_poisson(0.3), 1e-7),
+        "custom": (custom, 5e-3),
+    }
+
+
+@pytest.mark.parametrize("name", list(_non_sinusoidal_families()))
+def test_family_derivatives_match_centred_differences(name):
+    spec, tol = _non_sinusoidal_families()[name]
+    th = np.linspace(-3 * np.pi, 3 * np.pi, 1201)  # beyond one period: no wrapping needed by callers
+    h = 1e-5
+    di = (wf.influence(spec, th + h) - wf.influence(spec, th - h)) / (2 * h)
+    ds = (wf.sensitivity(spec, th + h) - wf.sensitivity(spec, th - h)) / (2 * h)
+    assert np.max(np.abs(wf.influence_deriv(spec, th) - di)) < tol
+    assert np.max(np.abs(wf.sensitivity_deriv(spec, th) - ds)) < tol
+
+
+@pytest.mark.parametrize("name", list(_non_sinusoidal_families()))
+def test_family_divergence_equals_jacobian_trace(name):
+    spec, _ = _non_sinusoidal_families()[name]
+    rng = np.random.default_rng(7)
+    h = 1e-6
+    for _ in range(10):
+        n = int(rng.integers(1, 8))
+        cfg = wf.SystemConfig(n=n, omega=rng.uniform(-1, 1, n), kappa=rng.uniform(-3, 3))
+        theta = rng.uniform(-3 * np.pi, 3 * np.pi, n)
+        trace = 0.0
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = h
+            trace += (wf.vector_field(cfg, spec, theta + e)[j] - wf.vector_field(cfg, spec, theta - e)[j]) / (2 * h)
+        assert wf.divergence(cfg, spec, theta) == pytest.approx(trace, abs=1e-6)
