@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -58,6 +59,11 @@ def _setting(cfg, key: str, default=None, cast=float):
         return cast(value)
     except (TypeError, ValueError):
         raise ConfigurationError(f"bad value for {key}: {value!r}") from None
+
+
+def _optional_float(cfg: dict, key: str) -> Optional[float]:
+    """cfg[key] as a float, or None when unset."""
+    return None if cfg.get(key) is None else _setting(cfg, key)
 
 
 def _floats(cfg: dict, key: str) -> np.ndarray:
@@ -243,17 +249,17 @@ def cmd_bounds(cfg: dict) -> int:
         raise ConfigurationError("bounds requires --kind")
     n = _setting(cfg, "n", 100, int)
     params = BoundParams(
-        epsilon=cfg.get("epsilon"),
-        delta=cfg.get("delta"),
-        T=cfg.get("t_horizon"),
-        C_mu=cfg.get("c_mu"),
-        beta=cfg.get("beta"),
-        R_star=cfg.get("r_star"),
-        I_star=cfg.get("i_star"),
-        t_level=cfg.get("t_level"),
-        kappa=cfg.get("kappa"),
-        omega_max=cfg.get("omega_max"),
-        sup_I=cfg.get("sup_i"),
+        epsilon=_optional_float(cfg, "epsilon"),
+        delta=_optional_float(cfg, "delta"),
+        T=_optional_float(cfg, "t_horizon"),
+        C_mu=_optional_float(cfg, "c_mu"),
+        beta=_optional_float(cfg, "beta"),
+        R_star=_optional_float(cfg, "r_star"),
+        I_star=_optional_float(cfg, "i_star"),
+        t_level=_optional_float(cfg, "t_level"),
+        kappa=_optional_float(cfg, "kappa"),
+        omega_max=_optional_float(cfg, "omega_max"),
+        sup_I=_optional_float(cfg, "sup_i"),
     )
     spec = _interaction_spec(cfg)
     payload: dict = {"kind": kind, "n": n}

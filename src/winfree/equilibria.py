@@ -10,7 +10,10 @@ bound the possible equilibrium order parameters.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +36,9 @@ ROOT_TOL = 1e-12
 TANGENT_TOL = 1e-10
 DEDUP_TOL = 1e-8
 R_UPPER = 2.0 + 1e-9
+BLOCK_SIGNATURES = 64  # signatures per grid evaluation; bounds scan memory independently of 2^N
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,7 @@ class Signature:
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=int)
         object.__setattr__(self, "sigma", sigma)
-        if not np.all(np.isin(sigma, (-1, 1))):
+        if not np.all(np.abs(sigma) == 1):
             raise DomainError("signature entries must be -1 or +1")
 
 
@@ -75,62 +81,113 @@ class WPolynomial:
     branch_w: Optional[np.ndarray] = None
 
     def roots_in(self, lo: float, hi: float) -> np.ndarray:
-        """Real roots in [lo, hi].
+        """Real roots in [lo, hi], sorted, with roots closer than DEDUP_TOL merged.
 
         Expanded coefficients of the high-degree polynomial are hopeless for
         root finding (the companion matrix and Horner evaluation both lose all
-        accuracy to cancellation), so roots are located factor by factor: each
-        signature contributes one branch function whose zeros are found by
-        sign-change bisection, as in the fixed-point solve.
+        accuracy to cancellation), so roots are located factor by factor.  For
+        r > 0 each signature's factor r - r^2 + (1/N) sum_j sigma_j
+        sqrt(r^2 - w_j) is r times the branch function of the fixed-point
+        equation, so one call of the signature-batched branch solver finds
+        them all on [max(lo, branch point), hi].
         """
         if self.branch_w is None:
             raise UnsupportedOperationError("roots_in requires the branch data")
         w = np.asarray(self.branch_w, dtype=float)
-        n = len(w)
-        branch_point = float(np.sqrt(np.max(w)))
-        roots: list[float] = []
-        a = max(lo, branch_point)
-        if hi > a:
-            for bits in range(2**n):
-                sigma = 1.0 - 2.0 * ((bits >> np.arange(n)) & 1)
-
-                def h(r, sigma=sigma):
-                    r = np.asarray(r, dtype=float)
-                    p = np.sqrt(np.clip(np.square(r)[..., None] - w, 0.0, None))
-                    return r - r * r + np.sum(sigma * p, axis=-1) / n
-
-                roots.extend(_scan_roots(h, a, hi))
-        return np.asarray(_merge_close(roots, DEDUP_TOL))
+        a = max(lo, float(np.sqrt(np.max(w))))
+        if hi <= a:
+            return np.asarray([])
+        roots = _branch_roots(w, 1.0, _signatures(w.size), a, hi)  # w_j = (omega_j/kappa)^2
+        return np.asarray(_merge_close(itertools.chain.from_iterable(roots), DEDUP_TOL))
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
             json.dump({"degree": self.degree, "coeffs": self.coeffs.tolist()}, fh, sort_keys=True)
 
 
-def _r_equation(config: SystemConfig, sigma: np.ndarray):
-    omega2 = config.omega**2
-    kappa2 = config.kappa**2
-
-    def f(r):
-        r = np.asarray(r, dtype=float)
-        radicand = np.clip(1.0 - omega2 / (kappa2 * np.square(r)[..., None]), 0.0, None)
-        return 1.0 + np.mean(sigma * np.sqrt(radicand), axis=-1) - r
-
-    return f
+def _radicals(omega2: np.ndarray, kappa2: float, r: np.ndarray) -> np.ndarray:
+    """sqrt(1 - omega_j^2 / (kappa r)^2), clipped at the branch point; shape r.shape + (N,)."""
+    return np.sqrt(np.clip(1.0 - omega2 / (kappa2 * np.square(r)[..., None]), 0.0, None))
 
 
-def _bisect(f, a: float, b: float, fa: float) -> float:
-    """Root of f in the bracket [a, b], f(a) = fa, bisected until |f| < ROOT_TOL."""
+def _branch_values(omega2: np.ndarray, kappa2: float, sigma: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Branch function at r_k for signature row sigma_k (see _branch_roots)."""
+    return 1.0 + np.sum(sigma * _radicals(omega2, kappa2, r), axis=-1) / omega2.size - r
+
+
+def _signatures(n: int) -> np.ndarray:
+    """All 2^n signatures as rows; in row `bits`, sigma_j = -1 where bit j is set."""
+    return 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+
+
+def _bisect_brackets(omega2: np.ndarray, kappa2: float, sigma: np.ndarray, a: np.ndarray,
+                     b: np.ndarray, fa: np.ndarray) -> np.ndarray:
+    """Root of f for signature row sigma_k in each bracket [a_k, b_k], f(a_k) = fa_k.
+
+    All brackets are halved together.  Bracket k stops once |f(mid)| < ROOT_TOL or
+    b_k - a_k < 1e-16, after at most 200 halvings; its root is the midpoint.
+    """
+    a, b, fa = np.array(a, dtype=float), np.array(b, dtype=float), np.array(fa, dtype=float)
+    live = np.arange(a.size)
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = float(f(mid))
-        if abs(fm) < ROOT_TOL or b - a < 1e-16:
+        if live.size == 0:
             break
-        if fa * fm < 0:
-            b = mid
-        else:
-            a, fa = mid, fm
+        mid = 0.5 * (a[live] + b[live])
+        fm = _branch_values(omega2, kappa2, sigma[live], mid)
+        go = ~((np.abs(fm) < ROOT_TOL) | (b[live] - a[live] < 1e-16))
+        live, mid, fm = live[go], mid[go], fm[go]
+        left = fa[live] * fm < 0
+        b[live[left]] = mid[left]
+        a[live[~left]] = mid[~left]
+        fa[live[~left]] = fm[~left]
     return 0.5 * (a + b)
+
+
+def _branch_roots(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, lo: float,
+                  hi: float) -> list[list[float]]:
+    """Roots on [lo, hi] of the branch function of every signature row in sigmas.
+
+    The branch function f(r) = 1 + (1/N) sum_j sigma_j sqrt(1 - omega_j^2/(kappa r)^2) - r
+    is evaluated on SCAN_POINTS subintervals for BLOCK_SIGNATURES signatures at
+    a time.  Its roots are the left end point when |f| < ROOT_TOL there, the
+    bisected sign changes (_bisect_brackets), and tangential (double) roots:
+    grid minima of |f| below 1e-6 with no sign change around them, refined by
+    golden section and kept when |f| < TANGENT_TOL.  Each row's roots come
+    unsorted.
+    """
+    grid = np.linspace(lo, hi, SCAN_POINTS + 1)
+    radicals = _radicals(omega2, kappa2, grid)
+    roots: list[list[float]] = [[] for _ in range(len(sigmas))]
+    for start in range(0, len(sigmas), BLOCK_SIGNATURES):
+        block = np.asarray(sigmas[start:start + BLOCK_SIGNATURES], dtype=float)
+        found = roots[start:start + BLOCK_SIGNATURES]
+        vals = np.einsum("gn,sn->sg", radicals, block)
+        vals /= omega2.size  # in place, 1 + sum/N - r as in _branch_values
+        vals += 1.0
+        vals -= grid
+        for s in np.nonzero(np.abs(vals[:, 0]) < ROOT_TOL)[0]:
+            found[s].append(float(grid[0]))
+        neg, pos = vals < 0, vals > 0
+        s, k = np.nonzero((neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:]))
+        bisected = _bisect_brackets(omega2, kappa2, block[s], grid[k], grid[k + 1], vals[s, k])
+        for row, r in zip(s.tolist(), bisected.tolist()):
+            found[row].append(r)
+        s, k = np.nonzero(np.abs(vals[:, 1:-1]) < 1e-6)
+        k = k + 1
+        here, before, after = np.abs(vals[s, k]), np.abs(vals[s, k - 1]), np.abs(vals[s, k + 1])
+        same_side = (pos[s, k - 1] & pos[s, k + 1]) | (neg[s, k - 1] & neg[s, k + 1])  # else bisected
+        dip = (here <= before) & (here <= after) & same_side
+        for row, k in zip(s[dip].tolist(), k[dip].tolist()):
+            def abs_f(r, sigma=block[row:row + 1]):
+                return abs(float(_branch_values(omega2, kappa2, sigma, np.array([r]))[0]))
+
+            x, v = _golden_min(abs_f, grid[k - 1], grid[k + 1])
+            accepted = v < TANGENT_TOL
+            _log.debug("tangent candidate r=%.17g min|f|=%.3g %s",
+                       x, v, "accepted" if accepted else "rejected")
+            if accepted:
+                found[row].append(x)
+    return roots
 
 
 def _merge_close(roots, tol: float) -> list[float]:
@@ -142,33 +199,22 @@ def _merge_close(roots, tol: float) -> list[float]:
     return keep
 
 
-def _scan_roots(f, lo: float, hi: float) -> list[float]:
-    """Roots of f on [lo, hi]: grid sign scan, bisection, tangency detection."""
-    grid = np.linspace(lo, hi, SCAN_POINTS + 1)
-    vals = np.asarray(f(grid), dtype=float)
-    roots = []
-    if abs(vals[0]) < ROOT_TOL:
-        roots.append(float(grid[0]))
-    signs = np.sign(vals)
-    for k in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-        roots.append(_bisect(f, grid[k], grid[k + 1], vals[k]))
-    # tangential (double) roots: local minima of |f| that nearly touch zero
-    absvals = np.abs(vals)
-    for k in range(1, SCAN_POINTS):
-        if absvals[k] <= absvals[k - 1] and absvals[k] <= absvals[k + 1] and absvals[k] < 1e-6:
-            if signs[k - 1] * signs[k + 1] > 0:  # not already caught by bisection
-                x, v = _golden_min(lambda r: abs(float(f(r))), grid[k - 1], grid[k + 1])
-                if v < TANGENT_TOL:
-                    roots.append(x)
-    return roots
+def _fixed_point_roots(config: SystemConfig, sigmas: np.ndarray) -> list[list[float]]:
+    """Per signature row, the sorted roots of the fixed-point equation on [max|omega|/|kappa|, R_UPPER]."""
+    r_lo = config.omega_max / abs(config.kappa)
+    if r_lo > R_UPPER:
+        return [[] for _ in range(len(sigmas))]
+    roots = _branch_roots(config.omega**2, config.kappa**2, sigmas, r_lo, R_UPPER)
+    return [_merge_close(r, 1e-10) for r in roots]
 
 
 def solve_R_equation(config: SystemConfig, signature: Signature) -> list[float]:
     """All roots of the order-parameter fixed-point equation for one signature.
 
-    Scans [max|omega|/|kappa|, 2 + 1e-9] on 4096 subintervals, bisects sign
-    changes to |f| < 1e-12, and accepts tangential roots when a local minimum
-    of |f| dips below 1e-10.
+    The one-row case of the signature-batched branch solver: scans
+    [max|omega|/|kappa|, 2 + 1e-9] on 4096 subintervals, bisects sign changes
+    to |f| < 1e-12, and accepts tangential roots when a local minimum of |f|
+    dips below 1e-10.  Roots closer than 1e-10 are merged.
     """
     if config.kappa == 0.0:
         raise DomainError("kappa must be nonzero")
@@ -177,10 +223,7 @@ def solve_R_equation(config: SystemConfig, signature: Signature) -> list[float]:
     sigma = signature.sigma
     if sigma.shape != (config.n,):
         raise DomainError("signature length must equal N")
-    r_lo = config.omega_max / abs(config.kappa)
-    if r_lo > R_UPPER:
-        return []
-    return _merge_close(_scan_roots(_r_equation(config, sigma), r_lo, R_UPPER), 1e-10)
+    return _fixed_point_roots(config, sigma[None])[0]
 
 
 def _canonical(theta: np.ndarray) -> np.ndarray:
@@ -229,25 +272,32 @@ def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
         raise DomainError("kappa must be nonzero")
     if config.n > 20:
         raise SizeLimitError("signature enumeration limited to N <= 20")
-    records = []
+    sigmas = _signatures(config.n)
     if np.all(config.omega == 0.0):
-        for bits in range(2**config.n):
-            mask = (bits >> np.arange(config.n)) & 1
-            theta = np.where(mask == 1, np.pi, 0.0)
-            sigma = np.where(mask == 1, -1, 1)
+        records = []
+        for sigma in sigmas:
+            theta = np.where(sigma < 0, np.pi, 0.0)
             r = float(np.mean(1.0 + np.cos(theta)))
             records.append(_record(config, sigma, r, theta))
         return records
-    seen = []
-    for bits in range(2**config.n):
-        sigma = np.where((bits >> np.arange(config.n)) & 1 == 1, -1, 1)
-        for r in solve_R_equation(config, Signature(sigma)):
-            if r <= 0:
-                continue
+    # Greedy dedup, first record wins.  |cos a - cos b| <= |wrap(a - b)|, so a
+    # theta within DEDUP_TOL of a kept one has mean(cos theta) within DEDUP_TOL
+    # of that one's: only kept records in that key window (doubled for
+    # rounding) are compared.
+    records = []
+    keys: list[float] = []  # sorted mean(cos theta) of the kept records
+    kept: list[np.ndarray] = []  # their thetas, in key order
+    for sigma, roots in zip(sigmas, _fixed_point_roots(config, sigmas)):
+        for r in roots:
             theta = _equilibrium_theta(config, sigma, r)
-            if any(np.max(np.abs(model.wrap_to_pi(theta - prev))) < DEDUP_TOL for prev in seen):
+            key = float(np.mean(np.cos(theta)))
+            lo = bisect.bisect_left(keys, key - 2 * DEDUP_TOL)
+            hi = bisect.bisect_right(keys, key + 2 * DEDUP_TOL)
+            if any(np.max(np.abs(model.wrap_to_pi(theta - prev))) < DEDUP_TOL for prev in kept[lo:hi]):
                 continue
-            seen.append(theta)
+            at = bisect.bisect_right(keys, key, lo, hi)
+            keys.insert(at, key)
+            kept.insert(at, theta)
             records.append(_record(config, sigma, r, theta))
     return records
 
@@ -316,17 +366,18 @@ def construct_prescribed_equilibrium(
         theta = np.where(sigma > 0, 0.0, np.pi)
         record = _record(config, sigma, rho0, theta)
         return record, m
-    f = _r_equation(config, sigma)
+    omega2, kappa2 = config.omega**2, config.kappa**2
     lo = max(0.5 * rho0, config.omega_max / abs(config.kappa))
     hi = 1.5 * rho0
     grid = np.linspace(lo, hi, SCAN_POINTS + 1)
-    vals = f(grid)
+    vals = _branch_values(omega2, kappa2, np.broadcast_to(sigma, (grid.size, config.n)), grid)
     signs = np.sign(vals)
     change = np.nonzero(signs[:-1] * signs[1:] <= 0)[0]
     if change.size == 0:
         raise DomainError("no fixed-point root in the prescribed interval")
     k = int(change[np.argmin(np.abs(grid[change] - rho0))])
-    r = _bisect(f, grid[k], grid[k + 1], vals[k])
+    r = float(_bisect_brackets(omega2, kappa2, sigma[None], grid[k:k + 1], grid[k + 1:k + 2],
+                               vals[k:k + 1])[0])
     theta = _equilibrium_theta(config, sigma, r)
     record = _record(config, sigma, r, theta)
     # per-oscillator bracket bounds around the branch centers

@@ -191,3 +191,17 @@ def test_import_winfree_leaves_cli_unloaded():
     code = "import sys, winfree; print('argparse' in sys.modules, 'winfree.cli' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "False"]
+
+
+def test_bounds_config_values_are_converted(tmp_path, capsys):
+    def bounds(delta):
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps({"kind": "EscapeMeasure", "n": 10, "delta": delta, "kappa": 2, "t_horizon": 1}))
+        return main(["bounds", "--config", str(path)])
+
+    assert bounds(0.5) == 0
+    numeric = json.loads(capsys.readouterr().out)
+    assert bounds("0.5") == 0
+    assert json.loads(capsys.readouterr().out) == numeric
+    assert bounds("oops") == 2
+    assert "delta" in capsys.readouterr().err

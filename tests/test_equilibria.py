@@ -1,10 +1,18 @@
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import winfree as wf
+from winfree import equilibria
 from winfree.equilibria import Signature, solve_R_equation
 from winfree.errors import DomainError, SizeLimitError
 
@@ -207,3 +215,64 @@ def test_theta_canonical_range():
 def test_signature_validation():
     with pytest.raises(DomainError):
         Signature(np.array([1, 0]))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_equilibria_appear_at_critical_coupling(n):
+    omega = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    kc = wf.critical_coupling(omega)
+    below = wf.SystemConfig(n=n, omega=omega, kappa=kc * (1 - 1e-6))
+    above = wf.SystemConfig(n=n, omega=omega, kappa=kc * (1 + 1e-6))
+    assert wf.enumerate_equilibria(below) == []
+    assert len(wf.enumerate_equilibria(above)) > 0
+
+
+def _per_signature_equilibria(cfg):
+    """(R, signature, theta) from solve_R_equation one signature at a time, deduplicated
+    by comparing each theta with every kept one (first found wins)."""
+    kept = []
+    for bits in range(2**cfg.n):
+        sigma = np.where((bits >> np.arange(cfg.n)) & 1 == 1, -1, 1)
+        for r in solve_R_equation(cfg, Signature(sigma)):
+            theta = equilibria._equilibrium_theta(cfg, sigma, r)
+            if all(np.max(np.abs(wf.wrap_to_pi(theta - prev))) >= equilibria.DEDUP_TOL for _, _, prev in kept):
+                kept.append((r, sigma.tolist(), theta))
+    return kept
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    omega=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+    kappa=st.floats(0.2, 3.0),
+    block=st.sampled_from([1, 3, 64]),
+)
+# roots at the branch point, where several signatures give one theta
+@example(omega=[1.0], kappa=1.0, block=1)
+@example(omega=[0.5, -0.5, 0.2, -0.1], kappa=0.339195131965317, block=3)
+def test_enumeration_matches_per_signature_solver(omega, kappa, block):
+    omega = np.array(omega)
+    assume(np.max(np.abs(omega)) > 1e-3)
+    cfg = wf.SystemConfig(n=omega.size, omega=omega, kappa=kappa)
+    with mock.patch.object(equilibria, "BLOCK_SIGNATURES", block):
+        records = wf.enumerate_equilibria(cfg)
+        roots = wf.build_W_polynomial(cfg).roots_in(0.0, 2.1)
+    reference = _per_signature_equilibria(cfg)
+    assert [(rec.R, rec.signature.sigma.tolist()) for rec in records] == [(r, s) for r, s, _ in reference]
+    for rec, (_, _, theta) in zip(records, reference):
+        assert np.array_equal(rec.theta, theta)
+    for rec in records:
+        assert np.min(np.abs(roots - rec.R)) < 1e-6
+
+
+def test_tangent_close_calls_logged_only_at_debug(caplog):
+    omega = np.random.default_rng(0).uniform(-1.0, 1.0, 2)
+    cfg = wf.SystemConfig(n=2, omega=omega, kappa=wf.critical_coupling(omega))
+    with caplog.at_level(logging.DEBUG, logger="winfree.equilibria"):
+        wf.enumerate_equilibria(cfg)
+    assert any(m.startswith("tangent candidate") and m.endswith("accepted") for m in caplog.messages)
+    src = os.path.dirname(os.path.dirname(wf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import winfree as wf; "
+            f"wf.enumerate_equilibria(wf.SystemConfig(n=2, omega={omega.tolist()!r}, kappa={cfg.kappa!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert (out.stdout, out.stderr) == ("", "")
