@@ -17,17 +17,11 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from . import model
-from .errors import (
-    DegenerateFrequenciesError,
-    DomainError,
-    SizeLimitError,
-    UnsupportedOperationError,
-)
+from .errors import DegenerateFrequenciesError, DomainError, SizeLimitError
 from .model import SystemConfig
 from .thresholds import _golden_min
 
@@ -74,11 +68,12 @@ class EquilibriumRecord:
 
 @dataclass(frozen=True)
 class WPolynomial:
-    coeffs: np.ndarray  # ascending degree, length 2^(N+1) + 1
+    # ascending degree, length 2^(N+1) + 1; float64, or Fractions (object dtype) from the exact build
+    coeffs: np.ndarray
     degree: int
     # squared frequency-to-coupling ratios (omega_j/kappa)^2; carried so the
     # polynomial can be evaluated through its well-conditioned product form
-    branch_w: Optional[np.ndarray] = None
+    branch_w: np.ndarray
 
     def roots_in(self, lo: float, hi: float) -> np.ndarray:
         """Real roots in [lo, hi], sorted, with roots closer than DEDUP_TOL merged.
@@ -91,9 +86,7 @@ class WPolynomial:
         equation, so one call of the signature-batched branch solver finds
         them all on [max(lo, branch point), hi].
         """
-        if self.branch_w is None:
-            raise UnsupportedOperationError("roots_in requires the branch data")
-        w = np.asarray(self.branch_w, dtype=float)
+        w = self.branch_w
         a = max(lo, float(np.sqrt(np.max(w))))
         if hi <= a:
             return np.asarray([])
@@ -102,7 +95,13 @@ class WPolynomial:
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump({"degree": self.degree, "coeffs": self.coeffs.tolist()}, fh, sort_keys=True)
+            json.dump({"degree": self.degree, "coeffs": [float(c) for c in self.coeffs]}, fh, sort_keys=True)
+
+
+def _frequencies_vanish(config: SystemConfig) -> bool:
+    """True when every (omega_j/kappa)^2 is 0, also when it underflows: those systems are omega = 0."""
+    with np.errstate(under="ignore"):
+        return not np.any((config.omega / config.kappa) ** 2)
 
 
 def _radicals(omega2: np.ndarray, kappa2: float, r: np.ndarray) -> np.ndarray:
@@ -218,7 +217,7 @@ def solve_R_equation(config: SystemConfig, signature: Signature) -> list[float]:
     """
     if config.kappa == 0.0:
         raise DomainError("kappa must be nonzero")
-    if np.all(config.omega == 0.0):
+    if _frequencies_vanish(config):
         raise DegenerateFrequenciesError("all frequencies vanish; use the bipolar enumeration")
     sigma = signature.sigma
     if sigma.shape != (config.n,):
@@ -273,7 +272,7 @@ def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
     if config.n > 20:
         raise SizeLimitError("signature enumeration limited to N <= 20")
     sigmas = _signatures(config.n)
-    if np.all(config.omega == 0.0):
+    if _frequencies_vanish(config):
         records = []
         for sigma in sigmas:
             theta = np.where(sigma < 0, np.pi, 0.0)
@@ -306,7 +305,8 @@ def critical_coupling(omega) -> float:
     """Smallest coupling strength admitting an equilibrium.
 
     Solves the scalar balance equation for the auxiliary level u in
-    [max|omega|, (2/sqrt(3))*max|omega|] by bisection; returns 0 for omega = 0
+    [1, 2/sqrt(3)] for omega/max|omega| by bisection and scales the result by
+    max|omega|, so tiny frequencies cannot underflow; returns 0 for omega = 0
     (degenerate: every positive coupling admits equilibria).
     """
     omega = np.asarray(omega, dtype=float)
@@ -314,14 +314,14 @@ def critical_coupling(omega) -> float:
     if omega_inf == 0.0:
         return 0.0
     n = omega.size
-    omega2 = omega**2
+    omega2 = (omega / omega_inf) ** 2
 
     def h(u):
         s = np.sqrt(np.clip(1.0 - omega2 / u**2, 1e-300, None))
         return -1.0 - 2.0 / n * np.sum(s) + 1.0 / n * np.sum(1.0 / s)
 
-    a = omega_inf * (1.0 + 1e-12)
-    b = 2.0 / math.sqrt(3.0) * omega_inf
+    a = 1.0 + 1e-12
+    b = 2.0 / math.sqrt(3.0)
     if h(b) >= 0.0:
         u_star = b
     else:
@@ -335,7 +335,7 @@ def critical_coupling(omega) -> float:
                 break
         u_star = 0.5 * (a + b)
     s = np.sqrt(np.clip(1.0 - omega2 / u_star**2, 0.0, None))
-    return float(n * u_star / (n + np.sum(s)))
+    return float(n * u_star / (n + np.sum(s))) * omega_inf
 
 
 def construct_prescribed_equilibrium(
@@ -362,7 +362,7 @@ def construct_prescribed_equilibrium(
     m = max(m, 1)
     rho0 = 2.0 * m / config.n
     sigma = np.where(np.arange(config.n) < m, 1, -1)
-    if np.all(config.omega == 0.0):
+    if _frequencies_vanish(config):
         theta = np.where(sigma > 0, 0.0, np.pi)
         record = _record(config, sigma, rho0, theta)
         return record, m
@@ -390,57 +390,40 @@ def construct_prescribed_equilibrium(
     return record, m
 
 
-def _group_multiply(e1: dict, e2: dict, weights, conv, poly_w):
+def _accumulate(element: dict, mask: int, poly: np.ndarray) -> None:
+    """element[mask] += poly (an absent mask is 0), zero-padding the shorter polynomial.
+
+    Every polynomial passed in is a fresh array owned by element, so the sum
+    is formed in place.
+    """
+    prev = element.get(mask)
+    if prev is None:
+        element[mask] = poly
+        return
+    if len(prev) < len(poly):
+        prev, poly = poly, prev
+    prev[: len(poly)] += poly
+    element[mask] = prev
+
+
+def _group_multiply(e1: dict, e2: dict, poly_w: list) -> dict:
     """Multiply two elements of the radical group algebra.
 
     Elements map bitmasks of active radicals p_j to coefficient polynomials in
-    r (ascending).  p_j^2 collapses to the polynomial r^2 - w_j.
+    r (ascending).  p_j^2 collapses to the polynomial poly_w[j] = r^2 - w_j.
     """
     out: dict = {}
     for m1, c1 in e1.items():
         for m2, c2 in e2.items():
-            mask = m1 ^ m2
-            poly = conv(c1, c2)
+            poly = np.convolve(c1, c2)
             both = m1 & m2
             j = 0
             while both:
                 if both & 1:
-                    poly = conv(poly, poly_w[j])
+                    poly = np.convolve(poly, poly_w[j])
                 both >>= 1
                 j += 1
-            if mask in out:
-                out[mask] = _poly_add(out[mask], poly)
-            else:
-                out[mask] = poly
-    return out
-
-
-def _poly_add(a, b):
-    if isinstance(a, np.ndarray):
-        if len(a) < len(b):
-            a, b = b, a
-        out = a.copy()
-        out[: len(b)] += b
-        return out
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] += x
-    return out
-
-
-def _conv_float(a, b):
-    return np.convolve(a, b)
-
-
-def _conv_exact(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+            _accumulate(out, m1 ^ m2, poly)
     return out
 
 
@@ -451,71 +434,41 @@ def build_W_polynomial(config: SystemConfig, exact: bool = False) -> WPolynomial
     p_j = sqrt(r^2 - (omega_j/kappa)^2), then folds the product over all
     signatures by repeated norms (A + p_j B)(A - p_j B) = A^2 - (r^2 - w_j) B^2,
     which eliminates each radical in turn and leaves exact polynomial
-    coefficients.  The exact path uses rational arithmetic (N <= 4).
+    coefficients.  One elimination serves both builds: the float build
+    (float64 coefficients) and the exact build (N <= 4), which rounds omega and
+    kappa to nearby rationals and returns the coefficients as Fractions in an
+    object array.
     """
     if config.kappa == 0.0:
         raise DomainError("kappa must be nonzero")
-    if np.all(config.omega == 0.0):
+    if _frequencies_vanish(config):
         raise DegenerateFrequenciesError("all frequencies vanish")
     n = config.n
     if n > 8:
         raise SizeLimitError("W polynomial limited to N <= 8")
+    branch_w = (config.omega / config.kappa) ** 2
     if exact:
         if n > 4:
             raise SizeLimitError("exact-rational W path limited to N <= 4")
-        w = [Fraction(om).limit_denominator(10**12) ** 2 / Fraction(config.kappa).limit_denominator(10**12) ** 2
-             for om in config.omega.tolist()]
-        conv = _conv_exact
-        poly_w = [[-wj, Fraction(0), Fraction(1)] for wj in w]
-        base = {0: [Fraction(0), Fraction(1), Fraction(-1)]}  # r - r^2
-        inv_n = Fraction(1, n)
-        for j in range(n):
-            base = _poly_add_term(base, 1 << j, [inv_n])
+        one = Fraction(1)
+        kappa = Fraction(config.kappa).limit_denominator(10**12)
+        w = [(Fraction(om).limit_denominator(10**12) / kappa) ** 2 for om in config.omega.tolist()]
     else:
-        w = (config.omega / config.kappa) ** 2
-        conv = _conv_float
-        poly_w = [np.array([-wj, 0.0, 1.0]) for wj in w]
-        base = {0: np.array([0.0, 1.0, -1.0])}
-        for j in range(n):
-            base = _poly_add_term(base, 1 << j, np.array([1.0 / n]))
-    element = base
+        one, w = 1.0, branch_w
+    poly_w = [np.array([-wj, 0 * one, one]) for wj in w]
+    element = {0: np.array([0 * one, one, -one])}  # r - r^2; mask 0 first fixes the float summation order
+    for j in range(n):
+        element[1 << j] = np.array([one / n])
     for j in range(n):
         bit = 1 << j
         a_part = {m: c for m, c in element.items() if not m & bit}
         b_part = {m ^ bit: c for m, c in element.items() if m & bit}
-        a_sq = _group_multiply(a_part, a_part, w, conv, poly_w)
-        b_sq = _group_multiply(b_part, b_part, w, conv, poly_w)
-        # subtract (r^2 - w_j) * B^2
-        for m, c in b_sq.items():
-            scaled = conv(c, poly_w[j])
-            neg = (
-                -scaled if isinstance(scaled, np.ndarray) else [-x for x in scaled]
-            )
-            if m in a_sq:
-                a_sq[m] = _poly_add(a_sq[m], neg)
-            else:
-                a_sq[m] = neg
-        element = a_sq
+        element = _group_multiply(a_part, a_part, poly_w)
+        for m, c in _group_multiply(b_part, b_part, poly_w).items():
+            _accumulate(element, m, -np.convolve(c, poly_w[j]))  # minus (r^2 - w_j) * B^2
     (mask, coeffs), = element.items()
     assert mask == 0
-    if exact:
-        coeffs = np.array([float(c) for c in coeffs])
-    else:
-        coeffs = np.asarray(coeffs, dtype=float)
-    degree = 2 ** (n + 1)
-    out = np.zeros(degree + 1)
-    out[: min(len(coeffs), degree + 1)] = coeffs[: degree + 1]
-    branch = (config.omega / config.kappa) ** 2
-    return WPolynomial(coeffs=out, degree=degree, branch_w=branch)
-
-
-def _poly_add_term(element: dict, mask: int, poly):
-    out = dict(element)
-    if mask in out:
-        out[mask] = _poly_add(out[mask], poly)
-    else:
-        out[mask] = poly
-    return out
+    return WPolynomial(coeffs=coeffs, degree=2 ** (n + 1), branch_w=branch_w)
 
 
 def classify_stability(config: SystemConfig, eq: EquilibriumRecord) -> str:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import winfree as wf
 from winfree import equilibria
 from winfree.equilibria import Signature, solve_R_equation
-from winfree.errors import DomainError, SizeLimitError
+from winfree.errors import DegenerateFrequenciesError, DomainError, SizeLimitError
 
 
 SPEC = wf.sinusoidal()
@@ -276,3 +277,88 @@ def test_tangent_close_calls_logged_only_at_debug(caplog):
             f"wf.enumerate_equilibria(wf.SystemConfig(n=2, omega={omega.tolist()!r}, kappa={cfg.kappa!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert (out.stdout, out.stderr) == ("", "")
+
+
+def _sturm_root_count(coeffs, lo, hi):
+    """Distinct real roots in (lo, hi) of the polynomial with ascending rational coefficients.
+
+    Sturm's theorem in exact arithmetic: p, p', then the negated remainders,
+    each divided by the magnitude of its leading coefficient (signs are kept).
+    """
+    def trimmed(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    def negated_remainder(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            for i, c in enumerate(b, len(a) - len(b)):
+                a[i] -= q * c
+            trimmed(a)
+        return [-c / abs(a[-1]) for c in a]
+
+    seq = [trimmed(list(coeffs))]
+    seq.append(trimmed([i * c for i, c in enumerate(seq[0])][1:]))
+    while rem := negated_remainder(seq[-2], seq[-1]):
+        seq.append(rem)
+
+    def sign_changes(x):
+        signs = [v > 0 for v in (sum(c * x**i for i, c in enumerate(p)) for p in seq) if v != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return sign_changes(lo) - sign_changes(hi)
+
+
+@pytest.mark.parametrize("omega,kappa", [
+    ((0.25,), 1.0),
+    ((0.5, -0.25), 1.0),
+    ((0.5, -0.25), 0.34375),
+    ((0.375, -0.125, 0.25), 1.5),
+    ((0.375, -0.125, 0.25), 0.5),
+    ((0.25, -0.125, 0.5, 0.0625), 2.0),  # float-rounded coefficients give 12 roots here
+    ((0.25, -0.125, 0.5, 0.0625), 0.3125),
+    ((0.75, -0.5, 0.25, 0.125), 1.0),
+])
+def test_w_polynomial_sturm_count_matches_roots_in(omega, kappa):
+    # dyadic omega and kappa: the exact build's rational coefficients are those of this system
+    cfg = wf.SystemConfig(n=len(omega), omega=np.array(omega), kappa=kappa)
+    poly = wf.build_W_polynomial(cfg, exact=True)
+    assert all(isinstance(c, Fraction) for c in poly.coeffs)
+    lo, hi = Fraction(max(map(abs, omega))) / Fraction(kappa), Fraction(21, 10)
+    assert all(sum(c * x**i for i, c in enumerate(poly.coeffs)) != 0 for x in (lo, hi))
+    assert _sturm_root_count(poly.coeffs, lo, hi) == len(poly.roots_in(0.0, 2.1))
+
+
+def test_w_polynomial_json_writes_float_coefficients(tmp_path):
+    cfg = wf.SystemConfig(n=2, omega=np.array([0.5, -0.25]), kappa=1.0)
+    for exact in (False, True):
+        poly = wf.build_W_polynomial(cfg, exact=exact)
+        path = tmp_path / f"w_{exact}.json"
+        poly.to_json(path)
+        assert json.loads(path.read_text()) == {"degree": 8, "coeffs": [float(c) for c in poly.coeffs]}
+
+
+@pytest.mark.parametrize("omega,kappa", [([1e-170, 0.0], 1.0), ([1e-100, 0.0], 1e80)])
+def test_underflowing_frequencies_take_the_zero_frequency_path(omega, kappa):
+    # (omega_j/kappa)^2 underflows to 0 for every j
+    cfg = wf.SystemConfig(n=2, omega=np.array(omega), kappa=kappa)
+    zero = wf.SystemConfig(n=2, omega=np.zeros(2), kappa=kappa)
+    with np.errstate(all="raise"):
+        got = [json.dumps(r.to_json_dict()) for r in wf.enumerate_equilibria(cfg)]
+        assert got == [json.dumps(r.to_json_dict()) for r in wf.enumerate_equilibria(zero)]
+        assert len(got) == 4
+        with pytest.raises(DegenerateFrequenciesError):
+            wf.build_W_polynomial(cfg)
+        with pytest.raises(DegenerateFrequenciesError):
+            solve_R_equation(cfg, Signature(np.array([1, -1])))
+
+
+def test_critical_coupling_tiny_frequencies_scale_exactly():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        omega = rng.uniform(-1.0, 1.0, int(rng.integers(1, 9)))
+        tiny = wf.critical_coupling(2.0**-560 * omega)
+        assert math.isfinite(tiny) and tiny > 0.0
+        assert tiny == 2.0**-560 * wf.critical_coupling(omega)
