@@ -104,6 +104,19 @@ def _frequencies_vanish(config: SystemConfig) -> bool:
         return not np.any((config.omega / config.kappa) ** 2)
 
 
+def _scaled_squares(config: SystemConfig) -> tuple[np.ndarray, float]:
+    """omega^2 and kappa^2 after scaling omega and kappa by one power of two.
+
+    The exponent lies midway between those of max|omega| and |kappa|, so every
+    omega_j^2 / (kappa r)^2 is unchanged to the last bit while kappa^2 and
+    max omega^2 stay normal for every system whose (omega/kappa)^2 does not
+    vanish, even where kappa^2 itself would underflow (kappa = 1e-170) or
+    overflow (kappa = 2^520).
+    """
+    e = (math.frexp(config.omega_max)[1] + math.frexp(abs(config.kappa))[1]) // 2
+    return np.ldexp(config.omega, -e) ** 2, math.ldexp(config.kappa, -e) ** 2
+
+
 def _radicals(omega2: np.ndarray, kappa2: float, r: np.ndarray) -> np.ndarray:
     """sqrt(1 - omega_j^2 / (kappa r)^2), clipped at the branch point; shape r.shape + (N,)."""
     return np.sqrt(np.clip(1.0 - omega2 / (kappa2 * np.square(r)[..., None]), 0.0, None))
@@ -203,7 +216,7 @@ def _fixed_point_roots(config: SystemConfig, sigmas: np.ndarray) -> list[list[fl
     r_lo = config.omega_max / abs(config.kappa)
     if r_lo > R_UPPER:
         return [[] for _ in range(len(sigmas))]
-    roots = _branch_roots(config.omega**2, config.kappa**2, sigmas, r_lo, R_UPPER)
+    roots = _branch_roots(*_scaled_squares(config), sigmas, r_lo, R_UPPER)
     return [_merge_close(r, 1e-10) for r in roots]
 
 
@@ -366,7 +379,7 @@ def construct_prescribed_equilibrium(
         theta = np.where(sigma > 0, 0.0, np.pi)
         record = _record(config, sigma, rho0, theta)
         return record, m
-    omega2, kappa2 = config.omega**2, config.kappa**2
+    omega2, kappa2 = _scaled_squares(config)
     lo = max(0.5 * rho0, config.omega_max / abs(config.kappa))
     hi = 1.5 * rho0
     grid = np.linspace(lo, hi, SCAN_POINTS + 1)

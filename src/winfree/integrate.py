@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -34,6 +35,8 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 
 _DP_E = _DP_B5 - _DP_B4
 
 _MIN_STEP_FRACTION = 1e-14
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,141 @@ def _sample_times(opts: SolverOptions) -> np.ndarray:
     return times
 
 
+def _integrate_rows(
+    config: SystemConfig,
+    spec: InteractionSpec,
+    initial: np.ndarray,
+    opts: SolverOptions,
+    kappa=None,
+    stop=None,
+) -> list[tuple[Trajectory, Optional[str]]]:
+    """The one step loop: integrate each row of initial, shape (B, N), on its own clock.
+
+    Every row keeps its own t, step size, next sample time, step counters and
+    failure, so its result does not depend on B: the stage sums are stacked
+    matmuls (one gemv per row, as for a single state), means are per-row
+    reductions, and step-size control is Python float arithmetic per row.
+    kappa is None (config.kappa for every row) or one coupling per row.
+    stop(times, thetas) -> one bool per row is evaluated on the rows that
+    reach a sample time (and on every row at t=0); a row whose value is true
+    ends there.  Rows that end are dropped from the arrays.  Returns, per row,
+    its trajectory and its failure message (None when it reached the horizon
+    or stopped).
+    """
+    theta = np.array(initial, dtype=float)
+    b, n = theta.shape
+    omega = config.omega
+    kap = np.empty((b, 1))
+    kap[:, 0] = config.kappa if kappa is None else kappa
+    influence, sensitivity = model.FAMILIES[spec.family][:2]  # one RHS for every family
+
+    def rhs(y, kap):
+        r = np.add.reduce(influence(spec, y), axis=-1, keepdims=True) / n  # row means, bitwise np.mean's
+        return omega + kap * r * sensitivity(spec, y)
+
+    targets = _sample_times(opts).tolist()
+    last = len(targets) - 1
+    tol_t = 1e-12 * opts.horizon
+    adaptive = opts.method == "dormand_prince45"
+    min_h = _MIN_STEP_FRACTION * opts.horizon
+    h_start = min(opts.max_dt, opts.sample_stride) if adaptive else opts.dt
+
+    times = [[0.0] for _ in range(b)]
+    states = [[row] for row in theta.copy()]
+    accepted = [0] * b
+    rejected = [0] * b
+    failures: list[Optional[str]] = [None] * b
+    # per active row, in array order
+    rows = list(range(b))
+    t = [0.0] * b
+    h = [h_start] * b
+    nxt = [1] * b  # index of the next sample time
+    k1 = rhs(theta, kap)
+    ended = [False] * b if stop is None else [bool(s) for s in stop(np.zeros(b), theta)]
+
+    while True:
+        if any(ended):
+            keep = [i for i, e in enumerate(ended) if not e]
+            theta, k1, kap = theta[keep], k1[keep], kap[keep]
+            rows, t, h, nxt = ([lst[i] for i in keep] for lst in (rows, t, h, nxt))
+        if not rows:
+            break
+        steps = [min(hi, targets[ni] - ti) for hi, ni, ti in zip(h, nxt, t)]
+        step = np.array(steps)[:, None]
+        if adaptive:
+            ks = np.empty((len(rows), 7, n))
+            ks[:, 0] = k1
+            for i in range(1, 7):
+                ks[:, i] = rhs(theta + step * (_DP_A[i] @ ks[:, :i]), kap)
+            y5 = theta + step * (_DP_B5 @ ks)
+            err_vec = step * (_DP_E @ ks)
+            scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(theta), np.abs(y5))
+            errs = np.sqrt(np.add.reduce((err_vec / scale) ** 2, axis=-1) / n).tolist()
+            took = []
+            for i, (s, err) in enumerate(zip(steps, errs)):
+                row = rows[i]
+                if err <= 1.0 or s <= min_h:
+                    t[i] += s
+                    took.append(i)
+                    accepted[row] += 1
+                else:
+                    rejected[row] += 1
+                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** (-0.2)))
+                h[i] = min(opts.max_dt, max(s * factor, min_h))
+                if h[i] <= min_h and err > 1.0:
+                    failures[row] = f"step size underflow at t={t[i]:.6g}"
+            if len(took) == len(rows):
+                theta, k1 = y5, ks[:, 6]  # first-same-as-last
+            elif took:
+                theta[took] = y5[took]
+                k1[took] = ks[took, 6]
+        else:
+            k_1 = rhs(theta, kap)
+            k_2 = rhs(theta + 0.5 * step * k_1, kap)
+            k_3 = rhs(theta + 0.5 * step * k_2, kap)
+            k_4 = rhs(theta + step * k_3, kap)
+            theta = theta + (step / 6.0) * (k_1 + 2.0 * k_2 + 2.0 * k_3 + k_4)
+            took = range(len(rows))
+            for i, s in enumerate(steps):
+                t[i] += s
+                accepted[rows[i]] += 1
+        finite = np.isfinite(theta).all(axis=1).tolist()
+        ended = [False] * len(rows)
+        for i, row in enumerate(rows):
+            if failures[row] is None and not finite[i]:
+                failures[row] = f"non-finite state at t={t[i]:.6g}"
+            if failures[row] is not None:
+                _log.debug("row %d: %s", row, failures[row])
+                ended[i] = True
+        due = [i for i in took if not ended[i] and not t[i] < targets[nxt[i]] - tol_t]
+        while due:
+            snap = theta[due]
+            for i, state in zip(due, snap):
+                times[rows[i]].append(targets[nxt[i]])
+                states[rows[i]].append(state)
+            stops = [False] * len(due)
+            if stop is not None:
+                stops = stop(np.array([targets[nxt[i]] for i in due]), snap)
+            for i, stopped in zip(due, stops):
+                nxt[i] += 1
+                ended[i] = bool(stopped) or nxt[i] > last
+            due = [i for i in due if not ended[i] and not t[i] < targets[nxt[i]] - tol_t]
+
+    out = []
+    for row in range(b):
+        states_arr = np.vstack(states[row])
+        traj = Trajectory(
+            times=np.asarray(times[row]),
+            states=states_arr,
+            r_series=np.mean(influence(spec, states_arr), axis=1),
+            accepted_steps=accepted[row],
+            rejected_steps=rejected[row],
+            solver_tol=opts.tolerance,
+        )
+        out.append((traj, failures[row]))
+    return out
+
+
 def simulate(
     config: SystemConfig,
     spec: InteractionSpec,
@@ -154,85 +292,17 @@ def simulate(
     The initial state is preserved exactly at t=0.  On step-size underflow an
     IntegrationFailure is raised carrying the partial trajectory.  An optional
     stop_condition(t, theta) is evaluated at each sample point; when it returns
-    True the trajectory is truncated there (used by Monte Carlo estimators).
+    True the trajectory is truncated there.  This is the one-row case of the
+    ensemble step loop that the Monte Carlo estimators run on blocks of samples.
     """
     theta = np.array(model._phases(initial), dtype=float)
     if theta.shape != (config.n,):
         raise ConfigurationError("initial state length must equal config.n")
-    omega = config.omega
-    kappa = config.kappa
-    influence, sensitivity = model.FAMILIES[spec.family][:2]  # one RHS for every family
-
-    def rhs(y):
-        return omega + kappa * np.mean(influence(spec, y)) * sensitivity(spec, y)
-
-    targets = _sample_times(opts)
-    times = [0.0]
-    states = [theta.copy()]
-    accepted = 0
-    rejected = 0
-
-    adaptive = opts.method == "dormand_prince45"
-    h = min(opts.max_dt, opts.sample_stride) if adaptive else opts.dt
-    min_h = _MIN_STEP_FRACTION * opts.horizon
-    t = 0.0
-    k1 = rhs(theta)
-    failure = None
-
-    if not (stop_condition is not None and stop_condition(0.0, theta)):
-        for target in targets[1:]:
-            while t < target - 1e-12 * opts.horizon:
-                step = min(h, target - t)
-                if adaptive:
-                    ks = np.empty((7, config.n))
-                    ks[0] = k1
-                    for i in range(1, 7):
-                        ks[i] = rhs(theta + step * (_DP_A[i] @ ks[:i]))
-                    y5 = theta + step * (_DP_B5 @ ks)
-                    err_vec = step * (_DP_E @ ks)
-                    scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(theta), np.abs(y5))
-                    err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-                    if err <= 1.0 or step <= min_h:
-                        t += step
-                        theta = y5
-                        k1 = ks[6]  # first-same-as-last
-                        accepted += 1
-                    else:
-                        rejected += 1
-                    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** (-0.2)))
-                    h = min(opts.max_dt, max(step * factor, min_h))
-                    if h <= min_h and err > 1.0:
-                        failure = f"step size underflow at t={t:.6g}"
-                        break
-                else:
-                    k_1 = rhs(theta)
-                    k_2 = rhs(theta + 0.5 * step * k_1)
-                    k_3 = rhs(theta + 0.5 * step * k_2)
-                    k_4 = rhs(theta + step * k_3)
-                    theta = theta + (step / 6.0) * (k_1 + 2.0 * k_2 + 2.0 * k_3 + k_4)
-                    t += step
-                    accepted += 1
-                if not np.all(np.isfinite(theta)):
-                    failure = f"non-finite state at t={t:.6g}"
-                    break
-            if failure is not None:
-                break
-            times.append(target)
-            states.append(theta.copy())
-            if stop_condition is not None and stop_condition(target, theta):
-                break
-
-    times_arr = np.asarray(times)
-    states_arr = np.vstack(states)
-    r_series = np.mean(influence(spec, states_arr), axis=1)
-    traj = Trajectory(
-        times=times_arr,
-        states=states_arr,
-        r_series=r_series,
-        accepted_steps=accepted,
-        rejected_steps=rejected,
-        solver_tol=opts.tolerance,
-    )
+    stop = None
+    if stop_condition is not None:
+        def stop(ts, ys):
+            return [stop_condition(t, y) for t, y in zip(ts, ys)]
+    traj, failure = _integrate_rows(config, spec, theta[None], opts, stop=stop)[0]
     if failure is not None:
         raise IntegrationFailure(failure, partial_trajectory=traj)
     return traj
@@ -244,31 +314,44 @@ def estimate_pathwise_critical_coupling(
     """Bisection estimate of the smallest coupling whose trajectory dies.
 
     Horizon-dependent by construction; bracketed above by the elementary
-    threshold, 30 bisection iterations.
+    threshold, 30 bisection iterations.  The end points run as one batch, and
+    each round evaluates the 7 midpoints of the next 3 iterations as one batch
+    before walking them, so the result is that of the one-at-a-time bisection.
     """
     upper, _ = thresholds.toy_thresholds(spec, config, list(range(config.n)))
     if upper == 0.0:
         return 0.0
+    theta = np.array(model._phases(initial), dtype=float)
+    if theta.shape != (config.n,):
+        raise ConfigurationError("initial state length must equal config.n")
 
-    def dies(kappa: float) -> bool:
-        cfg = SystemConfig(n=config.n, omega=config.omega, kappa=kappa)
-        try:
-            traj = simulate(cfg, spec, initial, opts)
-        except IntegrationFailure:
-            return False
-        return bool(np.all(detect_death(traj, 0.0)))
+    def dies(kappas: list[float]) -> dict[float, bool]:
+        runs = _integrate_rows(config, spec, np.tile(theta, (len(kappas), 1)), opts, kappa=kappas)
+        return {
+            kappa: failure is None and bool(np.all(detect_death(traj, 0.0)))
+            for kappa, (traj, failure) in zip(kappas, runs)
+        }
 
-    if dies(0.0):
-        return 0.0
-    lo, hi = 0.0, upper
-    if not dies(hi):
-        return hi
-    for _ in range(30):
+    def midpoints(lo: float, hi: float, depth: int) -> list[float]:
+        if depth == 0:
+            return []
         mid = 0.5 * (lo + hi)
-        if dies(mid):
-            hi = mid
-        else:
-            lo = mid
+        return [mid] + midpoints(lo, mid, depth - 1) + midpoints(mid, hi, depth - 1)
+
+    ends = dies([0.0, upper])
+    if ends[0.0]:
+        return 0.0
+    if not ends[upper]:
+        return upper
+    lo, hi = 0.0, upper
+    for _ in range(10):
+        verdict = dies(midpoints(lo, hi, 3))
+        for _ in range(3):
+            mid = 0.5 * (lo + hi)
+            if verdict[mid]:
+                hi = mid
+            else:
+                lo = mid
     return 0.5 * (lo + hi)
 
 

@@ -1,7 +1,9 @@
 """Seeded Monte Carlo estimators for the probabilities bounded in closed form.
 
-Every sample k draws its own RNG stream from (seed, k), so estimates are
-bit-identical regardless of worker count or scheduling.
+Every sample k draws its own RNG stream from (seed, k), and the death and
+escape estimators integrate each block of samples as one batch whose rows
+do not depend on each other, so estimates are bit-identical regardless of
+worker count, block size or scheduling.
 """
 
 from __future__ import annotations
@@ -14,9 +16,14 @@ from typing import Optional
 import numpy as np
 
 from . import integrate, model
-from .errors import ConfigurationError, DomainError, IntegrationFailure
+from .errors import ConfigurationError, DomainError
 from .integrate import SolverOptions
 from .model import InteractionSpec, SystemConfig
+
+# Samples integrated together by the death and escape estimators (see _run_chunk).
+BLOCK_SAMPLES = 64
+
+_Z95 = 1.959963984540054  # standard normal 97.5% quantile
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,14 @@ class EstimateCI:
     std_error: float
     count: int
 
+    @property
+    def wilson_95(self) -> tuple[float, float]:
+        """Wilson score 95% interval; unlike estimate +- k*SE it keeps its width at 0 and 1."""
+        n, p, z2 = self.count, self.estimate, _Z95**2
+        centre = (p + z2 / (2.0 * n)) / (1.0 + z2 / n)
+        half = _Z95 * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / (1.0 + z2 / n)
+        return max(0.0, min(p, centre - half)), min(1.0, max(p, centre + half))  # rounding may not reach p
+
 
 def _estimate(successes: int, count: int) -> EstimateCI:
     est = successes / count
@@ -52,14 +67,16 @@ def _draw(seed: int, k: int, n: int) -> np.ndarray:
     return np.random.default_rng((seed, k)).uniform(-np.pi, np.pi, n)
 
 
+def _draws(seed: int, n: int, start: int, stop: int) -> np.ndarray:
+    """Samples start..stop-1 as rows; sample k is always _draw(seed, k, n)."""
+    return np.array([_draw(seed, k, n) for k in range(start, stop)])
+
+
 def sample_uniform_initial(n: int, mc: McConfig) -> np.ndarray:
     """Deterministic uniform draws on [-pi, pi)^n, one row per sample."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    out = np.empty((mc.samples, n))
-    for k in range(mc.samples):
-        out[k] = _draw(mc.seed, k, n)
-    return out
+    return _draws(mc.seed, n, 0, mc.samples)
 
 
 def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
@@ -67,26 +84,33 @@ def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
     return [(a, min(a + size, total)) for a in range(0, total, size)]
 
 
-def _run_chunk(fn, args, chunk):
-    return [fn(*args, k) for k in range(chunk[0], chunk[1])]
+def _run_chunk(fn, args, chunk) -> list[bool]:
+    """fn(*args, start, stop) over the chunk's consecutive blocks of BLOCK_SAMPLES samples."""
+    start, stop = chunk
+    hits: list[bool] = []
+    for a in range(start, stop, BLOCK_SAMPLES):
+        hits.extend(fn(*args, a, min(a + BLOCK_SAMPLES, stop)))
+    return hits
 
 
 def _map_samples(fn, args, mc: McConfig) -> list[bool]:
+    """One hit per sample, in sample order; fn is a module-level block function.
+
+    Sample k reads only its own stream and each row of a block integrates on
+    its own, so the hits do not depend on the worker count or block size.
+    """
     if mc.workers == 1:
-        return [fn(*args, k) for k in range(mc.samples)]
-    results: list[Optional[list[bool]]] = []
-    chunks = _chunks(mc.samples, mc.workers)
+        return _run_chunk(fn, args, (0, mc.samples))
     with ProcessPoolExecutor(max_workers=mc.workers) as pool:
-        futures = [pool.submit(_run_chunk, fn, args, ch) for ch in chunks]
-        results = [f.result() for f in futures]
-    merged: list[bool] = []
-    for part in results:
-        merged.extend(part)
-    return merged
+        futures = [pool.submit(_run_chunk, fn, args, ch) for ch in _chunks(mc.samples, mc.workers)]
+        return [hit for f in futures for hit in f.result()]
 
 
-def _cdf_sample(spec: InteractionSpec, n: int, t_level: float, seed: int, k: int) -> bool:
-    return model.order_parameter(spec, _draw(seed, k, n)) <= t_level
+def _cdf_block(
+    spec: InteractionSpec, n: int, t_level: float, seed: int, start: int, stop: int
+) -> list[bool]:
+    r0 = np.mean(model.influence(spec, _draws(seed, n, start, stop)), axis=1)
+    return (r0 <= t_level).tolist()
 
 
 def empirical_order_param_cdf(n: int, t_level: float, mc: McConfig) -> EstimateCI:
@@ -94,26 +118,27 @@ def empirical_order_param_cdf(n: int, t_level: float, mc: McConfig) -> EstimateC
     if not 0.0 < t_level <= 2.0:
         raise DomainError("t_level must lie in (0, 2]")
     spec = model.sinusoidal()
-    hits = _map_samples(_cdf_sample, (spec, n, t_level, mc.seed), mc)
+    hits = _map_samples(_cdf_block, (spec, n, t_level, mc.seed), mc)
     return _estimate(sum(hits), mc.samples)
 
 
-def _death_sample(
+def _death_block(
     config: SystemConfig,
     spec: InteractionSpec,
     opts: SolverOptions,
     r_floor: float,
     window_start: float,
     seed: int,
-    k: int,
-) -> bool:
-    theta0 = _draw(seed, k, config.n)
-    try:
-        traj = integrate.simulate(config, spec, theta0, opts)
-    except IntegrationFailure:
-        return False
-    flags = integrate.detect_death(traj, window_start)
-    return bool(np.all(flags)) and float(traj.r_series[-1]) >= r_floor
+    start: int,
+    stop: int,
+) -> list[bool]:
+    runs = integrate._integrate_rows(config, spec, _draws(seed, config.n, start, stop), opts)
+    return [
+        failure is None
+        and bool(np.all(integrate.detect_death(traj, window_start)))
+        and float(traj.r_series[-1]) >= r_floor
+        for traj, failure in runs
+    ]
 
 
 def empirical_death_probability(
@@ -131,30 +156,30 @@ def empirical_death_probability(
     failures count as non-death (conservative).
     """
     hits = _map_samples(
-        _death_sample, (config, spec, opts, r_floor, window_start, mc.seed), mc
+        _death_block, (config, spec, opts, r_floor, window_start, mc.seed), mc
     )
     return _estimate(sum(hits), mc.samples)
 
 
-def _escape_sample(
+def _escape_block(
     config: SystemConfig,
     spec: InteractionSpec,
     opts: SolverOptions,
     delta: float,
     seed: int,
-    k: int,
-) -> bool:
-    theta0 = _draw(seed, k, config.n)
+    start: int,
+    stop: int,
+) -> list[bool]:
     level = 1.0 - delta
 
-    def reached(t, theta):
-        return float(np.mean(model.influence(spec, theta))) >= level
+    def reached(times, thetas):
+        return np.mean(model.influence(spec, thetas), axis=1) >= level
 
-    try:
-        traj = integrate.simulate(config, spec, theta0, opts, stop_condition=reached)
-    except IntegrationFailure:
-        return False
-    return bool(np.all(traj.r_series < level)) and traj.times[-1] >= opts.horizon - 1e-9
+    runs = integrate._integrate_rows(config, spec, _draws(seed, config.n, start, stop), opts, stop=reached)
+    return [
+        failure is None and bool(np.all(traj.r_series < level)) and traj.times[-1] >= opts.horizon - 1e-9
+        for traj, failure in runs
+    ]
 
 
 def estimate_escape_measure(
@@ -176,7 +201,7 @@ def estimate_escape_measure(
     if config.kappa <= 0:
         raise DomainError("requires kappa > 0")
     run_opts = replace(opts, horizon=t_horizon, sample_stride=min(opts.sample_stride, t_horizon))
-    hits = _map_samples(_escape_sample, (config, spec, run_opts, delta, mc.seed), mc)
+    hits = _map_samples(_escape_block, (config, spec, run_opts, delta, mc.seed), mc)
     return _estimate(sum(hits), mc.samples)
 
 
@@ -188,6 +213,7 @@ def result_json_dict(kind: str, params: dict, est: EstimateCI, bound: Optional[f
         "params": params,
         "estimate": est.estimate,
         "std_error": est.std_error,
+        "wilson_95": list(est.wilson_95),
         "bound": bound,
         "dominated": dominated,
     }

@@ -205,3 +205,22 @@ def test_bounds_config_values_are_converted(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == numeric
     assert bounds("oops") == 2
     assert "delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("epsilon", [0.5, 1.0])
+def test_main_theorem_death_dominates_sincos_bound(capsys, seed, epsilon):
+    # kappa = (2 + eps) * max|omega|: the death fraction must reach the
+    # SincosMain lower bound minus 3 SE, read from the command's own verdict
+    omega = np.random.default_rng(seed).uniform(-1.0, 1.0, 20)
+    kappa = (2.0 + epsilon) * float(np.max(np.abs(omega)))
+    code = main(["montecarlo", "--kind", "death", "--omega=" + ",".join(f"{w:.17g}" for w in omega),
+                 "--kappa", f"{kappa:.17g}", "--samples", "32", "--seed", str(seed),
+                 "--horizon", "50", "--sample-stride", "1", "--abs-tol", "1e-6", "--rel-tol", "1e-6",
+                 "--max-dt", "0.5", "--output", "-"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["bound"] == pytest.approx(1.0 - np.exp(-epsilon**2 * 20 / 25.0))
+    assert data["dominates"] is True, data
+    lo, hi = data["wilson_95"]
+    assert lo <= data["estimate"] <= hi

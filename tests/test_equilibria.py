@@ -362,3 +362,23 @@ def test_critical_coupling_tiny_frequencies_scale_exactly():
         tiny = wf.critical_coupling(2.0**-560 * omega)
         assert math.isfinite(tiny) and tiny > 0.0
         assert tiny == 2.0**-560 * wf.critical_coupling(omega)
+
+
+@pytest.mark.parametrize("omega,kappa,shift", [
+    ([1e-170, 5e-171], 1e-170, 564),  # kappa^2 underflows
+    ([2.0**-300, 1.5 * 2.0**-301], 2.0**220, 300),  # kappa^2 of the rescale overflows
+])
+def test_extreme_scales_give_the_records_of_their_rescale(omega, kappa, shift):
+    # scaling omega and kappa by 2^shift leaves every omega_j/(kappa r) exact,
+    # so the branch solve must return the same R and theta to the last bit;
+    # stability and divergence come from each system's own Jacobian
+    cfg = wf.SystemConfig(n=2, omega=np.array(omega), kappa=kappa)
+    big = wf.SystemConfig(n=2, omega=np.ldexp(omega, shift), kappa=math.ldexp(kappa, shift))
+    with np.errstate(all="raise", under="ignore"):  # numpy's default ignores underflow too
+        got, want = wf.enumerate_equilibria(cfg), wf.enumerate_equilibria(big)
+        for sigma in equilibria._signatures(2):
+            assert solve_R_equation(cfg, Signature(sigma)) == solve_R_equation(big, Signature(sigma))
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert (a.R, a.theta.tobytes()) == (b.R, b.theta.tobytes())
+        assert a.signature.sigma.tolist() == b.signature.sigma.tolist()

@@ -1,8 +1,12 @@
+import logging
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import winfree as wf
+from winfree import integrate
 from winfree.errors import InsufficientDataError, IntegrationFailure
 
 
@@ -198,3 +202,123 @@ def test_one_rhs_path_for_every_family(opts):
     assert a.times.tobytes() == b.times.tobytes()
     assert a.states.tobytes() == b.states.tobytes()
     assert (a.accepted_steps, a.rejected_steps) == (b.accepted_steps, b.rejected_steps)
+
+
+def _table_spec():
+    th = np.linspace(-np.pi, np.pi, 64)
+    return wf.custom_interaction((1 + np.cos(th)) ** 1.5, -np.sin(th) * (1 + 0.2 * np.cos(th)))
+
+
+@pytest.mark.parametrize("opts", [
+    wf.dp45_options(horizon=30.0, sample_stride=0.5, abs_tol=1e-7, rel_tol=1e-7, max_dt=0.5),
+    wf.rk4_options(0.05, 30.0, 0.5),
+], ids=["dp45", "rk4"])
+@pytest.mark.parametrize(
+    "spec", [wf.sinusoidal(), wf.power_cosine(2), wf.rectified_poisson(0.3), _table_spec()],
+    ids=["sinusoidal", "power_cosine", "rectified_poisson", "custom"])
+def test_ensemble_rows_do_not_depend_on_batch(spec, opts):
+    # each row of a 7-row run is bitwise its own one-row run: rows that stop,
+    # rows that reach the horizon and a row whose coupling overflows to a
+    # non-finite state, each with its own t, step size and counters
+    rng = np.random.default_rng(7)
+    cfg = wf.SystemConfig(n=6, omega=rng.uniform(-1, 1, 6), kappa=1.0)
+    initial = rng.uniform(-np.pi, np.pi, (7, 6))
+    initial[3] = 0.0
+    kappas = [0.0, 0.5, 1.0, 1e308, 2.0, 3.0, 4.0]
+    level = 0.85 * float(wf.influence(spec, np.zeros(1))[0])
+
+    def stop(times, thetas):
+        return (times >= 5.0) & (np.mean(wf.influence(spec, thetas), axis=1) >= level)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = integrate._integrate_rows(cfg, spec, initial, opts, kappa=kappas, stop=stop)
+        single = [integrate._integrate_rows(cfg, spec, initial[j:j + 1], opts,
+                                            kappa=kappas[j:j + 1], stop=stop)[0] for j in range(7)]
+    for (a, fail_a), (b, fail_b) in zip(batch, single):
+        assert fail_a == fail_b
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.r_series.tobytes() == b.r_series.tobytes()
+        assert (a.accepted_steps, a.rejected_steps) == (b.accepted_steps, b.rejected_steps)
+    ends = [traj.times[-1] for traj, _ in batch]
+    assert batch[3][1].startswith("non-finite state")
+    assert ends[0] == 30.0 and min(ends[4:]) < 30.0  # kappa = 0 runs on, strong coupling stops
+
+
+def test_integration_failures_logged_only_at_debug(caplog):
+    underflow = wf.SystemConfig(n=2, omega=np.array([1e155, 0.0]), kappa=1e300)
+    opts = wf.dp45_options(horizon=1.0, sample_stride=0.1)
+    with caplog.at_level(logging.INFO, logger="winfree.integrate"), pytest.raises(IntegrationFailure):
+        wf.simulate(underflow, SPEC, np.zeros(2), opts)
+    assert caplog.records == []
+    calm = wf.SystemConfig(n=2, omega=np.array([0.1, -0.1]), kappa=1.0)
+    with caplog.at_level(logging.DEBUG, logger="winfree.integrate"):
+        with pytest.raises(IntegrationFailure):
+            wf.simulate(underflow, SPEC, np.zeros(2), opts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs = integrate._integrate_rows(calm, SPEC, np.zeros((3, 2)), opts, kappa=[1.0, 2.0, 1e308])
+    assert [f for _, f in runs][:2] == [None, None]
+    assert {r.levelno for r in caplog.records} == {logging.DEBUG}
+    assert caplog.messages == ["row 0: step size underflow at t=0", f"row 2: {runs[2][1]}"]
+    assert runs[2][1].startswith("non-finite state at t=")
+
+
+def _scalar_bisection(dies, upper):
+    if dies(0.0):
+        return 0.0
+    lo, hi = 0.0, upper
+    if not dies(hi):
+        return hi
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        if dies(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pathwise_critical_coupling_equals_one_at_a_time_bisection(seed):
+    rng = np.random.default_rng(seed)
+    cfg = wf.SystemConfig(n=4, omega=rng.uniform(-1, 1, 4), kappa=1.0)
+    theta0 = rng.uniform(-np.pi, np.pi, 4)
+    opts = wf.dp45_options(horizon=20.0, sample_stride=1.0, abs_tol=1e-7, rel_tol=1e-7, max_dt=0.5)
+
+    def dies(kappa):
+        c = wf.SystemConfig(n=4, omega=cfg.omega, kappa=kappa)
+        try:
+            return bool(np.all(wf.detect_death(wf.simulate(c, SPEC, theta0, opts), 0.0)))
+        except IntegrationFailure:
+            return False
+
+    upper, _ = wf.toy_thresholds(SPEC, cfg, range(4))
+    assert wf.estimate_pathwise_critical_coupling(cfg, SPEC, theta0, opts) == _scalar_bisection(dies, upper)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pathwise_critical_coupling_walks_any_verdicts(monkeypatch, seed):
+    # the seven-point rounds give the bisection's answer even when death is
+    # not monotone in kappa
+    cfg = wf.SystemConfig(n=2, omega=np.array([0.3, -0.3]), kappa=1.0)
+    opts = wf.dp45_options(horizon=2.0, sample_stride=1.0)
+    still = wf.Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 2)), r_series=np.full(2, 2.0),
+                          accepted_steps=1, rejected_steps=0, solver_tol=1e-9)
+
+    upper, _ = wf.toy_thresholds(SPEC, cfg, range(2))
+
+    def estimate(dies):
+        def fake_rows(config, spec, initial, opts, kappa=None, stop=None):
+            return [(still, None if dies(k) else "lives") for k in kappa]
+
+        monkeypatch.setattr(integrate, "_integrate_rows", fake_rows)
+        return wf.estimate_pathwise_critical_coupling(cfg, SPEC, np.zeros(2), opts)
+
+    def dies(kappa):
+        return kappa >= upper or (kappa > 0.0 and math.sin(1e3 * kappa + seed) > -0.2)
+
+    got = estimate(dies)
+    assert 0.0 < got < upper
+    assert got == _scalar_bisection(dies, upper)
+    assert estimate(lambda kappa: True) == 0.0
+    assert estimate(lambda kappa: False) == upper

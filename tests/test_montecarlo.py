@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import winfree as wf
-from winfree.errors import ConfigurationError, DomainError
+from winfree import montecarlo
+from winfree.errors import ConfigurationError, DomainError, IntegrationFailure
 
 
 SPEC = wf.sinusoidal()
@@ -103,3 +104,61 @@ def test_result_json_dict():
     assert d2["dominated"] is None
     d3 = wf.result_json_dict("order-param-cdf", {"n": 5}, est, 0.01)
     assert d3["dominated"] is False
+
+
+def _one_at_a_time_hits(cfg, opts, seed, samples, r_floor=None, delta=None):
+    """The estimators' per-sample rules, one simulate call per sample."""
+    hits = []
+    for k in range(samples):
+        theta0 = np.random.default_rng((seed, k)).uniform(-np.pi, np.pi, cfg.n)
+        if delta is None:
+            try:
+                traj = wf.simulate(cfg, SPEC, theta0, opts)
+            except IntegrationFailure:
+                hits.append(False)
+                continue
+            hits.append(bool(np.all(wf.detect_death(traj, 0.0))) and traj.r_series[-1] >= r_floor)
+        else:
+            level = 1.0 - delta
+            traj = wf.simulate(cfg, SPEC, theta0, opts,
+                               stop_condition=lambda t, y: wf.order_parameter(SPEC, y) >= level)
+            hits.append(bool(np.all(traj.r_series < level)) and traj.times[-1] >= opts.horizon - 1e-9)
+    return hits
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_block_estimators_match_one_sample_at_a_time(monkeypatch, block):
+    # just below kappa_c some samples pass the saddle-node ghost within the
+    # horizon and some do not, and at weak coupling some keep R below the
+    # escape level: the hits are mixed
+    monkeypatch.setattr(montecarlo, "BLOCK_SAMPLES", block)
+    omega = np.random.default_rng(77).uniform(-1, 1, 6)
+    cfg = wf.SystemConfig(n=6, omega=omega, kappa=0.97 * wf.critical_coupling(omega))
+    opts = wf.dp45_options(horizon=40.0, sample_stride=2.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
+    hits = montecarlo._death_block(cfg, SPEC, opts, 0.0, 0.0, 5, 0, 16)
+    assert hits == _one_at_a_time_hits(cfg, opts, 5, 16, r_floor=0.0)
+    assert 0 < sum(hits) < 16
+    est = wf.empirical_death_probability(cfg, SPEC, opts, wf.McConfig(samples=16, seed=5))
+    assert est.estimate == sum(hits) / 16
+    weak = wf.SystemConfig(n=6, omega=np.zeros(6), kappa=0.02)
+    esc_opts = wf.dp45_options(horizon=10.0, sample_stride=0.25, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
+    want = _one_at_a_time_hits(weak, esc_opts, 9, 40, delta=0.1)
+    assert 0 < sum(want) < 40
+    est = wf.estimate_escape_measure(weak, SPEC, 0.1, 10.0, esc_opts, wf.McConfig(samples=40, seed=9))
+    assert est.estimate == sum(want) / 40
+
+
+def test_wilson_interval_is_not_degenerate_at_zero_and_one():
+    for successes in (0, 100):
+        est = montecarlo._estimate(successes, 100)
+        assert est.std_error == 0.0
+        lo, hi = est.wilson_95
+        assert lo <= est.estimate <= hi
+        assert 0.0 <= lo < hi <= 1.0
+        assert hi - lo == pytest.approx(3.84 / 103.84, rel=1e-3)  # z^2 / (n + z^2)
+    mid = montecarlo._estimate(50, 100)
+    lo, hi = mid.wilson_95
+    assert lo == pytest.approx(0.5 - 1.96 * mid.std_error, abs=2e-3)
+    assert hi == pytest.approx(0.5 + 1.96 * mid.std_error, abs=2e-3)
+    record = wf.result_json_dict("death", {"n": 5}, montecarlo._estimate(0, 100), None)
+    assert record["wilson_95"] == list(montecarlo._estimate(0, 100).wilson_95)
