@@ -278,42 +278,33 @@ def cmd_montecarlo(cfg: dict) -> int:
     kind = cfg.get("kind", "order-param-cdf")
     mc = _mc_config(cfg)
     spec = _interaction_spec(cfg)
+    bound_params: Optional[BoundParams] = None
     if kind == "order-param-cdf":
         n = _setting(cfg, "n", 10, int)
         t_level = _setting(cfg, "t_level", 0.5)
         est = montecarlo.empirical_order_param_cdf(n, t_level, mc)
-        bound = thresholds.probability_bound("OrderParamCDF", n, BoundParams(t_level=t_level))
-        payload = montecarlo.result_json_dict(kind, {"n": n, "t_level": t_level}, est, bound)
+        params = {"n": n, "t_level": t_level}
+        bound_params = BoundParams(t_level=t_level)
     elif kind == "death":
         config = _system_config(cfg)
-        opts = _solver_options(cfg)
-        est = montecarlo.empirical_death_probability(config, spec, opts, mc)
+        est = montecarlo.empirical_death_probability(config, spec, _solver_options(cfg), mc)
+        n, params = config.n, {"n": config.n, "kappa": config.kappa}
         eps = config.kappa / config.omega_max - 2.0 if config.omega_max > 0 else 1.0
-        bound = None
         if 0.0 < eps:
-            params = BoundParams(epsilon=min(eps, 1.0))
-            bound = thresholds.probability_bound("SincosMain", config.n, params)
-        payload = montecarlo.result_json_dict(
-            kind, {"n": config.n, "kappa": config.kappa}, est, bound
-        )
-        payload["dominates"] = None if bound is None else bool(est.estimate >= bound - 3 * est.std_error)
+            bound_params = BoundParams(epsilon=min(eps, 1.0))
     elif kind == "escape":
-        config = _system_config(cfg)
-        opts = _solver_options(cfg)
+        config, opts = _system_config(cfg), _solver_options(cfg)
         delta = _setting(cfg, "delta", 0.5)
         t_horizon = _setting(cfg, "t_horizon", 10.0)
         est = montecarlo.estimate_escape_measure(config, spec, delta, t_horizon, opts, mc)
-        bound = thresholds.probability_bound(
-            "EscapeMeasure",
-            config.n,
-            BoundParams(delta=delta, T=t_horizon, kappa=config.kappa),
-        )
-        payload = montecarlo.result_json_dict(
-            kind, {"n": config.n, "kappa": config.kappa, "delta": delta, "T": t_horizon}, est, bound
-        )
+        n, params = config.n, {"n": config.n, "kappa": config.kappa, "delta": delta, "T": t_horizon}
+        bound_params = BoundParams(delta=delta, T=t_horizon, kappa=config.kappa)
     else:
         raise ConfigurationError(f"unknown montecarlo kind: {kind}")
-    _write_json(cfg, payload, "-")
+    bound = None
+    if bound_params is not None:
+        bound = thresholds.probability_bound(montecarlo.BOUND_KINDS[kind], n, bound_params)
+    _write_json(cfg, montecarlo.result_json_dict(kind, params, est, bound), "-")
     return EXIT_OK
 
 

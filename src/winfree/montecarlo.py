@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import integrate, model
+from . import integrate, model, thresholds
 from .errors import ConfigurationError, DomainError
 from .integrate import SolverOptions
 from .model import InteractionSpec, SystemConfig
@@ -24,6 +24,9 @@ from .model import InteractionSpec, SystemConfig
 BLOCK_SAMPLES = 64
 
 _Z95 = 1.959963984540054  # standard normal 97.5% quantile
+
+# The closed-form bound (a key of thresholds.BOUNDS) each estimator is checked against.
+BOUND_KINDS = {"order-param-cdf": "OrderParamCDF", "death": "SincosMain", "escape": "EscapeMeasure"}
 
 
 @dataclass(frozen=True)
@@ -206,8 +209,19 @@ def estimate_escape_measure(
 
 
 def result_json_dict(kind: str, params: dict, est: EstimateCI, bound: Optional[float]) -> dict:
-    """Serializable record comparing an estimate against its closed-form bound."""
-    dominated = None if bound is None else bool(est.estimate <= bound + 3.0 * est.std_error)
+    """Serializable record comparing an estimate against its closed-form bound.
+
+    The verdict follows the direction of the bound BOUND_KINDS[kind]: an upper
+    bound sets `dominated` (estimate <= bound + 3 SE), a lower bound sets
+    `dominates` (estimate >= bound - 3 SE).  The other key, and both when
+    there is no bound, is None.
+    """
+    dominated = dominates = None
+    if bound is not None:
+        if thresholds.BOUNDS[BOUND_KINDS[kind]].upper:
+            dominated = bool(est.estimate <= bound + 3.0 * est.std_error)
+        else:
+            dominates = bool(est.estimate >= bound - 3.0 * est.std_error)
     return {
         "kind": kind,
         "params": params,
@@ -216,4 +230,5 @@ def result_json_dict(kind: str, params: dict, est: EstimateCI, bound: Optional[f
         "wilson_95": list(est.wilson_95),
         "bound": bound,
         "dominated": dominated,
+        "dominates": dominates,
     }

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -95,18 +95,19 @@ def _golden_min(f, a: float, b: float, tol: float = 1e-11) -> tuple[float, float
     return x, f(x)
 
 
-def _grid_extremum(f, minimize: bool, points: int = 4096) -> float:
-    """Extremum of a periodic scalar function over [-pi, pi] via scan + refine."""
+def _grid_extrema(f, points: int = 4096) -> tuple[float, float]:
+    """(min, max) of a periodic scalar function over [-pi, pi].
+
+    One grid scan, then a golden-section refinement around its argmin and argmax.
+    """
     grid = np.linspace(-np.pi, np.pi, points)
     vals = f(grid)
-    idx = int(np.argmin(vals) if minimize else np.argmax(vals))
-    a = grid[max(idx - 1, 0)]
-    b = grid[min(idx + 1, points - 1)]
-    g = (lambda x: float(f(np.array([x]))[0])) if minimize else (
-        lambda x: -float(f(np.array([x]))[0])
-    )
-    _, v = _golden_min(g, a, b)
-    return v if minimize else -v
+    extrema = []
+    for idx, sign in ((int(np.argmin(vals)), 1.0), (int(np.argmax(vals)), -1.0)):
+        a, b = grid[max(idx - 1, 0)], grid[min(idx + 1, points - 1)]
+        _, v = _golden_min(lambda x: sign * float(f(np.array([x]))[0]), a, b)
+        extrema.append(sign * v)
+    return extrema[0], extrema[1]
 
 
 def toy_thresholds(
@@ -121,17 +122,15 @@ def toy_thresholds(
     if not subset:
         raise DomainError("subset must be non-empty")
     omega_b = float(np.max(np.abs(config.omega[subset])))
-    min_is = _grid_extremum(lambda th: model.influence(spec, th) * model.sensitivity(spec, th), True)
-    max_is = _grid_extremum(lambda th: model.influence(spec, th) * model.sensitivity(spec, th), False)
-    min_s = _grid_extremum(lambda th: model.sensitivity(spec, th), True)
-    max_s = _grid_extremum(lambda th: model.sensitivity(spec, th), False)
+    min_is, max_is = _grid_extrema(lambda th: model.influence(spec, th) * model.sensitivity(spec, th))
+    min_s, max_s = _grid_extrema(lambda th: model.sensitivity(spec, th))
     if min_s >= 0.0 or max_s <= 0.0:
         raise CriterionInapplicableError("sensitivity S must change sign")
     denom_vt = min(-min_is, max_is)
     if denom_vt <= 0.0:
         raise CriterionInapplicableError("I*S must take both signs")
     kappa_vt = config.n * omega_b / denom_vt
-    min_i = _grid_extremum(lambda th: model.influence(spec, th), True)
+    min_i, _ = _grid_extrema(lambda th: model.influence(spec, th))
     kappa_tr = None
     if min_i > 0.0:
         kappa_tr = omega_b / (min_i * min(-min_s, max_s))
@@ -238,130 +237,147 @@ def _sincos_time_params(n: int, kappa: float, epsilon: float) -> tuple[float, fl
     return 20.0 / (np.pi * np.e * epsilon), epsilon**2 / 25.0, kappa * n * epsilon * (5.0 - epsilon) / 25.0
 
 
+def _reject_if(bad: bool, message: str) -> None:
+    if bad:
+        raise DomainError(message)
+
+
+def _check_sincos_time(what: str, n: int, epsilon, kappa) -> None:
+    """Domain of the finite-time sinusoidal death bound: N >= 2, epsilon in (0, 1], kappa > 0."""
+    _reject_if(n < 2, f"{what} requires N >= 2")
+    _reject_if(epsilon is None or not 0.0 < epsilon <= 1.0, f"{what} requires epsilon in (0, 1]")
+    _reject_if(kappa is None or kappa <= 0.0, f"{what} requires kappa > 0")
+
+
+def _check_horizon(what: str, kappa, t_horizon) -> None:
+    """Domain shared by the finite-horizon bounds: kappa > 0 and T >= 0."""
+    _reject_if(kappa is None or kappa <= 0 or t_horizon is None or t_horizon < 0,
+               f"{what} requires kappa > 0 and T >= 0")
+
+
 def sincos_death_time(n: int, kappa: float, epsilon: float) -> float:
     """Crossover time T0 of the finite-time sinusoidal death bound."""
-    if n < 2:
-        raise DomainError("requires N >= 2")
-    if not 0.0 < epsilon <= 1.0:
-        raise DomainError("epsilon must lie in (0, 1]")
-    if kappa <= 0.0:
-        raise DomainError("kappa must be positive")
+    _check_sincos_time("sincos_death_time", n, epsilon, kappa)
     return _crossover_time(n, *_sincos_time_params(n, kappa, epsilon))
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
+def _sincos_main(n: int, p: BoundParams, spec: Optional[InteractionSpec]) -> float:
+    _reject_if(p.epsilon is None or not 0.0 < p.epsilon <= 1.0, "SincosMain requires epsilon in (0, 1]")
+    prob = 1.0 - math.exp(-(p.epsilon**2) * n / 25.0)
+    if p.kappa is not None and p.omega_max is not None and p.kappa > 0:
+        tail_base = math.sqrt(np.pi * np.e / 2.0) * (p.omega_max / p.kappa) ** (1.0 / 3.0)
+        if tail_base < 1.0:
+            prob = max(prob, 1.0 - tail_base**n)
+    return prob
 
 
-def _escape_measure_bound(n: int, kappa: float, delta: float, t_horizon: float) -> float:
-    """Upper bound on the measure of initial data keeping R < 1-delta up to T."""
+def _sincos_time(n: int, p: BoundParams, spec: Optional[InteractionSpec]) -> float:
+    _check_sincos_time("SincosTime", n, p.epsilon, p.kappa)
+    _check_horizon("SincosTime", p.kappa, p.T)
+    return 1.0 - _two_phase_failure(n, *_sincos_time_params(n, p.kappa, p.epsilon), p.T)
+
+
+def _order_param_cdf(n: int, p: BoundParams, spec: Optional[InteractionSpec]) -> float:
+    t = p.t_level
+    _reject_if(t is None or not 0.0 < t < 1.0, "OrderParamCDF requires t_level in (0, 1)")
+    return min(math.exp(-((1.0 - t) ** 2) * n), (math.sqrt(np.pi * np.e * t) / 2.0) ** n)
+
+
+def _general_maincor(n: int, p: BoundParams, spec: Optional[InteractionSpec]) -> float:
+    _reject_if(p.R_star is None or p.R_star <= 0, "GeneralMaincor requires R_star > 0")
+    sup_i = p.sup_I if p.sup_I is not None else (spec.sup_I if spec else None)
+    _reject_if(sup_i is None or sup_i <= 0, "GeneralMaincor requires sup_I > 0")
+    return 1.0 - math.exp(-(p.R_star**2) * n / (2.0 * sup_i**2))
+
+
+def _kappa_large(n: int, p: BoundParams, spec: Optional[InteractionSpec]) -> float:
+    _reject_if(spec is None, "KappaLarge requires an interaction spec")
+    _reject_if(p.C_mu is None or p.C_mu <= 0 or p.beta is None or p.beta <= 0,
+               "KappaLarge requires C_mu > 0 and beta > 0")
+    _reject_if(p.kappa is None or p.kappa <= 0 or p.omega_max is None,
+               "KappaLarge requires kappa > 0 and omega_max")
+    pq = spec.p / spec.q
+    ratio = p.omega_max / p.kappa
+    m1 = (2.0 / (spec.c1 * spec.c3) * ratio) ** (1.0 / (1.0 + pq)) * (2.0 * spec.c2) ** (pq / (1.0 + pq))
+    m2 = 2.0 / (spec.c1 * spec.c3 * (np.pi - spec.alpha0) ** spec.p) * ratio
+    inner = max(m1, m2)
+    # log of C_mu^N * (e/beta)^(beta*N) * inner^(beta*N)
+    log_fail = n * math.log(p.C_mu) + p.beta * n * (
+        1.0 - math.log(p.beta) + (math.log(inner) if inner > 0 else -math.inf)
+    )
+    # a failure bound >= 1 guarantees nothing: 1 - inf clamps to 0
+    return 1.0 - (math.exp(log_fail) if log_fail < 0 else math.inf)
+
+
+def _quant_is(n: int, p: BoundParams, spec: Optional[InteractionSpec]) -> float:
+    _reject_if(spec is None, "QuantIS requires an interaction spec")
+    _check_horizon("QuantIS", p.kappa, p.T)
+    delta = p.delta if p.delta is not None else 0.0
+    i_star = p.I_star if p.I_star is not None else spec.I_star
+    sup_i = p.sup_I if p.sup_I is not None else spec.sup_I
+    r = spec.r_exp
+    head = math.exp(r * i_star**2 / (2.0 * sup_i**2))
+    coef = spec.c4 * spec.c5 * np.pi**r * r ** (r - 1.0) / (math.gamma(1.0 / r) ** r * (1.0 + r / n))
+    return 1.0 - (head + coef * p.kappa * n * (i_star - delta) * p.T) ** (-n / r)
+
+
+def _escape_measure(n: int, p: BoundParams, spec: Optional[InteractionSpec]) -> float:
+    """Measure of initial data keeping R < 1-delta up to T."""
+    delta, kappa, t_h = p.delta, p.kappa, p.T
+    _reject_if(delta is None or not 0.0 < delta < 1.0, "EscapeMeasure requires delta in (0, 1)")
+    _reject_if(n < 2, "EscapeMeasure requires N >= 2")
+    _check_horizon("EscapeMeasure", kappa, t_h)
     pi_e = np.pi * np.e
     if delta < 0.25:
-        return _two_phase_failure(n, 4.0 / (pi_e * delta), delta**2, kappa * n * delta * (1.0 - delta), t_horizon)
+        return _two_phase_failure(n, 4.0 / (pi_e * delta), delta**2, kappa * n * delta * (1.0 - delta), t_h)
     if delta < 0.5:
-        return _two_phase_failure(n, 16.0 / pi_e, delta**2, 3.0 * kappa * n / 16.0, t_horizon)
+        return _two_phase_failure(n, 16.0 / pi_e, delta**2, 3.0 * kappa * n / 16.0, t_h)
     if delta < 0.75:
-        base = math.exp(2.0 * delta**2) + 4.0 * kappa * delta * t_horizon / pi_e
-        return base ** (-n / 2.0)
-    base = 4.0 / (pi_e * (1.0 - delta)) + 4.0 * kappa * delta * t_horizon / pi_e
-    return base ** (-n / 2.0)
+        return (math.exp(2.0 * delta**2) + 4.0 * kappa * delta * t_h / pi_e) ** (-n / 2.0)
+    return (4.0 / (pi_e * (1.0 - delta)) + 4.0 * kappa * delta * t_h / pi_e) ** (-n / 2.0)
+
+
+class Bound(NamedTuple):
+    """One closed-form bound: its unclamped formula f(N, params, spec) and its direction."""
+
+    formula: Callable[[int, BoundParams, Optional[InteractionSpec]], float]
+    upper: bool  # True: the probability is at most the bound; False: at least
+
+
+BOUNDS = {
+    "SincosMain": Bound(_sincos_main, upper=False),
+    "SincosTime": Bound(_sincos_time, upper=False),
+    "OrderParamCDF": Bound(_order_param_cdf, upper=True),
+    "GeneralMaincor": Bound(_general_maincor, upper=False),
+    "KappaLarge": Bound(_kappa_large, upper=False),
+    "QuantIS": Bound(_quant_is, upper=False),
+    "EscapeMeasure": Bound(_escape_measure, upper=True),
+}
 
 
 def probability_bound(
     kind: str, n: int, params: BoundParams, spec: Optional[InteractionSpec] = None
 ) -> float:
-    """Evaluate a closed-form probability (or measure) bound.
+    """Evaluate the closed-form probability (or measure) bound BOUNDS[kind], clamped to [0, 1].
 
-    Kinds: SincosMain, SincosTime, OrderParamCDF, GeneralMaincor, KappaLarge,
-    QuantIS (all success probabilities, lower bounds), and EscapeMeasure (an
-    upper bound on the exceptional measure).  Values are clamped to [0, 1].
+    Upper bounds: OrderParamCDF (P(R0 <= t_level)) and EscapeMeasure (the
+    measure of initial data keeping R < 1-delta up to T).  Lower bounds, on
+    success probabilities: SincosMain, SincosTime, GeneralMaincor, KappaLarge
+    and QuantIS.
     """
     if n < 1:
         raise DomainError("N must be >= 1")
-    if kind == "SincosMain":
-        eps = params.epsilon
-        if eps is None or not 0.0 < eps <= 1.0:
-            raise DomainError("SincosMain requires epsilon in (0, 1]")
-        prob = 1.0 - math.exp(-(eps**2) * n / 25.0)
-        if params.kappa is not None and params.omega_max is not None and params.kappa > 0:
-            tail_base = math.sqrt(np.pi * np.e / 2.0) * (params.omega_max / params.kappa) ** (1.0 / 3.0)
-            if tail_base < 1.0:
-                prob = max(prob, 1.0 - tail_base**n)
-        return _clamp01(prob)
-    if kind == "SincosTime":
-        eps, kappa, t_h = params.epsilon, params.kappa, params.T
-        if n < 2:
-            raise DomainError("SincosTime requires N >= 2")
-        if eps is None or not 0.0 < eps <= 1.0:
-            raise DomainError("SincosTime requires epsilon in (0, 1]")
-        if kappa is None or kappa <= 0 or t_h is None or t_h < 0:
-            raise DomainError("SincosTime requires kappa > 0 and T >= 0")
-        return _clamp01(1.0 - _two_phase_failure(n, *_sincos_time_params(n, kappa, eps), t_h))
-    if kind == "OrderParamCDF":
-        t = params.t_level
-        if t is None or not 0.0 < t < 1.0:
-            raise DomainError("OrderParamCDF requires t_level in (0, 1)")
-        return _clamp01(
-            min(math.exp(-((1.0 - t) ** 2) * n), (math.sqrt(np.pi * np.e * t) / 2.0) ** n)
-        )
-    if kind == "GeneralMaincor":
-        if params.R_star is None or params.R_star <= 0:
-            raise DomainError("GeneralMaincor requires R_star > 0")
-        sup_i = params.sup_I if params.sup_I is not None else (spec.sup_I if spec else None)
-        if sup_i is None or sup_i <= 0:
-            raise DomainError("GeneralMaincor requires sup_I > 0")
-        return _clamp01(1.0 - math.exp(-(params.R_star**2) * n / (2.0 * sup_i**2)))
-    if kind == "KappaLarge":
-        if spec is None:
-            raise DomainError("KappaLarge requires an interaction spec")
-        if params.C_mu is None or params.C_mu <= 0 or params.beta is None or params.beta <= 0:
-            raise DomainError("KappaLarge requires C_mu > 0 and beta > 0")
-        if params.kappa is None or params.kappa <= 0 or params.omega_max is None:
-            raise DomainError("KappaLarge requires kappa > 0 and omega_max")
-        pq = spec.p / spec.q
-        ratio = params.omega_max / params.kappa
-        m1 = (2.0 / (spec.c1 * spec.c3) * ratio) ** (1.0 / (1.0 + pq)) * (2.0 * spec.c2) ** (
-            pq / (1.0 + pq)
-        )
-        m2 = 2.0 / (spec.c1 * spec.c3 * (np.pi - spec.alpha0) ** spec.p) * ratio
-        inner = max(m1, m2)
-        # log of C_mu^N * (e/beta)^(beta*N) * inner^(beta*N)
-        log_fail = n * math.log(params.C_mu) + params.beta * n * (
-            1.0 - math.log(params.beta) + (math.log(inner) if inner > 0 else -math.inf)
-        )
-        fail = math.exp(log_fail) if log_fail < 0 else math.inf
-        return _clamp01(1.0 - fail) if math.isfinite(fail) else 0.0
-    if kind == "QuantIS":
-        if spec is None:
-            raise DomainError("QuantIS requires an interaction spec")
-        delta = params.delta if params.delta is not None else 0.0
-        if params.kappa is None or params.kappa <= 0 or params.T is None or params.T < 0:
-            raise DomainError("QuantIS requires kappa > 0 and T >= 0")
-        i_star = params.I_star if params.I_star is not None else spec.I_star
-        sup_i = params.sup_I if params.sup_I is not None else spec.sup_I
-        r = spec.r_exp
-        head = math.exp(r * i_star**2 / (2.0 * sup_i**2))
-        coef = spec.c4 * spec.c5 * np.pi**r * r ** (r - 1.0) / (
-            math.gamma(1.0 / r) ** r * (1.0 + r / n)
-        )
-        base = head + coef * params.kappa * n * (i_star - delta) * params.T
-        return _clamp01(1.0 - base ** (-n / r))
-    if kind == "EscapeMeasure":
-        if params.delta is None or not 0.0 < params.delta < 1.0:
-            raise DomainError("EscapeMeasure requires delta in (0, 1)")
-        if n < 2:
-            raise DomainError("EscapeMeasure requires N >= 2")
-        if params.kappa is None or params.kappa <= 0 or params.T is None or params.T < 0:
-            raise DomainError("EscapeMeasure requires kappa > 0 and T >= 0")
-        return _clamp01(_escape_measure_bound(n, params.kappa, params.delta, params.T))
-    raise DomainError(f"unknown bound kind: {kind}")
+    if kind not in BOUNDS:
+        raise DomainError(f"unknown bound kind: {kind}")
+    return min(1.0, max(0.0, BOUNDS[kind].formula(n, params, spec)))
 
 
 def verify_interaction_conditions(spec: InteractionSpec, grid_size: int) -> list[CriterionReport]:
     """Grid verification of the structural conditions (c1)-(c7).
 
     Reports carry the worst-case margin; satisfied means margin >= -1e-9
-    (several default constants are sharp, with margin exactly 0).
+    (several default constants are sharp, with margin exactly 0), except for
+    c6, which needs margin > 0.
     """
     if grid_size < 64:
         raise DomainError("grid_size must be >= 64")
@@ -370,60 +386,34 @@ def verify_interaction_conditions(spec: InteractionSpec, grid_size: int) -> list
     s_vals = np.asarray(model.sensitivity(spec, th), dtype=float)
     ip_vals = np.asarray(model.influence_deriv(spec, th), dtype=float)
     sp_vals = np.asarray(model.sensitivity_deriv(spec, th), dtype=float)
-    reports = []
-
     right = th >= spec.alpha0
     left = th <= -spec.alpha0
     m_right = np.min(-s_vals[right] - spec.c1 * (np.pi - th[right]) ** spec.p)
     m_left = np.min(s_vals[left] - spec.c1 * (th[left] + np.pi) ** spec.p)
-    margin = float(min(m_right, m_left))
-    reports.append(
-        CriterionReport(margin >= -CONDITION_TOL, margin, 0.0, margin,
-                        "c1: sensitivity decay near +-pi")
-    )
-
-    env = spec.c2 * (np.pi - np.abs(th)) ** spec.q
-    margin = float(min(np.min(env - i_vals), np.min(i_vals)))
-    reports.append(
-        CriterionReport(margin >= -CONDITION_TOL, margin, 0.0, margin,
-                        "c2: influence envelope and nonnegativity")
-    )
 
     order = np.argsort(np.abs(th), kind="stable")
     abs_sorted = np.abs(th)[order]
     win_min = np.minimum.accumulate(i_vals[order])
     radii = np.maximum(np.abs(th), spec.alpha0)
     pos = np.clip(np.searchsorted(abs_sorted, radii, side="right") - 1, 0, grid_size - 1)
-    margin = float(np.min(win_min[pos] - spec.c3 * i_vals))
-    reports.append(
-        CriterionReport(margin >= -CONDITION_TOL, margin, 0.0, margin,
-                        "c3: windowed influence minimum")
-    )
-
-    margin = float(np.min(sp_vals - spec.c4 * (spec.I_star - i_vals)))
-    reports.append(
-        CriterionReport(margin >= -CONDITION_TOL, margin, 0.0, margin,
-                        "c4: sensitivity slope vs influence gap")
-    )
-
-    margin = float(np.min(ip_vals * s_vals))
-    reports.append(
-        CriterionReport(margin >= -CONDITION_TOL, margin, 0.0, margin,
-                        "c5: monotone coupling sign I'*S >= 0")
-    )
 
     interior = np.abs(th) < np.pi - 1e-9
-    margin = float(np.min(i_vals[interior]))
-    reports.append(
-        CriterionReport(margin > 0.0, margin, 0.0, margin,
-                        "c6: influence positive on the open interval")
-    )
-
-    margin = float(np.min(i_vals - spec.c5 * (np.pi - np.abs(th)) ** spec.r_exp))
-    reports.append(
-        CriterionReport(margin >= -CONDITION_TOL, margin, 0.0, margin,
-                        "c7: influence lower envelope")
-    )
+    env = spec.c2 * (np.pi - np.abs(th)) ** spec.q
+    margins = [
+        (min(m_right, m_left), "c1: sensitivity decay near +-pi"),
+        (min(np.min(env - i_vals), np.min(i_vals)), "c2: influence envelope and nonnegativity"),
+        (np.min(win_min[pos] - spec.c3 * i_vals), "c3: windowed influence minimum"),
+        (np.min(sp_vals - spec.c4 * (spec.I_star - i_vals)), "c4: sensitivity slope vs influence gap"),
+        (np.min(ip_vals * s_vals), "c5: monotone coupling sign I'*S >= 0"),
+        (np.min(i_vals[interior]), "c6: influence positive on the open interval"),
+        (np.min(i_vals - spec.c5 * (np.pi - np.abs(th)) ** spec.r_exp), "c7: influence lower envelope"),
+    ]
+    reports = []
+    for margin, label in margins:
+        margin = float(margin)
+        # c6 asks for strict positivity, so it gets no tolerance
+        satisfied = margin > 0.0 if label.startswith("c6") else margin >= -CONDITION_TOL
+        reports.append(CriterionReport(satisfied, margin, 0.0, margin, label))
     return reports
 
 

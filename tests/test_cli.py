@@ -224,3 +224,25 @@ def test_main_theorem_death_dominates_sincos_bound(capsys, seed, epsilon):
     assert data["dominates"] is True, data
     lo, hi = data["wilson_95"]
     assert lo <= data["estimate"] <= hi
+
+
+def test_montecarlo_verdict_follows_bound_direction(capsys):
+    # death is checked against the SincosMain lower bound, the order-parameter
+    # CDF and the escape measure against upper bounds; the other key is null
+    omega = np.random.default_rng(3).uniform(-1.0, 1.0, 20)
+    kappa = 2.5 * float(np.max(np.abs(omega)))
+    runs = {
+        "death": ["--omega=" + ",".join(f"{w:.17g}" for w in omega), "--kappa", f"{kappa:.17g}",
+                  "--samples", "32", "--seed", "3", "--horizon", "50", "--sample-stride", "1",
+                  "--abs-tol", "1e-6", "--rel-tol", "1e-6", "--max-dt", "0.5"],
+        "order-param-cdf": ["--n", "10", "--t-level", "0.5", "--samples", "2000", "--seed", "1"],
+        "escape": ["--omega", "0,0,0,0,0,0", "--kappa", "2", "--delta", "0.5", "--t-horizon", "5",
+                   "--samples", "64", "--seed", "4"],
+    }
+    for kind, args in runs.items():
+        assert main(["montecarlo", "--kind", kind, *args, "--output", "-"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        if kind == "death":
+            assert data["dominates"] is True and data["dominated"] is None, data
+        else:
+            assert data["dominates"] is None and isinstance(data["dominated"], bool), data

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import winfree as wf
+from winfree import thresholds
 from winfree.errors import CriterionInapplicableError, DomainError
 from winfree.thresholds import BoundParams
 
@@ -50,6 +51,19 @@ def test_toy_thresholds_custom_trivial():
     cfg = wf.SystemConfig(n=4, omega=np.array([1.0, 0.3, -0.2, 0.5]), kappa=1.0)
     _, kappa_tr = wf.toy_thresholds(spec, cfg, [0, 1, 2, 3])
     assert kappa_tr == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("spec", [wf.power_cosine(2), wf.rectified_poisson(0.3)], ids=["power_cosine2", "poisson0.3"])
+def test_toy_thresholds_match_dense_grid(spec):
+    cfg = wf.SystemConfig(n=3, omega=np.array([1.0, -0.5, 0.2]), kappa=1.0)
+    kappa_vt, kappa_tr = wf.toy_thresholds(spec, cfg, [0, 1, 2])
+    th = np.linspace(-np.pi, np.pi, 2**20 + 1)
+    i_vals, s_vals = wf.influence(spec, th), wf.sensitivity(spec, th)
+    is_vals = i_vals * s_vals
+    # a grid of spacing h misses a smooth extremum by O(h^2) ~ 1e-11
+    omega_b = float(np.max(np.abs(cfg.omega)))
+    assert kappa_vt == pytest.approx(cfg.n * omega_b / min(-is_vals.min(), is_vals.max()), rel=1e-9)
+    assert i_vals.min() == 0.0 and kappa_tr is None  # I(+-pi) = 0 for both kernels
 
 
 def test_toy_thresholds_inapplicable():
@@ -137,6 +151,78 @@ def test_probability_bound_domain_errors():
         wf.probability_bound("EscapeMeasure", 10, BoundParams(delta=1.5, T=1.0, kappa=1.0))
     with pytest.raises(DomainError):
         wf.probability_bound("SincosTime", 1, BoundParams(epsilon=0.5, kappa=1.0, T=1.0))
+
+
+_QUANT = wf.power_cosine(2)
+
+# kind -> (a valid call, calls with a missing or out-of-range required parameter)
+_DOMAIN_CASES = {
+    "SincosMain": ((10, BoundParams(epsilon=0.5), None), [
+        (10, BoundParams(), None),
+        (10, BoundParams(epsilon=0.0), None),
+        (0, BoundParams(epsilon=0.5), None),
+    ]),
+    "SincosTime": ((10, BoundParams(epsilon=0.5, kappa=1.0, T=1.0), None), [
+        (10, BoundParams(epsilon=0.5, kappa=1.0), None),
+        (10, BoundParams(epsilon=1.5, kappa=1.0, T=1.0), None),
+        (10, BoundParams(epsilon=0.5, kappa=0.0, T=1.0), None),
+        (10, BoundParams(epsilon=0.5, kappa=1.0, T=-1.0), None),
+    ]),
+    "OrderParamCDF": ((10, BoundParams(t_level=0.5), None), [
+        (10, BoundParams(), None),
+        (10, BoundParams(t_level=1.0), None),
+        (10, BoundParams(t_level=0.0), None),
+    ]),
+    "GeneralMaincor": ((10, BoundParams(R_star=0.5, sup_I=2.0), None), [
+        (10, BoundParams(sup_I=2.0), None),
+        (10, BoundParams(R_star=0.5), None),
+        (10, BoundParams(R_star=-0.5, sup_I=2.0), None),
+        (10, BoundParams(R_star=0.5, sup_I=0.0), SPEC),
+    ]),
+    "KappaLarge": ((10, BoundParams(C_mu=0.5, beta=0.5, kappa=50.0, omega_max=1.0), _QUANT), [
+        (10, BoundParams(C_mu=0.5, beta=0.5, kappa=50.0, omega_max=1.0), None),
+        (10, BoundParams(beta=0.5, kappa=50.0, omega_max=1.0), _QUANT),
+        (10, BoundParams(C_mu=0.5, beta=0.0, kappa=50.0, omega_max=1.0), _QUANT),
+        (10, BoundParams(C_mu=0.5, beta=0.5, kappa=-1.0, omega_max=1.0), _QUANT),
+        (10, BoundParams(C_mu=0.5, beta=0.5, kappa=50.0), _QUANT),
+    ]),
+    "QuantIS": ((10, BoundParams(kappa=2.0, T=3.0), _QUANT), [
+        (10, BoundParams(kappa=2.0, T=3.0), None),
+        (10, BoundParams(T=3.0), _QUANT),
+        (10, BoundParams(kappa=0.0, T=3.0), _QUANT),
+        (10, BoundParams(kappa=2.0), _QUANT),
+        (10, BoundParams(kappa=2.0, T=-0.1), _QUANT),
+    ]),
+    "EscapeMeasure": ((10, BoundParams(delta=0.5, kappa=2.0, T=1.0), None), [
+        (10, BoundParams(kappa=2.0, T=1.0), None),
+        (10, BoundParams(delta=1.0, kappa=2.0, T=1.0), None),
+        (1, BoundParams(delta=0.5, kappa=2.0, T=1.0), None),
+        (10, BoundParams(delta=0.5, T=1.0), None),
+        (10, BoundParams(delta=0.5, kappa=2.0, T=-1.0), None),
+    ]),
+    "NoSuchBound": (None, [(10, BoundParams(epsilon=0.5, t_level=0.5), SPEC)]),
+}
+
+
+@pytest.mark.parametrize("kind", list(_DOMAIN_CASES))
+def test_probability_bound_rejects_missing_or_out_of_range_parameters(kind):
+    valid, bad_calls = _DOMAIN_CASES[kind]
+    if valid is not None:
+        n, params, spec = valid
+        assert 0.0 <= wf.probability_bound(kind, n, params, spec=spec) <= 1.0
+    for n, params, spec in bad_calls:
+        with pytest.raises(DomainError):
+            wf.probability_bound(kind, n, params, spec=spec)
+
+
+def test_bound_table_directions():
+    upper = {kind for kind, bound in thresholds.BOUNDS.items() if bound.upper}
+    assert upper == {"OrderParamCDF", "EscapeMeasure"}
+    assert set(_DOMAIN_CASES) - {"NoSuchBound"} == set(thresholds.BOUNDS)
+    doc = " ".join(wf.probability_bound.__doc__.split())
+    upper_doc, lower_doc = doc.split("Upper bounds:")[1].split("Lower bounds")
+    for kind, bound in thresholds.BOUNDS.items():
+        assert kind in (upper_doc if bound.upper else lower_doc), kind
 
 
 def test_probability_bounds_clamped():
