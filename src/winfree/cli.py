@@ -207,15 +207,21 @@ def cmd_sweep(cfg: dict) -> int:
     rows = ["kappa,gamma,regime,death_fraction,mean_R_final"]
     cell = 0
     for gamma in gamma_grid:
-        for kappa in kappa_grid:
-            omega = _quantile_frequencies(n, float(gamma))
-            config = SystemConfig(n=n, omega=omega, kappa=float(kappa))
-            initial = np.random.default_rng((seed, cell)).uniform(-np.pi, np.pi, n)
-            traj = integrate.simulate(config, spec, initial, opts)
+        # the cells of one gamma share omega: integrate them as one batch with
+        # per-row kappa (each row is bitwise its own simulate call)
+        omega = _quantile_frequencies(n, float(gamma))
+        configs = [SystemConfig(n=n, omega=omega, kappa=float(kappa)) for kappa in kappa_grid]
+        initial = np.array([
+            np.random.default_rng((seed, cell + i)).uniform(-np.pi, np.pi, n) for i in range(len(configs))
+        ])
+        runs = integrate._integrate_rows(configs[0], spec, initial, opts, kappa=[c.kappa for c in configs])
+        for config, (traj, failure) in zip(configs, runs):
+            if failure is not None:
+                raise IntegrationFailure(failure, partial_trajectory=traj)
             report = integrate.regime_report(traj, config)
             tail = traj.r_series[traj.times >= 0.9 * opts.horizon]
             rows.append(
-                f"{kappa:.17g},{gamma:.17g},{report.regime},"
+                f"{config.kappa:.17g},{gamma:.17g},{report.regime},"
                 f"{float(np.mean(report.death_flags)):.17g},{float(np.mean(tail)):.17g}"
             )
             cell += 1

@@ -1,9 +1,12 @@
 """Seeded Monte Carlo estimators for the probabilities bounded in closed form.
 
-Every sample k draws its own RNG stream from (seed, k), and the death and
-escape estimators integrate each block of samples as one batch whose rows
-do not depend on each other, so estimates are bit-identical regardless of
-worker count, block size or scheduling.
+Each seed gives one PCG64 stream, and sample k is always doubles
+k*N .. k*N+N-1 of it: a block of samples jumps to its first sample with
+PCG64.advance and draws its rows in one call.  The death and escape
+estimators integrate each block of samples as one batch whose rows do not
+depend on each other, so estimates are bit-identical regardless of worker
+count, block size or scheduling.  Result records name this layout in their
+"rng_stream" key (RNG_STREAM).
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ from .model import InteractionSpec, SystemConfig
 BLOCK_SAMPLES = 64
 
 _Z95 = 1.959963984540054  # standard normal 97.5% quantile
+
+# Version of the sample stream layout, written into every result record; bump
+# it whenever the draws of a (seed, sample) pair change.
+RNG_STREAM = "pcg64-advance/1"
 
 # The closed-form bound (a key of thresholds.BOUNDS) each estimator is checked against.
 BOUND_KINDS = {"order-param-cdf": "OrderParamCDF", "death": "SincosMain", "escape": "EscapeMeasure"}
@@ -66,17 +73,19 @@ def _estimate(successes: int, count: int) -> EstimateCI:
     )
 
 
-def _draw(seed: int, k: int, n: int) -> np.ndarray:
-    return np.random.default_rng((seed, k)).uniform(-np.pi, np.pi, n)
-
-
 def _draws(seed: int, n: int, start: int, stop: int) -> np.ndarray:
-    """Samples start..stop-1 as rows; sample k is always _draw(seed, k, n)."""
-    return np.array([_draw(seed, k, n) for k in range(start, stop)])
+    """Samples start..stop-1 as rows; sample k is doubles k*n .. k*n+n-1 of seed's stream."""
+    bits = np.random.PCG64(np.random.SeedSequence(seed))
+    bits.advance(start * n)  # one double per 64-bit output
+    return np.random.Generator(bits).uniform(-np.pi, np.pi, (stop - start, n))
 
 
 def sample_uniform_initial(n: int, mc: McConfig) -> np.ndarray:
-    """Deterministic uniform draws on [-pi, pi)^n, one row per sample."""
+    """Deterministic uniform draws on [-pi, pi)^n, one row per sample.
+
+    Row k is sample k of every estimator run with the same seed and n: doubles
+    k*n .. k*n+n-1 of the seed's one PCG64 stream (layout RNG_STREAM).
+    """
     if n < 1:
         raise DomainError("n must be >= 1")
     return _draws(mc.seed, n, 0, mc.samples)
@@ -99,8 +108,9 @@ def _run_chunk(fn, args, chunk) -> list[bool]:
 def _map_samples(fn, args, mc: McConfig) -> list[bool]:
     """One hit per sample, in sample order; fn is a module-level block function.
 
-    Sample k reads only its own stream and each row of a block integrates on
-    its own, so the hits do not depend on the worker count or block size.
+    Sample k reads only its own slice of the stream and each row of a block
+    integrates on its own, so the hits do not depend on the worker count or
+    block size.
     """
     if mc.workers == 1:
         return _run_chunk(fn, args, (0, mc.samples))
@@ -214,7 +224,7 @@ def result_json_dict(kind: str, params: dict, est: EstimateCI, bound: Optional[f
     The verdict follows the direction of the bound BOUND_KINDS[kind]: an upper
     bound sets `dominated` (estimate <= bound + 3 SE), a lower bound sets
     `dominates` (estimate >= bound - 3 SE).  The other key, and both when
-    there is no bound, is None.
+    there is no bound, is None.  "rng_stream" names the sample stream layout.
     """
     dominated = dominates = None
     if bound is not None:
@@ -231,4 +241,5 @@ def result_json_dict(kind: str, params: dict, est: EstimateCI, bound: Optional[f
         "bound": bound,
         "dominated": dominated,
         "dominates": dominates,
+        "rng_stream": RNG_STREAM,
     }

@@ -263,6 +263,7 @@ def sincos_death_time(n: int, kappa: float, epsilon: float) -> float:
 
 def _sincos_main(n: int, p: BoundParams, spec: Optional[InteractionSpec]) -> float:
     _reject_if(p.epsilon is None or not 0.0 < p.epsilon <= 1.0, "SincosMain requires epsilon in (0, 1]")
+    _reject_if(p.omega_max is not None and p.omega_max < 0, "SincosMain requires omega_max >= 0")
     prob = 1.0 - math.exp(-(p.epsilon**2) * n / 25.0)
     if p.kappa is not None and p.omega_max is not None and p.kappa > 0:
         tail_base = math.sqrt(np.pi * np.e / 2.0) * (p.omega_max / p.kappa) ** (1.0 / 3.0)
@@ -294,8 +295,8 @@ def _kappa_large(n: int, p: BoundParams, spec: Optional[InteractionSpec]) -> flo
     _reject_if(spec is None, "KappaLarge requires an interaction spec")
     _reject_if(p.C_mu is None or p.C_mu <= 0 or p.beta is None or p.beta <= 0,
                "KappaLarge requires C_mu > 0 and beta > 0")
-    _reject_if(p.kappa is None or p.kappa <= 0 or p.omega_max is None,
-               "KappaLarge requires kappa > 0 and omega_max")
+    _reject_if(p.kappa is None or p.kappa <= 0 or p.omega_max is None or p.omega_max < 0,
+               "KappaLarge requires kappa > 0 and omega_max >= 0")
     pq = spec.p / spec.q
     ratio = p.omega_max / p.kappa
     m1 = (2.0 / (spec.c1 * spec.c3) * ratio) ** (1.0 / (1.0 + pq)) * (2.0 * spec.c2) ** (pq / (1.0 + pq))
@@ -315,6 +316,7 @@ def _quant_is(n: int, p: BoundParams, spec: Optional[InteractionSpec]) -> float:
     delta = p.delta if p.delta is not None else 0.0
     i_star = p.I_star if p.I_star is not None else spec.I_star
     sup_i = p.sup_I if p.sup_I is not None else spec.sup_I
+    _reject_if(not 0.0 <= delta < i_star, "QuantIS requires delta in [0, I_star)")
     r = spec.r_exp
     head = math.exp(r * i_star**2 / (2.0 * sup_i**2))
     coef = spec.c4 * spec.c5 * np.pi**r * r ** (r - 1.0) / (math.gamma(1.0 / r) ** r * (1.0 + r / n))

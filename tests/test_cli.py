@@ -246,3 +246,16 @@ def test_montecarlo_verdict_follows_bound_direction(capsys):
             assert data["dominates"] is True and data["dominated"] is None, data
         else:
             assert data["dominates"] is None and isinstance(data["dominated"], bool), data
+
+
+@pytest.mark.parametrize("args, name", [
+    (["--kind", "SincosMain", "--n", "50", "--epsilon", "0.5", "--kappa", "2", "--omega-max", "-1"], "omega_max"),
+    (["--kind", "KappaLarge", "--n", "10", "--c-mu", "0.5", "--beta", "0.5", "--kappa", "50",
+      "--omega-max", "-1"], "omega_max"),
+    (["--kind", "QuantIS", "--n", "10", "--kappa", "1", "--t-horizon", "1", "--delta", "2"], "delta"),
+])
+def test_bounds_reject_out_of_range_inputs(capsys, args, name):
+    # unchecked, a negative omega_max reaches a fractional power (a complex
+    # result) and a delta above I_star gives a certain-success bound
+    assert main(["bounds"] + args) == 2
+    assert name in capsys.readouterr().err

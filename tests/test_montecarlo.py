@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import winfree as wf
 from winfree import montecarlo
@@ -33,6 +37,46 @@ def test_samples_independent_of_batch_layout():
     small = wf.sample_uniform_initial(4, wf.McConfig(samples=5, seed=9))
     large = wf.sample_uniform_initial(4, wf.McConfig(samples=10, seed=9))
     assert np.array_equal(small, large[:5])
+
+
+@st.composite
+def _sample_ranges(draw):
+    start = draw(st.integers(0, 10**6))
+    stop = draw(st.integers(start, start + 300))
+    return draw(st.integers(1, 40)), start, draw(st.integers(start, stop)), stop
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), ranges=_sample_ranges())
+def test_draws_of_a_range_are_its_two_parts_joined(seed, ranges):
+    # sample k is always the same doubles of the seed's stream, however the
+    # samples are split into chunks and blocks
+    n, start, split, stop = ranges
+    whole = montecarlo._draws(seed, n, start, stop)
+    assert whole.shape == (stop - start, n)
+    parts = np.vstack([montecarlo._draws(seed, n, start, split), montecarlo._draws(seed, n, split, stop)])
+    assert np.array_equal(whole, parts)
+
+
+def test_draws_stream_is_pinned():
+    # a numpy release that moves these doubles changes every Monte Carlo
+    # output: bump montecarlo.RNG_STREAM along with these literals
+    want = [
+        ["0x1.b89ac06c69d18p-1", "-0x1.724c098e88338p+0", "-0x1.712bc66ce71ddp+1"],
+        ["-0x1.84d4e03ae870ap+1", "0x1.f7e4ccda77c2cp+0", "0x1.4bf52de6f5c5ep+1"],
+    ]
+    assert [[float(x).hex() for x in row] for row in montecarlo._draws(0, 3, 0, 2)] == want
+    assert montecarlo.RNG_STREAM == "pcg64-advance/1"
+    record = wf.result_json_dict("order-param-cdf", {"n": 3}, montecarlo._estimate(1, 2), None)
+    assert record["rng_stream"] == montecarlo.RNG_STREAM
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 1.5])
+def test_order_param_cdf_matches_closed_form_at_one_oscillator(t):
+    # at N=1, R0 = 1 + cos(theta) with theta uniform, so P(R0 <= t) = 1 - arccos(t - 1)/pi
+    est = wf.empirical_order_param_cdf(1, t, wf.McConfig(samples=10**5, seed=41))
+    exact = 1.0 - math.acos(t - 1.0) / math.pi
+    assert abs(est.estimate - exact) <= 4.0 * est.std_error
 
 
 def test_order_param_cdf_seeded_and_bounded():
@@ -110,7 +154,7 @@ def _one_at_a_time_hits(cfg, opts, seed, samples, r_floor=None, delta=None):
     """The estimators' per-sample rules, one simulate call per sample."""
     hits = []
     for k in range(samples):
-        theta0 = np.random.default_rng((seed, k)).uniform(-np.pi, np.pi, cfg.n)
+        theta0 = montecarlo._draws(seed, cfg.n, k, k + 1)[0]
         if delta is None:
             try:
                 traj = wf.simulate(cfg, SPEC, theta0, opts)
