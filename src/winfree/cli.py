@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Optional
 
@@ -406,9 +407,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """'--omega -0.5,0.2' as '--omega=-0.5,0.2'.
+
+    argparse reads a word that starts with '-' and is not one plain number as
+    the next flag, so a vector whose first entry is negative needs the '='
+    spelling; this gives it that spelling, under any name argparse accepts
+    (abbreviations too).  '--kappa=-1' reads as '--kappa -1', so joining a
+    scalar changes nothing, and '--full -1' is an error either way.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        word = argv[i]
+        if (word.startswith("--") and len(word) > 2 and "=" not in word and i + 1 < len(argv)
+                and _NEGATIVE_VALUE.match(argv[i + 1])):
+            out.append(f"{word}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(word)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         cfg = _load_config(args)
         return args.func(cfg)

@@ -15,6 +15,7 @@ import itertools
 import json
 import logging
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import model
 from .errors import DegenerateFrequenciesError, DomainError, SizeLimitError
 from .model import SystemConfig
-from .thresholds import _golden_min
+from .thresholds import _bisect_walk, _golden_min
 
 SCAN_POINTS = 4096
 ROOT_TOL = 1e-12
@@ -244,73 +245,115 @@ def _canonical(theta: np.ndarray) -> np.ndarray:
     return np.pi - wrapped
 
 
-def _equilibrium_theta(config: SystemConfig, sigma: np.ndarray, r: float) -> np.ndarray:
-    ratio = np.clip(config.omega / (config.kappa * r), -1.0, 1.0)
+def _equilibrium_theta(config: SystemConfig, sigma: np.ndarray, r) -> np.ndarray:
+    """Canonical equilibrium phases of signature rows sigma (..., N) at order parameters r (...)."""
+    ratio = np.clip(config.omega / (config.kappa * np.asarray(r, dtype=float)[..., None]), -1.0, 1.0)
     base = np.arcsin(ratio)
     theta = np.where(sigma > 0, base, np.pi - base)
     return _canonical(theta)
 
 
-def _stability(config: SystemConfig, r: float, theta: np.ndarray) -> tuple[str, float]:
-    """(label, max real eigenvalue part) of the Jacobian, thresholds +-1e-8.
+def _stability(config: SystemConfig, r: np.ndarray, theta: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Per row: (label, max real eigenvalue part) of the Jacobian, thresholds +-1e-8.
 
-    Indeterminate without eigenvalues on the boundary |kappa|*R = max|omega|.
+    Rows are order parameters r (M,) and phases theta (M, N).  A row on the
+    boundary |kappa|*R = max|omega| is Indeterminate with max part nan, and
+    its eigenvalues are not computed.
     """
-    if abs(abs(config.kappa) * r - config.omega_max) < 1e-12:
-        return "Indeterminate", float("nan")
-    max_eig = float(np.max(np.linalg.eigvals(model.jacobian(config, theta)).real))
-    if max_eig > 1e-8:
-        return "Unstable", max_eig
-    if max_eig < -1e-8:
-        return "Stable", max_eig
-    return "Indeterminate", max_eig
+    max_eig = np.full(r.shape, np.nan)
+    inner = ~(np.abs(abs(config.kappa) * r - config.omega_max) < 1e-12)
+    if np.any(inner):
+        jac = model.jacobian(config, theta[inner])
+        max_eig[inner] = np.max(np.linalg.eigvals(jac).real, axis=-1)
+    labels = np.where(max_eig > 1e-8, "Unstable", np.where(max_eig < -1e-8, "Stable", "Indeterminate"))
+    return labels.tolist(), max_eig
+
+
+def _records(config: SystemConfig, sigmas: np.ndarray, r: np.ndarray,
+             theta: np.ndarray) -> list[EquilibriumRecord]:
+    """Records of the rows sigmas (M, N), r (M,), theta (M, N), built as one stack."""
+    labels, max_eig = _stability(config, r, theta)
+    divergence = model.divergence(config, model.sinusoidal(), theta)
+    return [
+        EquilibriumRecord(R=rk, theta=th, signature=Signature(sigma), divergence=div, stability=label,
+                          max_eig_real=eig)
+        for rk, th, sigma, div, label, eig in zip(r.tolist(), theta, sigmas, divergence.tolist(), labels,
+                                                   max_eig.tolist())
+    ]
 
 
 def _record(config: SystemConfig, sigma: np.ndarray, r: float, theta: np.ndarray) -> EquilibriumRecord:
-    stability, max_eig = _stability(config, r, theta)
-    return EquilibriumRecord(
-        R=float(r),
-        theta=theta,
-        signature=Signature(sigma),
-        divergence=model.divergence(config, model.sinusoidal(), theta),
-        stability=stability,
-        max_eig_real=max_eig,
-    )
+    return _records(config, sigma[None], np.array([r], dtype=float), theta[None])[0]
+
+
+def _dedup(theta: np.ndarray, keys: list[float], kept: list[np.ndarray]) -> list[int]:
+    """Rows of theta (M, N) not within DEDUP_TOL of a kept theta, in order; each joins kept.
+
+    Greedy, first record wins.  |cos a - cos b| <= |wrap(a - b)|, so a theta
+    within DEDUP_TOL of a kept one has mean(cos theta) within DEDUP_TOL of
+    that one's: only kept thetas in that key window (doubled for rounding) of
+    the sorted keys are compared.
+    """
+    new = []
+    for i, (row, key) in enumerate(zip(theta, np.mean(np.cos(theta), axis=-1).tolist())):
+        lo = bisect.bisect_left(keys, key - 2 * DEDUP_TOL)
+        hi = bisect.bisect_right(keys, key + 2 * DEDUP_TOL)
+        if any(np.max(np.abs(model.wrap_to_pi(row - prev))) < DEDUP_TOL for prev in kept[lo:hi]):
+            continue
+        at = bisect.bisect_right(keys, key, lo, hi)
+        keys.insert(at, key)
+        kept.insert(at, row)
+        new.append(i)
+    return new
 
 
 def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
-    """All equilibria (mod 2*pi), via signature enumeration; at most 2^(N+1)."""
+    """All equilibria (mod 2*pi), via signature enumeration; at most 2^(N+1).
+
+    After the branch solve of every signature, the roots of each block of
+    BLOCK_SIGNATURES signatures get their phases and dedup keys as one
+    stack, and the records kept from it are built as one stack (one
+    Jacobian stack, one eigvals call), so memory stays bounded in 2^N.
+    Counts and the times of the scan, dedup (phases, keys and dedup) and
+    record phases go to the DEBUG log.
+    """
     if config.kappa == 0.0:
         raise DomainError("kappa must be nonzero")
-    if config.n > 20:
-        raise SizeLimitError("signature enumeration limited to N <= 20")
+    if config.n > 17:  # 2^17 records take 40-50 s on a 2-vCPU machine
+        raise SizeLimitError("signature enumeration limited to N <= 17")
+    clock = time.perf_counter()
     sigmas = _signatures(config.n)
-    if _frequencies_vanish(config):
-        records = []
-        for sigma in sigmas:
-            theta = np.where(sigma < 0, np.pi, 0.0)
-            r = float(np.mean(1.0 + np.cos(theta)))
-            records.append(_record(config, sigma, r, theta))
-        return records
-    # Greedy dedup, first record wins.  |cos a - cos b| <= |wrap(a - b)|, so a
-    # theta within DEDUP_TOL of a kept one has mean(cos theta) within DEDUP_TOL
-    # of that one's: only kept records in that key window (doubled for
-    # rounding) are compared.
-    records = []
+    bipolar = _frequencies_vanish(config)
+    roots = None if bipolar else _fixed_point_roots(config, sigmas)
+    found = len(sigmas) if bipolar else sum(map(len, roots))
+    scan_s, dedup_s, record_s = time.perf_counter() - clock, 0.0, 0.0
+    records: list[EquilibriumRecord] = []
     keys: list[float] = []  # sorted mean(cos theta) of the kept records
     kept: list[np.ndarray] = []  # their thetas, in key order
-    for sigma, roots in zip(sigmas, _fixed_point_roots(config, sigmas)):
-        for r in roots:
-            theta = _equilibrium_theta(config, sigma, r)
-            key = float(np.mean(np.cos(theta)))
-            lo = bisect.bisect_left(keys, key - 2 * DEDUP_TOL)
-            hi = bisect.bisect_right(keys, key + 2 * DEDUP_TOL)
-            if any(np.max(np.abs(model.wrap_to_pi(theta - prev))) < DEDUP_TOL for prev in kept[lo:hi]):
-                continue
-            at = bisect.bisect_right(keys, key, lo, hi)
-            keys.insert(at, key)
-            kept.insert(at, theta)
-            records.append(_record(config, sigma, r, theta))
+    chunks = 0
+    for start in range(0, len(sigmas), BLOCK_SIGNATURES):
+        clock = time.perf_counter()
+        block = sigmas[start:start + BLOCK_SIGNATURES]
+        if bipolar:  # omega = 0: theta_j in {0, pi}, all distinct
+            theta = np.where(block < 0, np.pi, 0.0)
+            r = np.mean(1.0 + np.cos(theta), axis=-1)
+        else:
+            block_roots = roots[start:start + BLOCK_SIGNATURES]
+            block = np.repeat(block, [len(x) for x in block_roots], axis=0)
+            r = np.array(list(itertools.chain.from_iterable(block_roots)), dtype=float)
+            theta = _equilibrium_theta(config, block, r)
+            new = _dedup(theta, keys, kept)
+            block, r, theta = block[new], r[new], theta[new]
+        dedup_s += time.perf_counter() - clock
+        clock = time.perf_counter()
+        if r.size:
+            records += _records(config, block, r, theta)
+            chunks += 1
+        record_s += time.perf_counter() - clock
+    _log.debug("enumerate N=%d: %d signatures, %d roots, %d records, %d chunks; "
+               "scan %.6f s, dedup %.6f s, records %.6f s",
+               config.n, len(sigmas), found, len(records), chunks,
+               scan_s, dedup_s, record_s)
     return records
 
 
@@ -320,7 +363,10 @@ def critical_coupling(omega) -> float:
     Solves the scalar balance equation for the auxiliary level u in
     [1, 2/sqrt(3)] for omega/max|omega| by bisection and scales the result by
     max|omega|, so tiny frequencies cannot underflow; returns 0 for omega = 0
-    (degenerate: every positive coupling admits equilibria).
+    (degenerate: every positive coupling admits equilibria).  Each round
+    evaluates the balance function at the 7 midpoints of the next three
+    bisection steps as one array (thresholds._bisect_walk), which gives the
+    one-step-at-a-time bisection's answer.
     """
     omega = np.asarray(omega, dtype=float)
     omega_inf = float(np.max(np.abs(omega)))
@@ -329,23 +375,17 @@ def critical_coupling(omega) -> float:
     n = omega.size
     omega2 = (omega / omega_inf) ** 2
 
-    def h(u):
-        s = np.sqrt(np.clip(1.0 - omega2 / u**2, 1e-300, None))
-        return -1.0 - 2.0 / n * np.sum(s) + 1.0 / n * np.sum(1.0 / s)
+    def h(us):  # at the points us, as one (len(us), n) array; each u**2 a Python float
+        u2 = np.array([u**2 for u in us])
+        s = np.sqrt(np.maximum(1.0 - omega2 / u2[:, None], 1e-300))
+        return -1.0 - 2.0 / n * s.sum(axis=-1) + 1.0 / n * (1.0 / s).sum(axis=-1)
 
     a = 1.0 + 1e-12
     b = 2.0 / math.sqrt(3.0)
-    if h(b) >= 0.0:
+    if h([b])[0] >= 0.0:
         u_star = b
     else:
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if h(mid) > 0.0:
-                a = mid
-            else:
-                b = mid
-            if (b - a) <= 1e-12 * b:
-                break
+        a, b = _bisect_walk(lambda us: (h(us) > 0.0).tolist(), a, b, 200, lambda a, b: (b - a) <= 1e-12 * b)
         u_star = 0.5 * (a + b)
     s = np.sqrt(np.clip(1.0 - omega2 / u_star**2, 0.0, None))
     return float(n * u_star / (n + np.sum(s))) * omega_inf
@@ -486,7 +526,7 @@ def build_W_polynomial(config: SystemConfig, exact: bool = False) -> WPolynomial
 
 def classify_stability(config: SystemConfig, eq: EquilibriumRecord) -> str:
     """Linear stability from Jacobian eigenvalues (thresholds +-1e-8)."""
-    return _stability(config, eq.R, eq.theta)[0]
+    return _stability(config, np.array([eq.R], dtype=float), eq.theta[None])[0][0]
 
 
 def equilibria_to_json(records: list[EquilibriumRecord], path) -> None:

@@ -315,8 +315,9 @@ def estimate_pathwise_critical_coupling(
 
     Horizon-dependent by construction; bracketed above by the elementary
     threshold, 30 bisection iterations.  The end points run as one batch, and
-    each round evaluates the 7 midpoints of the next 3 iterations as one batch
-    before walking them, so the result is that of the one-at-a-time bisection.
+    each round integrates the 7 midpoints of the next 3 iterations as one batch
+    before walking them (thresholds._bisect_walk), so the result is that of the
+    one-at-a-time bisection.
     """
     upper, _ = thresholds.toy_thresholds(spec, config, list(range(config.n)))
     if upper == 0.0:
@@ -325,33 +326,16 @@ def estimate_pathwise_critical_coupling(
     if theta.shape != (config.n,):
         raise ConfigurationError("initial state length must equal config.n")
 
-    def dies(kappas: list[float]) -> dict[float, bool]:
+    def dies(kappas: list[float]) -> list[bool]:
         runs = _integrate_rows(config, spec, np.tile(theta, (len(kappas), 1)), opts, kappa=kappas)
-        return {
-            kappa: failure is None and bool(np.all(detect_death(traj, 0.0)))
-            for kappa, (traj, failure) in zip(kappas, runs)
-        }
+        return [failure is None and bool(np.all(detect_death(traj, 0.0))) for traj, failure in runs]
 
-    def midpoints(lo: float, hi: float, depth: int) -> list[float]:
-        if depth == 0:
-            return []
-        mid = 0.5 * (lo + hi)
-        return [mid] + midpoints(lo, mid, depth - 1) + midpoints(mid, hi, depth - 1)
-
-    ends = dies([0.0, upper])
-    if ends[0.0]:
+    dies_at_zero, dies_at_upper = dies([0.0, upper])
+    if dies_at_zero:
         return 0.0
-    if not ends[upper]:
+    if not dies_at_upper:
         return upper
-    lo, hi = 0.0, upper
-    for _ in range(10):
-        verdict = dies(midpoints(lo, hi, 3))
-        for _ in range(3):
-            mid = 0.5 * (lo + hi)
-            if verdict[mid]:
-                hi = mid
-            else:
-                lo = mid
+    lo, hi = thresholds._bisect_walk(lambda kappas: [not d for d in dies(kappas)], 0.0, upper, 30)
     return 0.5 * (lo + hi)
 
 

@@ -304,17 +304,20 @@ def vector_field(config: SystemConfig, spec: InteractionSpec, state) -> np.ndarr
     return config.omega + config.kappa * r * sensitivity(spec, theta)
 
 
-def divergence(config: SystemConfig, spec: InteractionSpec, state) -> float:
+def divergence(config: SystemConfig, spec: InteractionSpec, state):
     """Divergence (kappa/N) * (sum_j I * sum_i S' + sum_i I' * S) of the vector field.
 
     For the sinusoidal family this is
-    kappa * (N*R*(1-R) + (1/N) sum_i sin^2 theta_i).
+    kappa * (N*R*(1-R) + (1/N) sum_i sin^2 theta_i).  A state is one phase
+    vector (returns a float) or a stack of them, one per row on the leading
+    axes (returns an array of the rows' divergences, each bitwise its 1-D call).
     """
     theta = _phases(state)
-    sum_i = np.sum(influence(spec, theta))
-    sum_sp = np.sum(sensitivity_deriv(spec, theta))
-    sum_is = np.sum(influence_deriv(spec, theta) * sensitivity(spec, theta))
-    return float(config.kappa / config.n * (sum_i * sum_sp + sum_is))
+    sum_i = np.sum(influence(spec, theta), axis=-1)
+    sum_sp = np.sum(sensitivity_deriv(spec, theta), axis=-1)
+    sum_is = np.sum(influence_deriv(spec, theta) * sensitivity(spec, theta), axis=-1)
+    div = config.kappa / config.n * (sum_i * sum_sp + sum_is)
+    return float(div) if theta.ndim == 1 else div
 
 
 def divergence_lower_bound(config: SystemConfig, spec: InteractionSpec, state) -> float:
@@ -327,15 +330,18 @@ def jacobian(config: SystemConfig, state) -> np.ndarray:
     """Jacobian of the sinusoidal vector field; trace equals the divergence.
 
     Takes no spec: it always differentiates the sinusoidal field, whatever
-    family the caller simulates.
+    family the caller simulates.  A state is one phase vector (returns the
+    (N, N) matrix) or a stack of them with rows on the leading axes (returns
+    one matrix per row, each bitwise its 1-D call).
     """
     theta = _phases(state)
     n = config.n
     kappa = config.kappa
     s = np.sin(theta)
-    r = np.mean(1.0 + np.cos(theta))
-    jac = (kappa / n) * np.outer(s, s)
-    jac[np.diag_indices(n)] = -kappa * r * np.cos(theta) + (kappa / n) * s * s
+    r = np.mean(1.0 + np.cos(theta), axis=-1)
+    jac = (kappa / n) * (s[..., :, None] * s[..., None, :])
+    diag = np.arange(n)
+    jac[..., diag, diag] = -kappa * np.asarray(r)[..., None] * np.cos(theta) + (kappa / n) * s * s
     return jac
 
 

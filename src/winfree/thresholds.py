@@ -95,6 +95,45 @@ def _golden_min(f, a: float, b: float, tol: float = 1e-11) -> tuple[float, float
     return x, f(x)
 
 
+# Halvings per _bisect_walk round: three levels (7 midpoints) was the fastest
+# depth for critical_coupling over 100 vectors (28 ms against 49 ms at depth 2
+# and 34 ms at depth 4).
+_WALK_DEPTH = 3
+
+
+def _bisect_walk(above: Callable[[list[float]], Sequence[bool]], a: float, b: float, steps: int,
+                 done: Callable[[float, float], bool] = lambda a, b: False) -> tuple[float, float]:
+    """Bisection of [a, b] that tests the midpoints of three halvings per round as one batch.
+
+    above(points) says for each point whether the sought value lies above it
+    (a moves up to it) or not (b moves down to it).  A round lists the seven
+    midpoints 0.5*(a + b) that its three halvings can reach, in level
+    order, makes one above() call and walks down them, so the bracket is
+    bitwise that of halving one midpoint at a time.  Stops after `steps`
+    halvings or once done(a, b) holds after one, which can be mid-round.
+    """
+    taken = 0
+    while taken < steps:
+        levels = min(_WALK_DEPTH, steps - taken)
+        points: list[float] = []  # children of points[i]: points[2i + 1] (lower), points[2i + 2]
+        spans = [(a, b)]
+        for _ in range(levels):
+            mids = [0.5 * (lo + hi) for lo, hi in spans]
+            points += mids
+            spans = [half for (lo, hi), mid in zip(spans, mids) for half in ((lo, mid), (mid, hi))]
+        verdict = above(points)
+        i = 0
+        for _ in range(levels):
+            if verdict[i]:
+                a, i = points[i], 2 * i + 2
+            else:
+                b, i = points[i], 2 * i + 1
+            taken += 1
+            if done(a, b):
+                return a, b
+    return a, b
+
+
 def _grid_extrema(f, points: int = 4096) -> tuple[float, float]:
     """(min, max) of a periodic scalar function over [-pi, pi].
 
@@ -288,7 +327,8 @@ def _general_maincor(n: int, p: BoundParams, spec: Optional[InteractionSpec]) ->
     _reject_if(p.R_star is None or p.R_star <= 0, "GeneralMaincor requires R_star > 0")
     sup_i = p.sup_I if p.sup_I is not None else (spec.sup_I if spec else None)
     _reject_if(sup_i is None or sup_i <= 0, "GeneralMaincor requires sup_I > 0")
-    return 1.0 - math.exp(-(p.R_star**2) * n / (2.0 * sup_i**2))
+    _reject_if(p.R_star > sup_i, "GeneralMaincor requires R_star <= sup_I")
+    return 1.0 - math.exp(-((p.R_star / sup_i) ** 2) * n / 2.0)  # R_star / sup_I <= 1: no overflow
 
 
 def _kappa_large(n: int, p: BoundParams, spec: Optional[InteractionSpec]) -> float:
@@ -317,8 +357,9 @@ def _quant_is(n: int, p: BoundParams, spec: Optional[InteractionSpec]) -> float:
     i_star = p.I_star if p.I_star is not None else spec.I_star
     sup_i = p.sup_I if p.sup_I is not None else spec.sup_I
     _reject_if(not 0.0 <= delta < i_star, "QuantIS requires delta in [0, I_star)")
+    _reject_if(not i_star <= sup_i, "QuantIS requires I_star <= sup_I")
     r = spec.r_exp
-    head = math.exp(r * i_star**2 / (2.0 * sup_i**2))
+    head = math.exp(r * (i_star / sup_i) ** 2 / 2.0)  # I_star / sup_I <= 1: no overflow
     coef = spec.c4 * spec.c5 * np.pi**r * r ** (r - 1.0) / (math.gamma(1.0 / r) ** r * (1.0 + r / n))
     return 1.0 - (head + coef * p.kappa * n * (i_star - delta) * p.T) ** (-n / r)
 

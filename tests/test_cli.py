@@ -259,3 +259,53 @@ def test_bounds_reject_out_of_range_inputs(capsys, args, name):
     # result) and a delta above I_star gives a certain-success bound
     assert main(["bounds"] + args) == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling", ["space", "equals", "abbreviated"])
+def test_vector_options_take_a_negative_first_entry(tmp_path, capsys, spelling):
+    # argparse reads "-0.5,0.2" as a flag unless main joins it to its option,
+    # which it must do for the abbreviations argparse accepts as well
+    short = {"--omega": "--om", "--initial": "--init", "--kappa-grid": "--kappa-g", "--gamma-grid": "--gamma-g"}
+
+    def opt(name, value):
+        if spelling == "equals":
+            return [f"{name}={value}"]
+        return [short[name] if spelling == "abbreviated" else name, value]
+
+    assert main(["critical-coupling", *opt("--omega", "-0.5,0.2")]) == 0
+    assert capsys.readouterr().out == f"{wf.critical_coupling(np.array([-0.5, 0.2])):.10g}\n"
+    summary = tmp_path / "summary.json"
+    assert main(["simulate", *opt("--omega", "-0.1,0.1"), *opt("--initial", "-1,1"), "--kappa", "3",
+                 "--horizon", "5", "--trajectory-output", str(tmp_path / "t.csv"), "--output", str(summary)]) == 0
+    traj = tmp_path / "t.csv"
+    assert traj.read_text().splitlines()[1].split(",")[1:3] == ["-1", "1"]
+    sweep = tmp_path / "sweep.csv"
+    assert main(["sweep", "--n", "4", *opt("--kappa-grid", "-1,0.3"), *opt("--gamma-grid", "-0.5,0.5"),
+                 "--horizon", "5", "--output", str(sweep)]) == 0
+    cells = [line.split(",")[:2] for line in sweep.read_text().splitlines()[1:]]
+    assert cells == [["-1", "-0.5"], ["0.29999999999999999", "-0.5"], ["-1", "0.5"], ["0.29999999999999999", "0.5"]]
+
+
+@pytest.mark.parametrize("args, name", [
+    (["--kind", "QuantIS", "--n", "10", "--kappa", "1", "--t-horizon", "1", "--delta", "0.1", "--i-star", "1e300"],
+     "I_star"),
+    (["--kind", "GeneralMaincor", "--n", "10", "--c-mu", "0.5", "--beta", "0.5", "--r-star", "1e300", "--sup-i", "1"],
+     "R_star"),
+    (["--kind", "GeneralMaincor", "--n", "10", "--r-star", "0.5", "--sup-i", "1e-300"], "R_star"),
+])
+def test_bounds_reject_overflowing_inputs(capsys, args, name):
+    # unchecked, these squares overflow (OverflowError) or vanish (ZeroDivisionError)
+    assert main(["bounds"] + args) == 2
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "QuantIS", "--n", "10", "--kappa", "1", "--t-horizon", "1", "--i-star", "1e300", "--sup-i", "1e300"],
+    ["--kind", "GeneralMaincor", "--n", "10", "--r-star", "1e300", "--sup-i", "1e300"],
+    ["--kind", "GeneralMaincor", "--n", "10", "--r-star", "1e-300", "--sup-i", "1e-300"],
+])
+def test_bounds_stay_finite_at_extreme_scales(capsys, args):
+    # the formulas square only R*/sup I and I*/sup I, so equal extreme values stay finite
+    assert main(["bounds"] + args + ["--output", "-"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert 0.0 < value <= 1.0

@@ -382,3 +382,134 @@ def test_extreme_scales_give_the_records_of_their_rescale(omega, kappa, shift):
     for a, b in zip(got, want):
         assert (a.R, a.theta.tobytes()) == (b.R, b.theta.tobytes())
         assert a.signature.sigma.tolist() == b.signature.sigma.tolist()
+
+
+def _one_at_a_time_records(cfg):
+    """Records built one at a time, as before stacking: theta, then the 1-D Jacobian,
+    its eigvals and the 1-D divergence per record; dedup against every kept theta."""
+    omega_max = float(np.max(np.abs(cfg.omega)))
+    bipolar = not np.any((cfg.omega / cfg.kappa) ** 2)
+    out, kept = [], []
+    for bits in range(2**cfg.n):
+        sigma = np.where((bits >> np.arange(cfg.n)) & 1 == 1, -1, 1)
+        if bipolar:
+            theta = np.where(sigma < 0, np.pi, 0.0)
+            roots = [float(np.mean(1.0 + np.cos(theta)))]
+        else:
+            roots = solve_R_equation(cfg, Signature(sigma))
+        for r in roots:
+            if not bipolar:
+                base = np.arcsin(np.clip(cfg.omega / (cfg.kappa * r), -1.0, 1.0))
+                theta = np.pi - np.mod(-np.where(sigma > 0, base, np.pi - base) + np.pi, 2.0 * np.pi)
+                if any(np.max(np.abs(wf.wrap_to_pi(theta - prev))) < equilibria.DEDUP_TOL for prev in kept):
+                    continue
+                kept.append(theta)
+            if abs(abs(cfg.kappa) * r - omega_max) < 1e-12:
+                label, max_eig = "Indeterminate", float("nan")
+            else:
+                max_eig = float(np.max(np.linalg.eigvals(wf.jacobian(cfg, theta)).real))
+                label = "Unstable" if max_eig > 1e-8 else "Stable" if max_eig < -1e-8 else "Indeterminate"
+            out.append((float(r).hex(), theta.tobytes(), sigma.tolist(),
+                        wf.divergence(cfg, SPEC, theta).hex(), label, max_eig.hex()))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    omega=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+    kappa=st.floats(0.2, 3.0),
+    near=st.sampled_from([None, -1e-9, 0.0, 1e-9, 1e-6]),
+    zero=st.booleans(),
+    chunk=st.sampled_from([1, 3, equilibria.BLOCK_SIGNATURES]),
+)
+# a root on the boundary |kappa| R = max|omega| (Indeterminate, nan), and omega = 0
+@example(omega=[1.0], kappa=1.0, near=None, zero=False, chunk=1)
+@example(omega=[0.5, -0.5, 0.2, -0.1], kappa=0.339195131965317, near=None, zero=False, chunk=3)
+@example(omega=[0.3, 0.1, -0.2], kappa=-1.5, near=None, zero=True, chunk=3)
+def test_stacked_records_equal_one_at_a_time_records(omega, kappa, near, zero, chunk):
+    omega = np.zeros(len(omega)) if zero else np.array(omega)
+    assume(zero or np.max(np.abs(omega)) > 1e-3)
+    if near is not None and not zero:
+        kappa = wf.critical_coupling(omega) * (1.0 + near)
+    cfg = wf.SystemConfig(n=omega.size, omega=omega, kappa=kappa)
+    with mock.patch.object(equilibria, "BLOCK_SIGNATURES", chunk):
+        records = wf.enumerate_equilibria(cfg)
+    got = []
+    for rec in records:
+        assert type(rec.R) is type(rec.divergence) is type(rec.max_eig_real) is float
+        got.append((rec.R.hex(), rec.theta.tobytes(), rec.signature.sigma.tolist(), rec.divergence.hex(),
+                    rec.stability, rec.max_eig_real.hex()))
+        assert wf.classify_stability(cfg, rec) == rec.stability
+    assert got == _one_at_a_time_records(cfg)
+
+
+def _scalar_critical_coupling(omega):
+    """kappa_c by one h(u) evaluation per bisection step; also the number of steps taken."""
+    omega = np.asarray(omega, dtype=float)
+    omega_inf = float(np.max(np.abs(omega)))
+    n = omega.size
+    omega2 = (omega / omega_inf) ** 2
+
+    def h(u):
+        s = np.sqrt(np.clip(1.0 - omega2 / u**2, 1e-300, None))
+        return -1.0 - 2.0 / n * np.sum(s) + 1.0 / n * np.sum(1.0 / s)
+
+    a, b, steps = 1.0 + 1e-12, 2.0 / math.sqrt(3.0), 0
+    if h(b) >= 0.0:
+        u_star = b
+    else:
+        for steps in range(1, 201):
+            mid = 0.5 * (a + b)
+            if h(mid) > 0.0:
+                a = mid
+            else:
+                b = mid
+            if (b - a) <= 1e-12 * b:
+                break
+        u_star = 0.5 * (a + b)
+    s = np.sqrt(np.clip(1.0 - omega2 / u_star**2, 0.0, None))
+    return float(n * u_star / (n + np.sum(s))) * omega_inf, steps
+
+
+@pytest.mark.parametrize("n", list(range(1, 17)) + [105, 200, 800])
+def test_critical_coupling_equals_scalar_bisection(monkeypatch, n):
+    # each round evaluates the 7 midpoints of the next three steps as one array;
+    # n = 105 equal frequencies has h(b) = 0, so no step is taken
+    batches, walk = [], equilibria._bisect_walk
+
+    def counted_walk(above, *args, **kwargs):
+        def counted(points):
+            batches.append(len(points))
+            return above(points)
+
+        return walk(counted, *args, **kwargs)
+
+    monkeypatch.setattr(equilibria, "_bisect_walk", counted_walk)
+    rng = np.random.default_rng(n)
+    vectors = [rng.uniform(-2.0, 2.0, n) for _ in range(4)] + [np.full(n, 0.7)]
+    for omega in vectors:
+        batches.clear()
+        want, steps = _scalar_critical_coupling(omega)
+        assert wf.critical_coupling(omega) == want
+        assert batches == [7] * -(-steps // 3)
+    if n == 105:
+        assert _scalar_critical_coupling(vectors[-1])[1] == 0
+
+
+def test_enumeration_size_cut():
+    cfg = wf.SystemConfig(n=18, omega=np.zeros(18), kappa=1.0)
+    with pytest.raises(SizeLimitError, match="N <= 17"):
+        wf.enumerate_equilibria(cfg)
+
+
+def test_enumeration_phase_times_logged_only_at_debug(caplog):
+    cfg = wf.SystemConfig(n=3, omega=np.array([0.1, -0.2, 0.15]), kappa=1.0)
+    with caplog.at_level(logging.DEBUG, logger="winfree.equilibria"):
+        records = wf.enumerate_equilibria(cfg)
+    lines = [m for m in caplog.messages if m.startswith("enumerate N=3:")]
+    assert len(lines) == 1
+    assert f"8 signatures, 8 roots, {len(records)} records, 1 chunks;" in lines[0]
+    for phase in ("scan", "dedup", "records"):
+        assert f"{phase} " in lines[0]
+    # that nothing prints by default is checked by the subprocess run in
+    # test_tangent_close_calls_logged_only_at_debug, which logs this line too

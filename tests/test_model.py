@@ -216,3 +216,22 @@ def test_family_divergence_equals_jacobian_trace(name):
             e[j] = h
             trace += (wf.vector_field(cfg, spec, theta + e)[j] - wf.vector_field(cfg, spec, theta - e)[j]) / (2 * h)
         assert wf.divergence(cfg, spec, theta) == pytest.approx(trace, abs=1e-6)
+
+
+@pytest.mark.parametrize("spec", [wf.sinusoidal(), wf.power_cosine(2), wf.rectified_poisson(0.3),
+                                  wf.custom_interaction(np.cos(np.linspace(-np.pi, np.pi, 64)) + 1.0,
+                                                        -np.sin(np.linspace(-np.pi, np.pi, 64)))],
+                         ids=["sinusoidal", "power_cosine2", "poisson0.3", "custom"])
+@pytest.mark.parametrize("n", [1, 3, 17])
+def test_stacked_jacobian_and_divergence_rows_equal_one_dimensional_calls(spec, n):
+    rng = np.random.default_rng(n)
+    cfg = wf.SystemConfig(n=n, omega=rng.uniform(-1, 1, n), kappa=-1.7)
+    stack = rng.uniform(-7.0, 7.0, (2, 5, n))
+    jac, div = wf.jacobian(cfg, stack), wf.divergence(cfg, spec, stack)
+    assert jac.shape == (2, 5, n, n) and div.shape == (2, 5)
+    for idx in np.ndindex(2, 5):
+        one_jac, one_div = wf.jacobian(cfg, stack[idx]), wf.divergence(cfg, spec, stack[idx])
+        assert one_jac.shape == (n, n) and type(one_div) is float
+        assert jac[idx].tobytes() == one_jac.tobytes()
+        assert div[idx].hex() == one_div.hex()
+    assert np.array_equal(wf.jacobian(cfg, wf.PhaseState(stack[0, 0])), wf.jacobian(cfg, stack[0, 0]))

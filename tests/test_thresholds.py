@@ -278,3 +278,31 @@ def test_appendix_inequality():
 def test_appendix_mu_closed_form():
     assert wf.appendix_mu(1.0) == pytest.approx(1.0 - math.sqrt(2) / 2)
     assert wf.appendix_mu(2.0) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("steps, stop_width", [(30, 0.0), (200, 1e-12), (200, 1e-11), (1, 0.0), (7, 0.0)])
+def test_bisect_walk_equals_one_midpoint_at_a_time(steps, stop_width):
+    # verdicts that are not monotone: the walk must still follow the
+    # one-at-a-time bisection, asking about seven midpoints per round (fewer
+    # only when fewer steps remain); 1e-11 stops after 38 steps, mid-round
+    def above(x):
+        return math.sin(1e3 * x) > -0.2
+
+    def done(a, b):
+        return (b - a) <= stop_width * b
+
+    a, b, taken = 0.25, 3.0, 0
+    while taken < steps:
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if above(mid) else (a, mid)
+        taken += 1
+        if done(a, b):
+            break
+    batches = []
+
+    def batch_above(points):
+        batches.append(len(points))
+        return [above(x) for x in points]
+
+    assert thresholds._bisect_walk(batch_above, 0.25, 3.0, steps, done) == (a, b)
+    assert batches == [2 ** min(3, steps - 3 * k) - 1 for k in range(-(-taken // 3))]
