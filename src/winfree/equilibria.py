@@ -10,7 +10,6 @@ bound the possible equilibrium order parameters.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import logging
@@ -162,11 +161,13 @@ def _branch_roots(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, lo: flo
 
     The branch function f(r) = 1 + (1/N) sum_j sigma_j sqrt(1 - omega_j^2/(kappa r)^2) - r
     is evaluated on SCAN_POINTS subintervals for BLOCK_SIGNATURES signatures at
-    a time.  Its roots are the left end point when |f| < ROOT_TOL there, the
-    bisected sign changes (_bisect_brackets), and tangential (double) roots:
-    grid minima of |f| below 1e-6 with no sign change around them, refined by
-    golden section and kept when |f| < TANGENT_TOL.  Each row's roots come
-    unsorted.
+    a time.  Its roots are the left end point when |f| < ROOT_TOL there and
+    the bisected (_bisect_brackets) cells where f goes from strictly one sign
+    to 0 or the other sign.  A grid minimum of |f| below 1e-6 whose two
+    neighbours share its sign s is refined by golden section of s*f: a
+    minimum below 0 splits its two cells into two brackets (two simple roots
+    closer than one cell), one below TANGENT_TOL is a tangential (double)
+    root.  Each row's roots come unsorted.
     """
     grid = np.linspace(lo, hi, SCAN_POINTS + 1)
     radicals = _radicals(omega2, kappa2, grid)
@@ -181,24 +182,29 @@ def _branch_roots(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, lo: flo
         for s in np.nonzero(np.abs(vals[:, 0]) < ROOT_TOL)[0]:
             found[s].append(float(grid[0]))
         neg, pos = vals < 0, vals > 0
-        s, k = np.nonzero((neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:]))
+        s, k = np.nonzero((neg[:, :-1] & ~neg[:, 1:]) | (pos[:, :-1] & ~pos[:, 1:]))
         bisected = _bisect_brackets(omega2, kappa2, block[s], grid[k], grid[k + 1], vals[s, k])
         for row, r in zip(s.tolist(), bisected.tolist()):
             found[row].append(r)
         s, k = np.nonzero(np.abs(vals[:, 1:-1]) < 1e-6)
         k = k + 1
         here, before, after = np.abs(vals[s, k]), np.abs(vals[s, k - 1]), np.abs(vals[s, k + 1])
-        same_side = (pos[s, k - 1] & pos[s, k + 1]) | (neg[s, k - 1] & neg[s, k + 1])  # else bisected
+        same_side = (pos[s, k - 1] & pos[s, k] & pos[s, k + 1]) | (neg[s, k - 1] & neg[s, k] & neg[s, k + 1])
         dip = (here <= before) & (here <= after) & same_side
         for row, k in zip(s[dip].tolist(), k[dip].tolist()):
-            def abs_f(r, sigma=block[row:row + 1]):
-                return abs(float(_branch_values(omega2, kappa2, sigma, np.array([r]))[0]))
+            side = 1.0 if pos[row, k] else -1.0
 
-            x, v = _golden_min(abs_f, grid[k - 1], grid[k + 1])
-            accepted = v < TANGENT_TOL
-            _log.debug("tangent candidate r=%.17g min|f|=%.3g %s",
-                       x, v, "accepted" if accepted else "rejected")
-            if accepted:
+            def side_f(r, sigma=block[row:row + 1], side=side):
+                return side * float(_branch_values(omega2, kappa2, sigma, np.array([r]))[0])
+
+            x, v = _golden_min(side_f, grid[k - 1], grid[k + 1])
+            verdict = "split" if v < 0.0 else "accepted" if v < TANGENT_TOL else "rejected"
+            _log.debug("tangent candidate r=%.17g min side*f=%.3g %s", x, v, verdict)
+            if verdict == "split":
+                ends = np.array([grid[k - 1], x, grid[k + 1]])
+                found[row] += _bisect_brackets(omega2, kappa2, block[[row, row]], ends[:-1], ends[1:],
+                                               np.array([vals[row, k - 1], side * v])).tolist()
+            elif verdict == "accepted":
                 found[row].append(x)
     return roots
 
@@ -212,22 +218,20 @@ def _merge_close(roots, tol: float) -> list[float]:
     return keep
 
 
-def _fixed_point_roots(config: SystemConfig, sigmas: np.ndarray) -> list[list[float]]:
-    """Per signature row, the sorted roots of the fixed-point equation on [max|omega|/|kappa|, R_UPPER]."""
-    r_lo = config.omega_max / abs(config.kappa)
-    if r_lo > R_UPPER:
+def _fixed_point_roots(config: SystemConfig, sigmas: np.ndarray, lo: float, hi: float) -> list[list[float]]:
+    """Per signature row, the sorted roots of the fixed-point equation on [max(lo, max|omega|/|kappa|), hi]."""
+    lo = max(lo, config.omega_max / abs(config.kappa))
+    if lo > hi:
         return [[] for _ in range(len(sigmas))]
-    roots = _branch_roots(*_scaled_squares(config), sigmas, r_lo, R_UPPER)
+    roots = _branch_roots(*_scaled_squares(config), sigmas, lo, hi)
     return [_merge_close(r, 1e-10) for r in roots]
 
 
 def solve_R_equation(config: SystemConfig, signature: Signature) -> list[float]:
     """All roots of the order-parameter fixed-point equation for one signature.
 
-    The one-row case of the signature-batched branch solver: scans
-    [max|omega|/|kappa|, 2 + 1e-9] on 4096 subintervals, bisects sign changes
-    to |f| < 1e-12, and accepts tangential roots when a local minimum of |f|
-    dips below 1e-10.  Roots closer than 1e-10 are merged.
+    The one-row case of the signature-batched branch solver (_branch_roots)
+    on [max|omega|/|kappa|, 2 + 1e-9]; roots closer than 1e-10 are merged.
     """
     if config.kappa == 0.0:
         raise DomainError("kappa must be nonzero")
@@ -236,7 +240,7 @@ def solve_R_equation(config: SystemConfig, signature: Signature) -> list[float]:
     sigma = signature.sigma
     if sigma.shape != (config.n,):
         raise DomainError("signature length must equal N")
-    return _fixed_point_roots(config, sigma[None])[0]
+    return _fixed_point_roots(config, sigma[None], 0.0, R_UPPER)[0]
 
 
 def _canonical(theta: np.ndarray) -> np.ndarray:
@@ -282,29 +286,30 @@ def _records(config: SystemConfig, sigmas: np.ndarray, r: np.ndarray,
     ]
 
 
-def _record(config: SystemConfig, sigma: np.ndarray, r: float, theta: np.ndarray) -> EquilibriumRecord:
-    return _records(config, sigma[None], np.array([r], dtype=float), theta[None])[0]
-
-
-def _dedup(theta: np.ndarray, keys: list[float], kept: list[np.ndarray]) -> list[int]:
+def _dedup(theta: np.ndarray, kept: dict[int, list[np.ndarray]]) -> list[int]:
     """Rows of theta (M, N) not within DEDUP_TOL of a kept theta, in order; each joins kept.
 
-    Greedy, first record wins.  |cos a - cos b| <= |wrap(a - b)|, so a theta
-    within DEDUP_TOL of a kept one has mean(cos theta) within DEDUP_TOL of
-    that one's: only kept thetas in that key window (doubled for rounding) of
-    the sorted keys are compared.
+    Greedy, first record wins.  kept files each theta under its key cell
+    floor(mean(cos theta) / (2 DEDUP_TOL)).  |cos a - cos b| <= |wrap(a - b)|,
+    so a theta within DEDUP_TOL of a kept one has its key within DEDUP_TOL of
+    that one's: only the kept thetas in the row's cell and its two neighbours
+    (a key window of at least +-2 DEDUP_TOL) are compared.
     """
     new = []
-    for i, (row, key) in enumerate(zip(theta, np.mean(np.cos(theta), axis=-1).tolist())):
-        lo = bisect.bisect_left(keys, key - 2 * DEDUP_TOL)
-        hi = bisect.bisect_right(keys, key + 2 * DEDUP_TOL)
-        if any(np.max(np.abs(model.wrap_to_pi(row - prev))) < DEDUP_TOL for prev in kept[lo:hi]):
+    cells = np.floor(np.mean(np.cos(theta), axis=-1) / (2 * DEDUP_TOL)).astype(np.int64).tolist()
+    for i, (row, cell) in enumerate(zip(theta, cells)):
+        if any(np.max(np.abs(model.wrap_to_pi(row - prev))) < DEDUP_TOL
+               for near in (cell - 1, cell, cell + 1) for prev in kept.get(near, ())):
             continue
-        at = bisect.bisect_right(keys, key, lo, hi)
-        keys.insert(at, key)
-        kept.insert(at, row)
+        kept.setdefault(cell, []).append(row)
         new.append(i)
     return new
+
+
+def _bipolar(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phases and order parameters of signature rows sigmas (M, N) at omega = 0: theta_j in {0, pi}."""
+    theta = np.where(sigmas < 0, np.pi, 0.0)
+    return theta, np.mean(1.0 + np.cos(theta), axis=-1)
 
 
 def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
@@ -324,25 +329,23 @@ def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
     clock = time.perf_counter()
     sigmas = _signatures(config.n)
     bipolar = _frequencies_vanish(config)
-    roots = None if bipolar else _fixed_point_roots(config, sigmas)
+    roots = None if bipolar else _fixed_point_roots(config, sigmas, 0.0, R_UPPER)
     found = len(sigmas) if bipolar else sum(map(len, roots))
     scan_s, dedup_s, record_s = time.perf_counter() - clock, 0.0, 0.0
     records: list[EquilibriumRecord] = []
-    keys: list[float] = []  # sorted mean(cos theta) of the kept records
-    kept: list[np.ndarray] = []  # their thetas, in key order
+    kept: dict[int, list[np.ndarray]] = {}  # thetas of the kept records by key cell (_dedup)
     chunks = 0
     for start in range(0, len(sigmas), BLOCK_SIGNATURES):
         clock = time.perf_counter()
         block = sigmas[start:start + BLOCK_SIGNATURES]
-        if bipolar:  # omega = 0: theta_j in {0, pi}, all distinct
-            theta = np.where(block < 0, np.pi, 0.0)
-            r = np.mean(1.0 + np.cos(theta), axis=-1)
+        if bipolar:  # all distinct
+            theta, r = _bipolar(block)
         else:
             block_roots = roots[start:start + BLOCK_SIGNATURES]
             block = np.repeat(block, [len(x) for x in block_roots], axis=0)
             r = np.array(list(itertools.chain.from_iterable(block_roots)), dtype=float)
             theta = _equilibrium_theta(config, block, r)
-            new = _dedup(theta, keys, kept)
+            new = _dedup(theta, kept)
             block, r, theta = block[new], r[new], theta[new]
         dedup_s += time.perf_counter() - clock
         clock = time.perf_counter()
@@ -397,8 +400,9 @@ def construct_prescribed_equilibrium(
     """Equilibrium whose order parameter is within [rho/4, 3*rho/2].
 
     Uses m leading oscillators on the principal branch and N-m on the mirrored
-    branch, with 2m/N <= rho < (2m+2)/N, then solves the fixed-point equation
-    on [rho0/2, 3*rho0/2].
+    branch, with rho0 = 2m/N <= rho < (2m+2)/N, and takes the root nearest rho0
+    of the fixed-point equation on [rho0/2, 3*rho0/2] (_fixed_point_roots, as
+    enumerate_equilibria), or raises DomainError.  At omega = 0, R = rho0.
     """
     if not 0.0 < rho <= 2.0:
         raise DomainError("rho must lie in (0, 2]")
@@ -414,25 +418,16 @@ def construct_prescribed_equilibrium(
     m = min(int(math.floor(config.n * rho / 2.0 + 1e-12)), config.n)
     m = max(m, 1)
     rho0 = 2.0 * m / config.n
-    sigma = np.where(np.arange(config.n) < m, 1, -1)
+    sigma = np.where(np.arange(config.n) < m, 1, -1)[None]
     if _frequencies_vanish(config):
-        theta = np.where(sigma > 0, 0.0, np.pi)
-        record = _record(config, sigma, rho0, theta)
-        return record, m
-    omega2, kappa2 = _scaled_squares(config)
-    lo = max(0.5 * rho0, config.omega_max / abs(config.kappa))
-    hi = 1.5 * rho0
-    grid = np.linspace(lo, hi, SCAN_POINTS + 1)
-    vals = _branch_values(omega2, kappa2, np.broadcast_to(sigma, (grid.size, config.n)), grid)
-    signs = np.sign(vals)
-    change = np.nonzero(signs[:-1] * signs[1:] <= 0)[0]
-    if change.size == 0:
+        theta, r = _bipolar(sigma)
+        return _records(config, sigma, r, theta)[0], m
+    roots = _fixed_point_roots(config, sigma, 0.5 * rho0, 1.5 * rho0)[0]
+    if not roots:
         raise DomainError("no fixed-point root in the prescribed interval")
-    k = int(change[np.argmin(np.abs(grid[change] - rho0))])
-    r = float(_bisect_brackets(omega2, kappa2, sigma[None], grid[k:k + 1], grid[k + 1:k + 2],
-                               vals[k:k + 1])[0])
+    r = np.array([min(roots, key=lambda x: abs(x - rho0))])
     theta = _equilibrium_theta(config, sigma, r)
-    record = _record(config, sigma, r, theta)
+    record = _records(config, sigma, r, theta)[0]
     # per-oscillator bracket bounds around the branch centers
     center = np.where(sigma > 0, 0.0, np.pi)
     dist = np.abs(model.wrap_to_pi(theta - center))

@@ -250,8 +250,10 @@ def _crossover_time(n: int, q: float, a: float, b: float) -> float:
     """Time T0 at which the two phases of _two_phase_failure hand over.
 
     With x = sqrt(q) * exp(-a) and lx = N log x,
-    T0 = (lx + log((1 + 2/N) - (2/N) exp(-lx))) / b.
+    T0 = (lx + log((1 + 2/N) - (2/N) exp(-lx))) / b.  A decay rate b that
+    underflows to 0 (kappa * N * epsilon or delta below ~1e-308) has no T0.
     """
+    _reject_if(b == 0.0, "decay rate underflows to 0: kappa * N * (epsilon or delta) is too small")
     lx = n * (0.5 * math.log(q) - a)
     return (lx + math.log((1.0 + 2.0 / n) - (2.0 / n) * math.exp(-lx))) / b
 

@@ -292,11 +292,15 @@ def test_vector_options_take_a_negative_first_entry(tmp_path, capsys, spelling):
     (["--kind", "GeneralMaincor", "--n", "10", "--c-mu", "0.5", "--beta", "0.5", "--r-star", "1e300", "--sup-i", "1"],
      "R_star"),
     (["--kind", "GeneralMaincor", "--n", "10", "--r-star", "0.5", "--sup-i", "1e-300"], "R_star"),
+    # the decay rate kappa * N * epsilon (or delta) underflows to 0
+    (["--kind", "SincosTime", "--n", "10", "--epsilon", "1e-300", "--kappa", "1e-300", "--t-horizon", "2"], "kappa"),
+    (["--kind", "EscapeMeasure", "--n", "10", "--delta", "1e-300", "--kappa", "1e-300", "--t-horizon", "1"], "kappa"),
 ])
 def test_bounds_reject_overflowing_inputs(capsys, args, name):
     # unchecked, these squares overflow (OverflowError) or vanish (ZeroDivisionError)
     assert main(["bounds"] + args) == 2
-    assert name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and name in err
 
 
 @pytest.mark.parametrize("args", [

@@ -176,6 +176,15 @@ def test_prescribed_equilibrium():
     assert np.sum(rec.signature.sigma == 1) == m
 
 
+def test_prescribed_equilibrium_root_on_a_grid_point():
+    # with omega ~ 0 the root is rho0 = 0.8, a point of the grid on [rho0/2, 3 rho0/2]
+    cfg = wf.SystemConfig(n=5, omega=np.full(5, 1e-9), kappa=1.0)
+    rec, m = wf.construct_prescribed_equilibrium(0.8, cfg)
+    assert m == 2
+    assert rec.R == pytest.approx(0.8, abs=1e-12)
+    assert abs(rec.R - np.mean(1.0 + np.cos(rec.theta))) < 1e-12
+
+
 def test_prescribed_equilibrium_preconditions():
     cfg = wf.SystemConfig(n=2, omega=np.zeros(2), kappa=1.0)
     with pytest.raises(DomainError):
@@ -218,14 +227,56 @@ def test_signature_validation():
         Signature(np.array([1, 0]))
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
-def test_equilibria_appear_at_critical_coupling(n):
-    omega = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+@pytest.mark.parametrize("n,eps", [(3, 1e-6), (5, 1e-6), (7, 1e-6), (1, 1e-9), (1, 1e-10)],
+                         ids=["3", "5", "7", "1-1e-9", "1-1e-10"])
+def test_equilibria_appear_at_critical_coupling(n, eps):
+    omega = np.array([0.3]) if n == 1 else np.random.default_rng(n).uniform(-1.0, 1.0, n)
     kc = wf.critical_coupling(omega)
-    below = wf.SystemConfig(n=n, omega=omega, kappa=kc * (1 - 1e-6))
-    above = wf.SystemConfig(n=n, omega=omega, kappa=kc * (1 + 1e-6))
+    below = wf.SystemConfig(n=n, omega=omega, kappa=kc * (1 - eps))
+    above = wf.SystemConfig(n=n, omega=omega, kappa=kc * (1 + eps))
     assert wf.enumerate_equilibria(below) == []
-    assert len(wf.enumerate_equilibria(above)) > 0
+    records = wf.enumerate_equilibria(above)
+    assert len(records) > 0
+    if n == 1:
+        # the saddle-node pair, closer together than one scan cell
+        assert sorted(rec.stability for rec in records) == ["Stable", "Unstable"]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_jacobian_index_sum_vanishes(n):
+    # chi(T^N) = 0, so by Poincare-Hopf the signs of det J over all
+    # equilibria sum to 0 when none is degenerate; a lost root breaks it
+    checked = 0
+    for seed in range(4):
+        rng = np.random.default_rng([seed, n])
+        for s in (0.2, 1.0):
+            omega = rng.uniform(-s, s, n)
+            kc = wf.critical_coupling(omega)
+            for ratio in (1 + 1e-10, 1 + 1e-9, 1 + 1e-6, 1.05, 2.0):
+                cfg = wf.SystemConfig(n=n, omega=omega, kappa=kc * ratio)
+                records = wf.enumerate_equilibria(cfg)
+                if any(rec.stability == "Indeterminate" for rec in records):
+                    continue
+                theta = np.array([rec.theta for rec in records])
+                assert np.sum(np.sign(np.linalg.det(wf.jacobian(cfg, theta)))) == 0, (omega.tolist(), ratio)
+                checked += 1
+    assert checked >= 36
+
+
+@pytest.mark.parametrize("omega,kappa,count", [
+    ((0.97497497494995, 0.97497497494995), 1.0, 4),  # f = 0 exactly on a grid point, R = 1
+    ((0.5, 0.5), 0.5, 2),  # R = 1 is the branch point of all four signatures, one theta
+])
+def test_enumeration_root_rules(omega, kappa, count):
+    cfg = wf.SystemConfig(n=2, omega=np.array(omega), kappa=kappa)
+    records = wf.enumerate_equilibria(cfg)
+    assert len(records) == count
+    for rec in records:
+        assert _vector_field_norm(cfg, rec) <= 1e-9
+    if omega == (0.5, 0.5):  # dedup keeps the first one found
+        (at_one,) = [rec for rec in records if rec.R == 1.0]
+        assert at_one.theta.tolist() == [np.pi / 2, np.pi / 2]
+        assert at_one.signature.sigma.tolist() == [1, 1]
 
 
 def _per_signature_equilibria(cfg):

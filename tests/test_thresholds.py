@@ -123,6 +123,12 @@ def test_sincos_death_time_reference_value():
     assert wf.sincos_death_time(800, 6.0, 1.0) == pytest.approx(0.40156699, abs=1e-6)
 
 
+def test_sincos_death_time_rejects_an_underflowing_decay_rate():
+    # kappa * N * epsilon (5 - epsilon) / 25 underflows to 0, so T0 would divide by 0
+    with pytest.raises(DomainError, match="decay rate"):
+        wf.sincos_death_time(10, 1e-300, 1e-300)
+
+
 def test_probability_bound_sincos_main():
     val = wf.probability_bound("SincosMain", 800, BoundParams(epsilon=1.0))
     assert val == pytest.approx(1.0 - 1.266e-14, abs=1e-16)
