@@ -9,6 +9,7 @@ environment variable overrides the configured seed.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -18,17 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import equilibria, integrate, model, montecarlo, thresholds
-from .errors import (
-    ConfigurationError,
-    CriterionInapplicableError,
-    DegenerateFrequenciesError,
-    DomainError,
-    InsufficientDataError,
-    IntegrationFailure,
-    PreconditionError,
-    SizeLimitError,
-    UnsupportedOperationError,
-)
+from .errors import ConfigurationError, InputError, IntegrationFailure
 from .integrate import SolverOptions
 from .model import InteractionSpec, SystemConfig
 from .montecarlo import McConfig
@@ -38,17 +29,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# The package's own input errors; any other exception is a bug and propagates.
-_CONFIG_ERRORS = (
-    ConfigurationError,
-    CriterionInapplicableError,
-    DegenerateFrequenciesError,
-    DomainError,
-    InsufficientDataError,
-    PreconditionError,
-    SizeLimitError,
-    UnsupportedOperationError,
-)
+# BoundParams field -> config key (and, kebab-cased, the bounds/montecarlo flag)
+_BOUND_KEYS = {f.name: "t_horizon" if f.name == "T" else f.name.lower() for f in dataclasses.fields(BoundParams)}
 
 
 def _setting(cfg, key: str, default=None, cast=float):
@@ -161,12 +143,10 @@ def _initial_state(cfg: dict, n: int) -> np.ndarray:
 def _write_json(cfg: dict, payload: dict, default_path: str) -> None:
     path = cfg.get("output", default_path)
     text = json.dumps(payload, sort_keys=True, indent=2)
-    if path == "-":
-        print(text)
-    else:
+    if path != "-":
         with open(path, "w") as fh:
             fh.write(text + "\n")
-        print(text)
+    print(text)
 
 
 def cmd_simulate(cfg: dict) -> int:
@@ -180,8 +160,7 @@ def cmd_simulate(cfg: dict) -> int:
     except IntegrationFailure as exc:
         if exc.partial_trajectory is not None:
             exc.partial_trajectory.to_csv(traj_path)
-        print(f"integration failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise
     traj.to_csv(traj_path)
     report = integrate.regime_report(traj, config)
     summary = {
@@ -255,19 +234,7 @@ def cmd_bounds(cfg: dict) -> int:
     if not kind:
         raise ConfigurationError("bounds requires --kind")
     n = _setting(cfg, "n", 100, int)
-    params = BoundParams(
-        epsilon=_optional_float(cfg, "epsilon"),
-        delta=_optional_float(cfg, "delta"),
-        T=_optional_float(cfg, "t_horizon"),
-        C_mu=_optional_float(cfg, "c_mu"),
-        beta=_optional_float(cfg, "beta"),
-        R_star=_optional_float(cfg, "r_star"),
-        I_star=_optional_float(cfg, "i_star"),
-        t_level=_optional_float(cfg, "t_level"),
-        kappa=_optional_float(cfg, "kappa"),
-        omega_max=_optional_float(cfg, "omega_max"),
-        sup_I=_optional_float(cfg, "sup_i"),
-    )
+    params = BoundParams(**{f: _optional_float(cfg, k) for f, k in _BOUND_KEYS.items()})
     spec = _interaction_spec(cfg)
     payload: dict = {"kind": kind, "n": n}
     if kind == "SincosTime":
@@ -323,15 +290,7 @@ def cmd_verify(cfg: dict) -> int:
     mu = _setting(cfg, "mu", 0.5)
     traj = integrate.simulate(config, spec, initial, opts)
     report = integrate.verify_theorem_conclusions(traj, config, mu)
-    payload = {
-        "r_floor_ok": report.r_floor_ok,
-        "trapping_ok": report.trapping_ok,
-        "entrance_ok": report.entrance_ok,
-        "ordering_ok": report.ordering_ok,
-        "all_ok": report.all_ok,
-        "details": report.details,
-    }
-    _write_json(cfg, payload, "-")
+    _write_json(cfg, {**dataclasses.asdict(report), "all_ok": report.all_ok}, "-")
     return EXIT_OK
 
 
@@ -392,16 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--full", action="store_true", default=None)
         if name in ("bounds", "montecarlo"):
             p.add_argument("--kind")
-            p.add_argument("--epsilon", type=float)
-            p.add_argument("--delta", type=float)
-            p.add_argument("--t-level", dest="t_level", type=float)
-            p.add_argument("--t-horizon", dest="t_horizon", type=float)
-            p.add_argument("--omega-max", dest="omega_max", type=float)
-            p.add_argument("--c-mu", dest="c_mu", type=float)
-            p.add_argument("--beta", type=float)
-            p.add_argument("--r-star", dest="r_star", type=float)
-            p.add_argument("--i-star", dest="i_star", type=float)
-            p.add_argument("--sup-i", dest="sup_i", type=float)
+            for key in _BOUND_KEYS.values():
+                if key != "kappa":  # a common flag
+                    p.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
         if name == "verify":
             p.add_argument("--mu", type=float)
     return parser
@@ -442,13 +394,10 @@ def main(argv=None) -> int:
     except IntegrationFailure as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _CONFIG_ERRORS as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except json.JSONDecodeError as exc:
         print(f"configuration error: malformed JSON ({exc})", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,35 +1,39 @@
 """Exception types shared across the package."""
 
 
-class ConfigurationError(ValueError):
+class InputError(ValueError):
+    """Base of the package's input errors; the CLI exits 2 on any of them."""
+
+
+class ConfigurationError(InputError):
     """Invalid or inconsistent configuration input."""
 
 
-class DomainError(ValueError):
+class DomainError(InputError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class PreconditionError(ValueError):
+class PreconditionError(InputError):
     """A stated hypothesis of a criterion or verification does not hold."""
 
 
-class UnsupportedOperationError(TypeError):
+class UnsupportedOperationError(InputError, TypeError):
     """Operation not defined for the given interaction family."""
 
 
-class SizeLimitError(ValueError):
+class SizeLimitError(InputError):
     """Problem size exceeds the enumeration limits of the method."""
 
 
-class DegenerateFrequenciesError(ValueError):
+class DegenerateFrequenciesError(InputError):
     """All intrinsic frequencies vanish; caller must use the bipolar path."""
 
 
-class CriterionInapplicableError(ValueError):
+class CriterionInapplicableError(InputError):
     """The hypotheses of a criterion exclude the given interaction."""
 
 
-class InsufficientDataError(ValueError):
+class InsufficientDataError(InputError):
     """Not enough samples in a trajectory window for the requested estimate."""
 
 

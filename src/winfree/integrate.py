@@ -17,7 +17,7 @@ from .errors import (
     IntegrationFailure,
     PreconditionError,
 )
-from .model import InteractionSpec, PhaseState, SystemConfig
+from .model import InteractionSpec, SystemConfig
 
 # Dormand-Prince 5(4) tableau.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -371,7 +371,9 @@ def classify_regime(rho, death_flags, tol: float) -> str:
     """Classify rotation-number configuration.
 
     Priority: CompleteDeath > PartialDeath > CompleteLocking > PartialLocking
-    > Incoherence.
+    > Incoherence.  Death is |rho_i| < tol; death_flags is not read, so
+    CompleteDeath can stand beside a False flag from detect_death, whose phase
+    band also counts a slip during the transient.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.size == 0:
@@ -397,6 +399,7 @@ def regime_report(
     window_start: Optional[float] = None,
     tol: Optional[float] = None,
 ) -> RegimeReport:
+    """Rotation numbers, death flags and regime; the regime reads rho alone (see classify_regime)."""
     if window_start is None:
         window_start = 0.0
     if tol is None:

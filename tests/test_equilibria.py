@@ -263,6 +263,54 @@ def test_jacobian_index_sum_vanishes(n):
     assert checked >= 36
 
 
+def _newton_zeros(cfg, rng):
+    """Zeros (max|F| < 1e-11) reached by 60 damped Newton steps from 256 uniform starts."""
+    theta = rng.uniform(-np.pi, np.pi, (256, cfg.n))
+
+    def field(th):  # the sinusoidal vector field of every row at once
+        return cfg.omega - cfg.kappa * np.mean(1.0 + np.cos(th), axis=-1, keepdims=True) * np.sin(th)
+
+    for row in theta[:3]:
+        np.testing.assert_allclose(field(row[None])[0], wf.vector_field(cfg, SPEC, row), rtol=0, atol=1e-12)
+    with np.errstate(all="ignore"):
+        for _ in range(60):
+            f, jac = field(theta), wf.jacobian(cfg, theta)
+            try:
+                step = np.linalg.solve(jac, -f[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                step = np.array([np.linalg.lstsq(j, -r, rcond=None)[0] for j, r in zip(jac, f)])
+            theta = theta + np.clip(step, -0.5, 0.5)
+        return theta[np.max(np.abs(field(theta)), axis=-1) < 1e-11]
+
+
+def _missed_zeros(cfg, zeros):
+    """How many of the zeros lie farther than 1e-6 (wrapped max norm) from every enumerated theta."""
+    thetas = np.array([rec.theta for rec in wf.enumerate_equilibria(cfg)]).reshape(-1, cfg.n)
+    if len(thetas) == 0:
+        return len(zeros)
+    gap = np.abs((zeros[:, None, :] - thetas[None, :, :] + np.pi) % (2.0 * np.pi) - np.pi)
+    return int(np.sum(gap.max(axis=-1).min(axis=-1) > 1e-6))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_newton_zeros_are_enumerated(n):
+    # an oracle that shares no code with the branch scan: every zero damped
+    # Newton reaches from random starts must be an enumerated equilibrium
+    found, missed = 0, []
+    for s in (0.2, 1.0):
+        rng = np.random.default_rng([n, int(10 * s)])
+        omega = rng.uniform(-s, s, n)
+        kc = wf.critical_coupling(omega)
+        for ratio in (1 + 1e-10, 1 + 1e-9, 1 + 1e-6, 1.05, 2.0):
+            cfg = wf.SystemConfig(n=n, omega=omega, kappa=kc * ratio)
+            zeros = _newton_zeros(cfg, rng)
+            found += len(zeros)
+            if _missed_zeros(cfg, zeros):
+                missed.append((s, ratio))
+    assert found >= 20
+    assert missed == []
+
+
 @pytest.mark.parametrize("omega,kappa,count", [
     ((0.97497497494995, 0.97497497494995), 1.0, 4),  # f = 0 exactly on a grid point, R = 1
     ((0.5, 0.5), 0.5, 2),  # R = 1 is the branch point of all four signatures, one theta

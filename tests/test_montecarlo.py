@@ -118,13 +118,20 @@ def test_death_probability_zero_coupling():
     assert est.estimate == 0.0
 
 
-def test_escape_measure_dominated_by_bound():
-    cfg = wf.SystemConfig(n=10, omega=np.zeros(10), kappa=2.0)
-    opts = wf.dp45_options(horizon=10.0, sample_stride=0.25, abs_tol=1e-7, rel_tol=1e-7, max_dt=0.5)
-    mc = wf.McConfig(samples=300, seed=11)
-    est = wf.estimate_escape_measure(cfg, SPEC, 0.5, 10.0, opts, mc)
+@pytest.mark.parametrize("n, kappa, t_horizon, delta, samples", [
+    (10, 2.0, 10.0, 0.5, 300),
+    # one case on each other delta branch of the bound; each of them escapes
+    (4, 0.5, 2.0, 0.1, 2000),
+    (4, 0.5, 2.0, 0.3, 2000),
+    (4, 0.5, 2.0, 0.8, 2000),
+], ids=["n10-delta0.5", "n4-delta0.1", "n4-delta0.3", "n4-delta0.8"])
+def test_escape_measure_dominated_by_bound(n, kappa, t_horizon, delta, samples):
+    cfg = wf.SystemConfig(n=n, omega=np.zeros(n), kappa=kappa)
+    opts = wf.dp45_options(horizon=t_horizon, sample_stride=0.25, abs_tol=1e-7, rel_tol=1e-7, max_dt=0.5)
+    mc = wf.McConfig(samples=samples, seed=11)
+    est = wf.estimate_escape_measure(cfg, SPEC, delta, t_horizon, opts, mc)
     bound = wf.probability_bound(
-        "EscapeMeasure", 10, wf.BoundParams(delta=0.5, T=10.0, kappa=2.0)
+        "EscapeMeasure", n, wf.BoundParams(delta=delta, T=t_horizon, kappa=kappa)
     )
     assert est.estimate <= bound + 3 * est.std_error + 1e-12
 
