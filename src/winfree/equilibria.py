@@ -309,7 +309,7 @@ def _dedup(theta: np.ndarray, kept: dict[int, list[np.ndarray]]) -> list[int]:
 def _bipolar(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Phases and order parameters of signature rows sigmas (M, N) at omega = 0: theta_j in {0, pi}."""
     theta = np.where(sigmas < 0, np.pi, 0.0)
-    return theta, np.mean(1.0 + np.cos(theta), axis=-1)
+    return theta, model.order_parameter(model.sinusoidal(), theta)
 
 
 def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,8 +54,11 @@ class SolverOptions:
     def __post_init__(self):
         if self.method not in ("rk4_fixed", "dormand_prince45"):
             raise ConfigurationError(f"unknown solver method: {self.method}")
-        if self.horizon <= 0 or self.sample_stride <= 0:
-            raise ConfigurationError("horizon and sample_stride must be positive")
+        nan = [f.name for f in fields(self) if f.name != "method" and np.isnan(getattr(self, f.name))]
+        if nan:
+            raise ConfigurationError(f"solver settings must not be NaN: {', '.join(nan)}")
+        if not 0 < self.horizon < np.inf or self.sample_stride <= 0:
+            raise ConfigurationError("horizon must be positive and finite, and sample_stride positive")
         if self.sample_stride > self.horizon:
             raise ConfigurationError("sample_stride must not exceed horizon")
         if self.method == "rk4_fixed" and self.dt <= 0:
@@ -157,9 +160,9 @@ def _integrate_rows(
 
     Every row keeps its own t, step size, next sample time, step counters and
     failure, so its result does not depend on B: the stage sums are stacked
-    matmuls (one gemv per row, as for a single state), means are per-row
-    reductions, and step-size control is Python float arithmetic per row.
-    kappa is None (config.kappa for every row) or one coupling per row.
+    matmuls (one gemv per row, as for a single state), the stages are
+    model.vector_field of the stack, and step-size control is Python float
+    arithmetic per row.  kappa is None (config.kappa) or one coupling per row.
     stop(times, thetas) -> one bool per row is evaluated on the rows that
     reach a sample time (and on every row at t=0); a row whose value is true
     ends there.  Rows that end are dropped from the arrays.  Returns, per row,
@@ -167,16 +170,10 @@ def _integrate_rows(
     or stopped).
     """
     theta = np.array(initial, dtype=float)
+    if theta.ndim != 2 or theta.shape[1] != config.n:
+        raise ConfigurationError("initial state length must equal config.n")
     b, n = theta.shape
-    omega = config.omega
-    kap = np.empty((b, 1))
-    kap[:, 0] = config.kappa if kappa is None else kappa
-    influence, sensitivity = model.FAMILIES[spec.family][:2]  # one RHS for every family
-
-    def rhs(y, kap):
-        r = np.add.reduce(influence(spec, y), axis=-1, keepdims=True) / n  # row means, bitwise np.mean's
-        return omega + kap * r * sensitivity(spec, y)
-
+    kap = None if kappa is None else np.array(kappa, dtype=float)
     targets = _sample_times(opts).tolist()
     last = len(targets) - 1
     tol_t = 1e-12 * opts.horizon
@@ -194,13 +191,13 @@ def _integrate_rows(
     t = [0.0] * b
     h = [h_start] * b
     nxt = [1] * b  # index of the next sample time
-    k1 = rhs(theta, kap)
+    k1 = model.vector_field(config, spec, theta, kap)
     ended = [False] * b if stop is None else [bool(s) for s in stop(np.zeros(b), theta)]
 
     while True:
         if any(ended):
             keep = [i for i, e in enumerate(ended) if not e]
-            theta, k1, kap = theta[keep], k1[keep], kap[keep]
+            theta, k1, kap = theta[keep], k1[keep], None if kap is None else kap[keep]
             rows, t, h, nxt = ([lst[i] for i in keep] for lst in (rows, t, h, nxt))
         if not rows:
             break
@@ -210,7 +207,7 @@ def _integrate_rows(
             ks = np.empty((len(rows), 7, n))
             ks[:, 0] = k1
             for i in range(1, 7):
-                ks[:, i] = rhs(theta + step * (_DP_A[i] @ ks[:, :i]), kap)
+                ks[:, i] = model.vector_field(config, spec, theta + step * (_DP_A[i] @ ks[:, :i]), kap)
             y5 = theta + step * (_DP_B5 @ ks)
             err_vec = step * (_DP_E @ ks)
             scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(theta), np.abs(y5))
@@ -234,10 +231,10 @@ def _integrate_rows(
                 theta[took] = y5[took]
                 k1[took] = ks[took, 6]
         else:
-            k_1 = rhs(theta, kap)
-            k_2 = rhs(theta + 0.5 * step * k_1, kap)
-            k_3 = rhs(theta + 0.5 * step * k_2, kap)
-            k_4 = rhs(theta + step * k_3, kap)
+            k_1 = model.vector_field(config, spec, theta, kap)
+            k_2 = model.vector_field(config, spec, theta + 0.5 * step * k_1, kap)
+            k_3 = model.vector_field(config, spec, theta + 0.5 * step * k_2, kap)
+            k_4 = model.vector_field(config, spec, theta + step * k_3, kap)
             theta = theta + (step / 6.0) * (k_1 + 2.0 * k_2 + 2.0 * k_3 + k_4)
             took = range(len(rows))
             for i, s in enumerate(steps):
@@ -271,7 +268,7 @@ def _integrate_rows(
         traj = Trajectory(
             times=np.asarray(times[row]),
             states=states_arr,
-            r_series=np.mean(influence(spec, states_arr), axis=1),
+            r_series=model.order_parameter(spec, states_arr),
             accepted_steps=accepted[row],
             rejected_steps=rejected[row],
             solver_tol=opts.tolerance,
@@ -295,14 +292,11 @@ def simulate(
     True the trajectory is truncated there.  This is the one-row case of the
     ensemble step loop that the Monte Carlo estimators run on blocks of samples.
     """
-    theta = np.array(model._phases(initial), dtype=float)
-    if theta.shape != (config.n,):
-        raise ConfigurationError("initial state length must equal config.n")
     stop = None
     if stop_condition is not None:
         def stop(ts, ys):
             return [stop_condition(t, y) for t, y in zip(ts, ys)]
-    traj, failure = _integrate_rows(config, spec, theta[None], opts, stop=stop)[0]
+    traj, failure = _integrate_rows(config, spec, model._phases(initial)[None], opts, stop=stop)[0]
     if failure is not None:
         raise IntegrationFailure(failure, partial_trajectory=traj)
     return traj
@@ -322,12 +316,10 @@ def estimate_pathwise_critical_coupling(
     upper, _ = thresholds.toy_thresholds(spec, config, list(range(config.n)))
     if upper == 0.0:
         return 0.0
-    theta = np.array(model._phases(initial), dtype=float)
-    if theta.shape != (config.n,):
-        raise ConfigurationError("initial state length must equal config.n")
+    theta = model._phases(initial)
 
     def dies(kappas: list[float]) -> list[bool]:
-        runs = _integrate_rows(config, spec, np.tile(theta, (len(kappas), 1)), opts, kappa=kappas)
+        runs = _integrate_rows(config, spec, np.repeat(theta[None], len(kappas), axis=0), opts, kappa=kappas)
         return [failure is None and bool(np.all(detect_death(traj, 0.0))) for traj, failure in runs]
 
     dies_at_zero, dies_at_upper = dies([0.0, upper])

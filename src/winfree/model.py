@@ -292,16 +292,23 @@ def sensitivity_deriv(spec: InteractionSpec, theta):
     return FAMILIES[spec.family].sensitivity_deriv(spec, theta)
 
 
-def order_parameter(spec: InteractionSpec, state) -> float:
-    """Average influence R = (1/N) sum_j I(theta_j)."""
-    return float(np.mean(influence(spec, _phases(state))))
-
-
-def vector_field(config: SystemConfig, spec: InteractionSpec, state) -> np.ndarray:
-    """Right-hand side omega_i + kappa * R * S(theta_i)."""
+def order_parameter(spec: InteractionSpec, state):
+    """Average influence R = (1/N) sum_j I(theta_j): a float, or per row of a stack as in divergence."""
     theta = _phases(state)
-    r = np.mean(influence(spec, theta))
-    return config.omega + config.kappa * r * sensitivity(spec, theta)
+    r = np.add.reduce(FAMILIES[spec.family].influence(spec, theta), axis=-1) / theta.shape[-1]
+    return float(r) if theta.ndim == 1 else r
+
+
+def vector_field(config: SystemConfig, spec: InteractionSpec, state, kappa=None) -> np.ndarray:
+    """Right-hand side omega_i + kappa * R * S(theta_i), per row of a stack as in divergence.
+
+    kappa is None (config.kappa) or one coupling per row.
+    """
+    family = FAMILIES[spec.family]
+    theta = _phases(state)
+    r = np.add.reduce(family.influence(spec, theta), axis=-1, keepdims=True) / theta.shape[-1]
+    kap = config.kappa if kappa is None else np.asarray(kappa, dtype=float)[..., None]
+    return config.omega + kap * r * family.sensitivity(spec, theta)
 
 
 def divergence(config: SystemConfig, spec: InteractionSpec, state):
@@ -320,10 +327,11 @@ def divergence(config: SystemConfig, spec: InteractionSpec, state):
     return float(div) if theta.ndim == 1 else div
 
 
-def divergence_lower_bound(config: SystemConfig, spec: InteractionSpec, state) -> float:
-    """Shape-condition lower bound c4 * kappa * N * R * (I_star - R)."""
+def divergence_lower_bound(config: SystemConfig, spec: InteractionSpec, state):
+    """Shape-condition lower bound c4 * kappa * N * R * (I_star - R); stacks as in divergence."""
     r = order_parameter(spec, state)
-    return float(spec.c4 * config.kappa * config.n * r * (spec.I_star - r))
+    bound = spec.c4 * config.kappa * config.n * r * (spec.I_star - r)
+    return float(bound) if np.ndim(r) == 0 else bound
 
 
 def jacobian(config: SystemConfig, state) -> np.ndarray:
@@ -338,7 +346,7 @@ def jacobian(config: SystemConfig, state) -> np.ndarray:
     n = config.n
     kappa = config.kappa
     s = np.sin(theta)
-    r = np.mean(1.0 + np.cos(theta), axis=-1)
+    r = order_parameter(sinusoidal(), theta)
     jac = (kappa / n) * (s[..., :, None] * s[..., None, :])
     diag = np.arange(n)
     jac[..., diag, diag] = -kappa * np.asarray(r)[..., None] * np.cos(theta) + (kappa / n) * s * s

@@ -122,8 +122,7 @@ def _map_samples(fn, args, mc: McConfig) -> list[bool]:
 def _cdf_block(
     spec: InteractionSpec, n: int, t_level: float, seed: int, start: int, stop: int
 ) -> list[bool]:
-    r0 = np.mean(model.influence(spec, _draws(seed, n, start, stop)), axis=1)
-    return (r0 <= t_level).tolist()
+    return (model.order_parameter(spec, _draws(seed, n, start, stop)) <= t_level).tolist()
 
 
 def empirical_order_param_cdf(n: int, t_level: float, mc: McConfig) -> EstimateCI:
@@ -186,7 +185,7 @@ def _escape_block(
     level = 1.0 - delta
 
     def reached(times, thetas):
-        return np.mean(model.influence(spec, thetas), axis=1) >= level
+        return model.order_parameter(spec, thetas) >= level
 
     runs = integrate._integrate_rows(config, spec, _draws(seed, config.n, start, stop), opts, stop=reached)
     return [

@@ -185,11 +185,32 @@ def test_configuration_errors_name_the_setting(tmp_path, monkeypatch, capsys):
     assert "WINFREE_SEED" in capsys.readouterr().err
 
 
-def test_import_winfree_leaves_cli_unloaded():
+def _env_with_src():
     src = os.path.dirname(os.path.dirname(wf.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("args", [
+    ["--max-dt", "nan"], ["--abs-tol", "nan"], ["--horizon", "nan"], ["--horizon", "inf"],
+    ["--sample-stride", "nan"], ["--dt", "nan", "--method", "rk4_fixed"],
+], ids=["max_dt", "abs_tol", "horizon_nan", "horizon_inf", "sample_stride", "dt"])
+def test_non_finite_solver_settings_exit_2(args):
+    # a subprocess with a timeout: a NaN step size used to loop forever
+    out = subprocess.run([sys.executable, "-m", "winfree.cli", "simulate", "--n", "3", "--kappa", "1", *args],
+                         env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2 and out.stderr.startswith("configuration error")
+
+
+def test_non_finite_escape_horizon_exits_2():
+    out = subprocess.run([sys.executable, "-m", "winfree.cli", "montecarlo", "--kind", "escape", "--n", "3",
+                          "--kappa", "1", "--samples", "4", "--t-horizon", "nan"],
+                         env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2 and "NaN" in out.stderr
+
+
+def test_import_winfree_leaves_cli_unloaded():
     code = "import sys, winfree; print('argparse' in sys.modules, 'winfree.cli' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "False"]
 
 

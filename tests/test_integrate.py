@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 import winfree as wf
 from winfree import integrate
-from winfree.errors import InsufficientDataError, IntegrationFailure
+from winfree.errors import ConfigurationError, InsufficientDataError, IntegrationFailure
 
 
 SPEC = wf.sinusoidal()
@@ -68,6 +68,37 @@ def test_dp45_accuracy_vs_tight_rk4():
     a = wf.simulate(cfg, SPEC, theta0, wf.dp45_options(horizon=10.0, sample_stride=10.0))
     b = wf.simulate(cfg, SPEC, theta0, wf.rk4_options(0.001, 10.0, 10.0))
     assert np.allclose(a.final_state(), b.final_state(), atol=1e-6)
+
+
+@pytest.mark.parametrize("field", ["horizon", "sample_stride", "dt", "abs_tol", "rel_tol", "max_dt"])
+@pytest.mark.parametrize("method", ["rk4_fixed", "dormand_prince45"])
+def test_solver_options_reject_nan(method, field):
+    settings = dict(method=method, horizon=10.0, sample_stride=1.0)
+    with pytest.raises(ConfigurationError, match=field):
+        wf.SolverOptions(**{**settings, field: math.nan})
+
+
+def test_solver_options_reject_infinite_horizon_and_keep_infinite_steps():
+    for horizon in (math.inf, -math.inf):
+        with pytest.raises(ConfigurationError, match="horizon"):
+            wf.dp45_options(horizon=horizon, sample_stride=1.0)
+    cfg = wf.SystemConfig(n=2, omega=np.array([0.1, -0.1]), kappa=1.0)
+    for opts in (wf.dp45_options(2.0, 1.0, abs_tol=math.inf, max_dt=math.inf), wf.rk4_options(math.inf, 2.0, 1.0)):
+        assert wf.simulate(cfg, SPEC, np.zeros(2), opts).times.tolist() == [0.0, 1.0, 2.0]
+
+
+def test_dp45_agrees_with_tight_rk4_on_small_systems():
+    # seeded systems of every family; the RK4 rows of one system run as one batch
+    for n in (1, 2, 3, 6):
+        rng = np.random.default_rng(100 + n)
+        cfg = wf.SystemConfig(n=n, omega=rng.uniform(-1, 1, n), kappa=rng.uniform(0.5, 3.0))
+        initial = rng.uniform(-np.pi, np.pi, (2, n))
+        for spec in (SPEC, wf.power_cosine(2), wf.rectified_poisson(0.3), _table_spec()):
+            tight = integrate._integrate_rows(cfg, spec, initial, wf.rk4_options(0.01, 3.0, 3.0))
+            for theta0, (ref, failure) in zip(initial, tight):
+                dp = wf.simulate(cfg, spec, theta0, wf.dp45_options(horizon=3.0, sample_stride=3.0))
+                assert failure is None
+                assert np.allclose(dp.final_state(), ref.final_state(), atol=1e-6)
 
 
 def test_step_counters_and_samples():
@@ -322,3 +353,22 @@ def test_pathwise_critical_coupling_walks_any_verdicts(monkeypatch, seed):
     assert got == _scalar_bisection(dies, upper)
     assert estimate(lambda kappa: True) == 0.0
     assert estimate(lambda kappa: False) == upper
+
+
+def test_no_complete_death_below_critical_coupling():
+    # sharpness, flow side: below kappa_c there is no equilibrium, so no cell
+    # may end in CompleteDeath (slow oscillators may still stop: PartialDeath);
+    # the control row at 2.5 max|omega| is the main theorem's complete death
+    opts = wf.dp45_options(horizon=300.0, sample_stride=1.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
+    for n in (2, 3, 5, 8, 12, 20):
+        for seed in (0, 1):
+            rng = np.random.default_rng((n, seed))
+            cfg = wf.SystemConfig(n=n, omega=rng.uniform(-1, 1, n), kappa=1.0)
+            kappa_c = wf.critical_coupling(cfg.omega)
+            kappas = [0.5 * kappa_c, 0.8 * kappa_c, 0.9 * kappa_c, 2.5 * cfg.omega_max]
+            initial = np.tile(rng.uniform(-np.pi, np.pi, n), (4, 1))
+            runs = integrate._integrate_rows(cfg, SPEC, initial, opts, kappa=kappas)
+            regimes = [wf.regime_report(traj, cfg).regime for traj, failure in runs if failure is None]
+            assert len(regimes) == 4
+            assert "CompleteDeath" not in regimes[:3], (n, seed, regimes)
+            assert regimes[3] == "CompleteDeath", (n, seed, regimes)

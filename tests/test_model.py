@@ -235,3 +235,24 @@ def test_stacked_jacobian_and_divergence_rows_equal_one_dimensional_calls(spec, 
         assert jac[idx].tobytes() == one_jac.tobytes()
         assert div[idx].hex() == one_div.hex()
     assert np.array_equal(wf.jacobian(cfg, wf.PhaseState(stack[0, 0])), wf.jacobian(cfg, stack[0, 0]))
+    # order parameter, vector field (config.kappa and one coupling per row) and lower bound
+    kappas = rng.uniform(-3.0, 3.0, (2, 5))
+    r, lower = wf.order_parameter(spec, stack), wf.divergence_lower_bound(cfg, spec, stack)
+    field, field_k = wf.vector_field(cfg, spec, stack), wf.vector_field(cfg, spec, stack, kappas)
+    assert r.shape == lower.shape == (2, 5) and field.shape == field_k.shape == (2, 5, n)
+    for idx in np.ndindex(2, 5):
+        one_r, one_lower = wf.order_parameter(spec, stack[idx]), wf.divergence_lower_bound(cfg, spec, stack[idx])
+        assert type(one_r) is float and type(one_lower) is float
+        assert r[idx].hex() == one_r.hex() == float(np.mean(wf.influence(spec, stack[idx]))).hex()
+        assert lower[idx].hex() == one_lower.hex()
+        assert field[idx].tobytes() == wf.vector_field(cfg, spec, stack[idx]).tobytes()
+        one_cfg = wf.SystemConfig(n=n, omega=cfg.omega, kappa=float(kappas[idx]))
+        assert field_k[idx].tobytes() == wf.vector_field(one_cfg, spec, stack[idx]).tobytes()
+
+
+def test_vector_field_of_a_stack_takes_each_rows_order_parameter():
+    cfg = wf.SystemConfig(n=2, omega=np.array([0.1, -0.1]), kappa=1.0)
+    rows = np.array([[0.3, -1.0], [2.0, 1.5]])
+    expected = [[-0.417, 1.371], [-0.652, -0.925]]  # one 1-D call per row; not [[-0.280, 0.983], [-1.071, -1.384]]
+    assert np.allclose(wf.vector_field(cfg, wf.sinusoidal(), rows), expected, atol=5e-4)
+    assert np.allclose(wf.vector_field(cfg, wf.sinusoidal(), rows, [1.0, 1.0]), expected, atol=5e-4)
