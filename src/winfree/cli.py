@@ -1,9 +1,10 @@
 """Command-line orchestration: simulations, sweeps, bounds, and verification.
 
 Configuration comes from a single JSON document (--config) with snake_case
-keys; kebab-case flags override individual fields.  The WINFREE_SEED
-environment variable overrides the configured seed.  Exit codes: 0 success,
-2 configuration error, 3 numeric/integration failure.
+keys; kebab-case flags override individual fields.  Each subcommand takes
+only the settings it reads, and a flag and its JSON key convert alike.  The
+WINFREE_SEED environment variable overrides the configured seed.  Exit codes:
+0 success, 2 configuration error, 3 numeric/integration failure.
 """
 
 from __future__ import annotations
@@ -29,50 +30,88 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# BoundParams field -> config key (and, kebab-cased, the bounds/montecarlo flag)
+# BoundParams field -> setting name
 _BOUND_KEYS = {f.name: "t_horizon" if f.name == "T" else f.name.lower() for f in dataclasses.fields(BoundParams)}
 
 
-def _setting(cfg, key: str, default=None, cast=float):
-    """cfg[key] (or default) converted by cast; ConfigurationError names a missing or bad key."""
-    value = cfg.get(key, default)
-    if value is None:
-        raise ConfigurationError(f"missing required setting: {key}")
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"bad value for {key}: {value!r}") from None
-
-
-def _optional_float(cfg: dict, key: str) -> Optional[float]:
-    """cfg[key] as a float, or None when unset."""
-    return None if cfg.get(key) is None else _setting(cfg, key)
-
-
-def _floats(cfg: dict, key: str) -> np.ndarray:
-    """cfg[key] as a float vector, from a JSON list or a comma-separated string."""
-    value = cfg.get(key, "")
+def _floats(value) -> np.ndarray:
+    """A float vector from a JSON list or a comma-separated string."""
     items = [x for x in value.split(",") if x.strip() != ""] if isinstance(value, str) else value
+    return np.array([float(x) for x in items])
+
+
+# setting -> converter; the flag is the kebab-cased name and the --config key the name itself
+_SETTINGS = {
+    **{key: float for key in _BOUND_KEYS.values()},
+    "n": int, "omega": _floats, "gamma": float,
+    "family": str, "power": int, "r_pk": float, "influence_table": str, "sensitivity_table": str,
+    "horizon": float, "sample_stride": float, "method": str, "dt": float,
+    "abs_tol": float, "rel_tol": float, "max_dt": float,
+    "seed": int, "output": str, "kind": str, "samples": int, "workers": int,
+    "initial": _floats, "trajectory_output": str, "kappa_grid": _floats, "gamma_grid": _floats,
+    "full": bool, "mu": float,
+}
+
+_FREQUENCIES = ("n", "omega", "gamma")
+_SYSTEM = (*_FREQUENCIES, "kappa")
+_FAMILY = ("family", "power", "r_pk", "influence_table", "sensitivity_table")
+_SOLVER = ("horizon", "sample_stride", "method", "dt", "abs_tol", "rel_tol", "max_dt")
+_EVERY = ("seed", "output")  # besides --config
+
+# subcommand -> the settings it reads; its function is cmd_<name>, looked up
+# when the parser is built so that a wrapped cmd_* function is the one that runs
+_COMMANDS = {
+    "simulate": (*_SYSTEM, *_FAMILY, *_SOLVER, "initial", "trajectory_output"),
+    "sweep": ("n", "kappa_grid", "gamma_grid", "full", *_FAMILY, *_SOLVER),
+    "equilibria": _SYSTEM,
+    "critical-coupling": _FREQUENCIES,
+    "bounds": ("kind", "n", *_FAMILY, *_BOUND_KEYS.values()),
+    "montecarlo": ("kind", "samples", "workers", *_SYSTEM, *_FAMILY, *_SOLVER, "delta", "t_horizon", "t_level"),
+    "verify": (*_SYSTEM, *_FAMILY, *_SOLVER, "initial", "mu"),
+    "kappa-pc": (*_FREQUENCIES, *_FAMILY, *_SOLVER, "initial"),
+}
+
+
+def _convert(key: str, value, name: Optional[str] = None):
+    """value converted by key's _SETTINGS converter; ConfigurationError names the setting."""
+    convert = _SETTINGS[key]
     try:
-        return np.array([float(x) for x in items])
+        return convert(value)
     except (TypeError, ValueError):
-        raise ConfigurationError(f"{key}: expected comma-separated numbers, got {value!r}") from None
+        if convert is _floats:
+            raise ConfigurationError(f"{key}: expected comma-separated numbers, got {value!r}") from None
+        raise ConfigurationError(f"bad value for {name or key}: {value!r}") from None
+
+
+def _setting(cfg: dict, key: str):
+    """cfg[key]; ConfigurationError names a missing key."""
+    if key not in cfg:
+        raise ConfigurationError(f"missing required setting: {key}")
+    return cfg[key]
 
 
 def _load_config(args: argparse.Namespace) -> dict:
-    cfg: dict = {}
-    if getattr(args, "config", None):
+    """The settings of args.command, from --config and the flags, each converted by _SETTINGS.
+
+    A JSON key that no subcommand reads is an error; one that only other
+    subcommands read is dropped, so one file can serve several subcommands.
+    A JSON null, like an absent flag, leaves the setting unset.
+    """
+    row = (*_COMMANDS[args.command], *_EVERY)
+    values: dict = {}
+    if args.config:
         with open(args.config) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
+            values = json.load(fh)
+        if not isinstance(values, dict):
             raise ConfigurationError("config JSON must be an object")
-    for key, value in vars(args).items():
-        if key in ("config", "command", "func") or value is None:
-            continue
-        cfg[key] = value
+        unknown = sorted(set(values) - set(_SETTINGS))
+        if unknown:
+            raise ConfigurationError(f"unknown setting in {args.config}: {', '.join(unknown)}")
+    values.update((key, value) for key, value in vars(args).items() if value is not None)
+    cfg = {key: _convert(key, value) for key, value in values.items() if key in row and value is not None}
     if "WINFREE_SEED" in os.environ:
-        cfg["seed"] = _setting(os.environ, "WINFREE_SEED", cast=int)
-    cfg["seed"] = _setting(cfg, "seed", 0, int)
+        cfg["seed"] = _convert("seed", os.environ["WINFREE_SEED"], "WINFREE_SEED")
+    cfg.setdefault("seed", 0)
     if cfg["seed"] < 0:
         raise ConfigurationError(f"seed must be non-negative, got {cfg['seed']}")
     return cfg
@@ -85,12 +124,12 @@ def _quantile_frequencies(n: int, gamma: float) -> np.ndarray:
 
 def _system_config(cfg: dict) -> SystemConfig:
     if "omega" in cfg:
-        omega = _floats(cfg, "omega")
-        n = _setting(cfg, "n", len(omega), int)
+        omega = cfg["omega"]
+        n = cfg.get("n", len(omega))
     else:
-        n = _setting(cfg, "n", 100, int)
-        omega = _quantile_frequencies(n, _setting(cfg, "gamma", 1.0))
-    return SystemConfig(n=n, omega=omega, kappa=_setting(cfg, "kappa", 1.0))
+        n = cfg.get("n", 100)
+        omega = _quantile_frequencies(n, cfg.get("gamma", 1.0))
+    return SystemConfig(n=n, omega=omega, kappa=cfg.get("kappa", 1.0))
 
 
 def _interaction_spec(cfg: dict) -> InteractionSpec:
@@ -98,42 +137,42 @@ def _interaction_spec(cfg: dict) -> InteractionSpec:
     if family == "sinusoidal":
         return model.sinusoidal()
     if family == "power_cosine":
-        return model.power_cosine(_setting(cfg, "power", 1, int))
+        return model.power_cosine(cfg.get("power", 1))
     if family == "rectified_poisson":
-        return model.rectified_poisson(_setting(cfg, "r_pk", 0.0))
+        return model.rectified_poisson(cfg.get("r_pk", 0.0))
     if family == "custom":
-        i_table = model.load_custom_table(_setting(cfg, "influence_table", cast=str))
-        s_table = model.load_custom_table(_setting(cfg, "sensitivity_table", cast=str))
+        i_table = model.load_custom_table(_setting(cfg, "influence_table"))
+        s_table = model.load_custom_table(_setting(cfg, "sensitivity_table"))
         return model.custom_interaction(i_table, s_table)
     raise ConfigurationError(f"unknown interaction family: {family}")
 
 
 def _solver_options(cfg: dict) -> SolverOptions:
-    horizon = _setting(cfg, "horizon", 500.0)
-    stride = _setting(cfg, "sample_stride", 1.0)
+    horizon = cfg.get("horizon", 500.0)
+    stride = cfg.get("sample_stride", 1.0)
     method = cfg.get("method", "dormand_prince45")
     if method == "rk4_fixed":
-        return integrate.rk4_options(_setting(cfg, "dt", 0.01), horizon, stride)
+        return integrate.rk4_options(cfg.get("dt", 0.01), horizon, stride)
     return integrate.dp45_options(
         horizon,
         stride,
-        abs_tol=_setting(cfg, "abs_tol", 1e-9),
-        rel_tol=_setting(cfg, "rel_tol", 1e-9),
-        max_dt=_setting(cfg, "max_dt", 0.1),
+        abs_tol=cfg.get("abs_tol", 1e-9),
+        rel_tol=cfg.get("rel_tol", 1e-9),
+        max_dt=cfg.get("max_dt", 0.1),
     )
 
 
 def _mc_config(cfg: dict) -> McConfig:
     return McConfig(
-        samples=_setting(cfg, "samples", 1000, int),
+        samples=cfg.get("samples", 1000),
         seed=cfg["seed"],
-        workers=_setting(cfg, "workers", 1, int),
+        workers=cfg.get("workers", 1),
     )
 
 
 def _initial_state(cfg: dict, n: int) -> np.ndarray:
     if "initial" in cfg:
-        theta = _floats(cfg, "initial")
+        theta = cfg["initial"]
         if theta.shape != (n,):
             raise ConfigurationError("initial state length must equal n")
         return theta
@@ -176,9 +215,9 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    n = 800 if cfg.get("full") else _setting(cfg, "n", 100, int)
-    kappa_grid = _floats(cfg, "kappa_grid")
-    gamma_grid = _floats(cfg, "gamma_grid")
+    n = 800 if cfg.get("full") else cfg.get("n", 100)
+    kappa_grid = cfg.get("kappa_grid", np.empty(0))
+    gamma_grid = cfg.get("gamma_grid", np.empty(0))
     if kappa_grid.size == 0 or gamma_grid.size == 0:
         raise ConfigurationError("sweep requires non-empty kappa_grid and gamma_grid")
     opts = _solver_options(cfg)
@@ -233,8 +272,8 @@ def cmd_bounds(cfg: dict) -> int:
     kind = cfg.get("kind")
     if not kind:
         raise ConfigurationError("bounds requires --kind")
-    n = _setting(cfg, "n", 100, int)
-    params = BoundParams(**{f: _optional_float(cfg, k) for f, k in _BOUND_KEYS.items()})
+    n = cfg.get("n", 100)
+    params = BoundParams(**{f: cfg.get(k) for f, k in _BOUND_KEYS.items()})
     spec = _interaction_spec(cfg)
     payload: dict = {"kind": kind, "n": n}
     if kind == "SincosTime":
@@ -254,8 +293,8 @@ def cmd_montecarlo(cfg: dict) -> int:
     spec = _interaction_spec(cfg)
     bound_params: Optional[BoundParams] = None
     if kind == "order-param-cdf":
-        n = _setting(cfg, "n", 10, int)
-        t_level = _setting(cfg, "t_level", 0.5)
+        n = cfg.get("n", 10)
+        t_level = cfg.get("t_level", 0.5)
         est = montecarlo.empirical_order_param_cdf(n, t_level, mc)
         params = {"n": n, "t_level": t_level}
         bound_params = BoundParams(t_level=t_level)
@@ -268,8 +307,8 @@ def cmd_montecarlo(cfg: dict) -> int:
             bound_params = BoundParams(epsilon=min(eps, 1.0))
     elif kind == "escape":
         config, opts = _system_config(cfg), _solver_options(cfg)
-        delta = _setting(cfg, "delta", 0.5)
-        t_horizon = _setting(cfg, "t_horizon", 10.0)
+        delta = cfg.get("delta", 0.5)
+        t_horizon = cfg.get("t_horizon", 10.0)
         est = montecarlo.estimate_escape_measure(config, spec, delta, t_horizon, opts, mc)
         n, params = config.n, {"n": config.n, "kappa": config.kappa, "delta": delta, "T": t_horizon}
         bound_params = BoundParams(delta=delta, T=t_horizon, kappa=config.kappa)
@@ -287,7 +326,7 @@ def cmd_verify(cfg: dict) -> int:
     spec = _interaction_spec(cfg)
     opts = _solver_options(cfg)
     initial = _initial_state(cfg, config.n)
-    mu = _setting(cfg, "mu", 0.5)
+    mu = cfg.get("mu", 0.5)
     traj = integrate.simulate(config, spec, initial, opts)
     report = integrate.verify_theorem_conclusions(traj, config, mu)
     _write_json(cfg, {**dataclasses.asdict(report), "all_ok": report.all_ok}, "-")
@@ -304,58 +343,19 @@ def cmd_kappa_pc(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--omega", help="comma-separated frequencies")
-    parser.add_argument("--kappa", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--family")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--horizon", type=float)
-    parser.add_argument("--sample-stride", dest="sample_stride", type=float)
-    parser.add_argument("--method")
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--abs-tol", dest="abs_tol", type=float)
-    parser.add_argument("--rel-tol", dest="rel_tol", type=float)
-    parser.add_argument("--max-dt", dest="max_dt", type=float)
-    parser.add_argument("--initial", help="comma-separated initial phases")
-    parser.add_argument("--output")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="winfree", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    commands = {
-        "simulate": cmd_simulate,
-        "sweep": cmd_sweep,
-        "equilibria": cmd_equilibria,
-        "critical-coupling": cmd_critical_coupling,
-        "bounds": cmd_bounds,
-        "montecarlo": cmd_montecarlo,
-        "verify": cmd_verify,
-        "kappa-pc": cmd_kappa_pc,
-    }
-    for name, fn in commands.items():
+    for name, row in _COMMANDS.items():
         p = sub.add_parser(name)
-        _add_common(p)
-        p.set_defaults(func=fn)
-        if name == "simulate":
-            p.add_argument("--trajectory-output", dest="trajectory_output")
-        if name == "sweep":
-            p.add_argument("--kappa-grid", dest="kappa_grid")
-            p.add_argument("--gamma-grid", dest="gamma_grid")
-            p.add_argument("--full", action="store_true", default=None)
-        if name in ("bounds", "montecarlo"):
-            p.add_argument("--kind")
-            for key in _BOUND_KEYS.values():
-                if key != "kappa":  # a common flag
-                    p.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
-        if name == "verify":
-            p.add_argument("--mu", type=float)
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
+        p.add_argument("--config", help="JSON configuration file")
+        for key in (*row, *_EVERY):
+            flag = "--" + key.replace("_", "-")
+            if _SETTINGS[key] is bool:
+                p.add_argument(flag, dest=key, action="store_true", default=None)
+            else:
+                p.add_argument(flag, dest=key, help="comma-separated numbers" if _SETTINGS[key] is _floats else None)
     return parser
 
 

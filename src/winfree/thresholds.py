@@ -23,15 +23,6 @@ class CriterionReport:
     margin: float
     detail: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "satisfied": self.satisfied,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -50,13 +41,13 @@ class BoundParams:
     sup_I: Optional[float] = None
 
 
-def kc_coefficient(r0: float) -> float:
-    """Coupling coefficient K_c(R0) of the sharp sinusoidal threshold."""
-    if not 0.0 < r0 <= 2.0:
+def kc_coefficient(r0) -> float | np.ndarray:
+    """Coupling coefficient K_c(R0) of the sharp sinusoidal threshold; elementwise for an array R0."""
+    r = np.asarray(r0, dtype=float)
+    if not np.all((0.0 < r) & (r <= 2.0)):
         raise DomainError(f"R0 must lie in (0, 2], got {r0}")
-    if r0 <= 1.0:
-        return 2.0 / r0**1.5
-    return 2.0 * (2.0 - r0) + (4.0 / (3.0 * math.sqrt(3.0))) * (r0 - 1.0)
+    kc = np.where(r <= 1.0, 2.0 / r**1.5, 2.0 * (2.0 - r) + (4.0 / (3.0 * np.sqrt(3.0))) * (r - 1.0))
+    return float(kc) if kc.ndim == 0 else kc
 
 
 def sinusoidal_threshold(r0: float, mu: float, omega_max: float) -> float:
@@ -475,11 +466,6 @@ def appendix_inequality_check(grid) -> tuple[float, float]:
         raise DomainError("grid values must lie in (0, 2]")
     mu = appendix_mu(grid)
     rho = grid - mu
-    kc = np.where(
-        grid <= 1.0,
-        2.0 / grid**1.5,
-        2.0 * (2.0 - grid) + (4.0 / (3.0 * np.sqrt(3.0))) * (grid - 1.0),
-    )
-    margins = kc**2 * rho**2 * mu * (2.0 - mu) - 1.0
+    margins = kc_coefficient(grid)**2 * rho**2 * mu * (2.0 - mu) - 1.0
     idx = int(np.argmin(margins))
     return float(margins[idx]), float(grid[idx])

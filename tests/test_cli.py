@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import winfree as wf
+from winfree import cli
 from winfree.cli import main
 
 
@@ -104,7 +105,7 @@ def test_verify_command(capsys):
 
 
 def test_kappa_pc_command(capsys):
-    code = main(["kappa-pc", "--omega", "0.3,-0.3", "--kappa", "1",
+    code = main(["kappa-pc", "--omega", "0.3,-0.3",
                  "--horizon", "120", "--seed", "5"])
     assert code == 0
     data = json.loads(capsys.readouterr().out)
@@ -193,9 +194,11 @@ def _env_with_src():
 @pytest.mark.parametrize("args", [
     ["--max-dt", "nan"], ["--abs-tol", "nan"], ["--horizon", "nan"], ["--horizon", "inf"],
     ["--sample-stride", "nan"], ["--dt", "nan", "--method", "rk4_fixed"],
-], ids=["max_dt", "abs_tol", "horizon_nan", "horizon_inf", "sample_stride", "dt"])
+    ["--horizon", "1e300"], ["--horizon", "1", "--sample-stride", "5e-324"],
+], ids=["max_dt", "abs_tol", "horizon_nan", "horizon_inf", "sample_stride", "dt", "horizon_huge", "sample_stride_tiny"])
 def test_non_finite_solver_settings_exit_2(args):
-    # a subprocess with a timeout: a NaN step size used to loop forever
+    # a subprocess with a timeout: a NaN step size used to loop forever, and a
+    # sample grid past integrate.MAX_SAMPLES is refused before it is built
     out = subprocess.run([sys.executable, "-m", "winfree.cli", "simulate", "--n", "3", "--kappa", "1", *args],
                          env=_env_with_src(), capture_output=True, text=True, timeout=60)
     assert out.returncode == 2 and out.stderr.startswith("configuration error")
@@ -206,6 +209,14 @@ def test_non_finite_escape_horizon_exits_2():
                           "--kappa", "1", "--samples", "4", "--t-horizon", "nan"],
                          env=_env_with_src(), capture_output=True, text=True, timeout=60)
     assert out.returncode == 2 and "NaN" in out.stderr
+
+
+def test_huge_escape_horizon_exits_2():
+    # the escape estimator sets the horizon through dataclasses.replace, which checks it again
+    out = subprocess.run([sys.executable, "-m", "winfree.cli", "montecarlo", "--kind", "escape", "--n", "3",
+                          "--kappa", "1", "--samples", "4", "--t-horizon", "1e300"],
+                         env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2 and out.stderr.startswith("configuration error") and "sample_stride" in out.stderr
 
 
 def test_import_winfree_leaves_cli_unloaded():
@@ -354,3 +365,49 @@ def test_every_input_error_exits_2(monkeypatch, capsys, name):
     monkeypatch.setattr(wf.equilibria, "critical_coupling", raising)
     assert main(["critical-coupling", "--omega", "1,1"]) == 2
     assert capsys.readouterr().err.startswith("configuration error: bad input")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["equilibria", "--omega", "0.1", "--family", "power_cosine"], "--family"),
+    (["critical-coupling", "--omega", "1,1", "--kappa", "5"], "--kappa"),
+    (["kappa-pc", "--omega", "0.3,-0.3", "--kappa", "1"], "--kappa"),
+    (["montecarlo", "--kind", "order-param-cdf", "--epsilon", "0.3"], "--epsilon"),
+    (["simulate", "--omega", "0.1", "--samples", "9"], "--samples"),
+])
+def test_subcommands_refuse_settings_they_do_not_read(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and flag in capsys.readouterr().err
+
+
+def test_each_subcommand_takes_exactly_its_row():
+    parser = cli.build_parser()
+    for name, row in cli._COMMANDS.items():
+        dests = set(vars(parser.parse_args([name]))) - {"command", "func"}
+        assert dests == {*row, "config", "seed", "output"}, name
+
+
+def test_config_keys_are_checked_against_every_row(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"omega": [0.1, -0.1], "kapa": 3}))
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "kapa" in capsys.readouterr().err
+    # a key that only other subcommands read is dropped, so one file serves simulate and equilibria
+    path.write_text(json.dumps({"omega": [0.1], "kappa": 1, "horizon": 30}))
+    assert main(["equilibria", "--config", str(path)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["equilibria", "--omega", "0.1", "--kappa", "1"]) == 0
+    assert capsys.readouterr().out == from_file
+
+
+def test_family_flags_convert_like_config_keys(tmp_path, capsys):
+    base = ["simulate", "--omega", "0.1,-0.1", "--kappa", "3", "--horizon", "10",
+            "--trajectory-output", str(tmp_path / "t.csv"), "--output", "-"]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"family": "power_cosine", "power": "2"}))
+    assert main(base + ["--config", str(path)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(base + ["--family", "power_cosine", "--power", "2"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert main(base + ["--family", "power_cosine", "--power", "1"]) == 0
+    assert capsys.readouterr().out != from_file

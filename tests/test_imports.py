@@ -1,5 +1,7 @@
 import ast
+import inspect
 import pathlib
+import textwrap
 
 import pytest
 
@@ -19,3 +21,16 @@ def test_module_level_imports_are_used(path):
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+EXPORTED_FUNCTIONS = sorted(name for name, obj in vars(winfree).items() if inspect.isfunction(obj))
+
+
+@pytest.mark.parametrize("name", EXPORTED_FUNCTIONS)
+def test_exported_functions_read_every_parameter(name):
+    # a public parameter that nothing reads asks callers for a value it ignores
+    node = ast.parse(textwrap.dedent(inspect.getsource(getattr(winfree, name)))).body[0]
+    args = node.args
+    params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
+    read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    assert [p for p in params if p not in read] == []

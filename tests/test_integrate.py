@@ -87,6 +87,14 @@ def test_solver_options_reject_infinite_horizon_and_keep_infinite_steps():
         assert wf.simulate(cfg, SPEC, np.zeros(2), opts).times.tolist() == [0.0, 1.0, 2.0]
 
 
+def test_solver_options_cap_the_sample_count():
+    # constructing the options only: a grid of the cap's size is never built
+    assert wf.dp45_options(horizon=float(integrate.MAX_SAMPLES), sample_stride=1.0).horizon == integrate.MAX_SAMPLES
+    for horizon, stride in ((integrate.MAX_SAMPLES + 1.0, 1.0), (1e300, 1.0), (1.0, 5e-324)):
+        with pytest.raises(wf.SizeLimitError, match="sample_stride"):
+            wf.dp45_options(horizon=horizon, sample_stride=stride)
+
+
 def test_dp45_agrees_with_tight_rk4_on_small_systems():
     # seeded systems of every family; the RK4 rows of one system run as one batch
     for n in (1, 2, 3, 6):
@@ -136,11 +144,11 @@ def test_detect_death_true_and_false():
 
 def test_classify_regime_examples():
     tol = 1e-3
-    assert wf.classify_regime(np.array([0.0, 0.0, 0.0]), np.array([True] * 3), tol) == "CompleteDeath"
-    assert wf.classify_regime(np.array([0.0, 0.0, 0.5]), np.array([True, True, False]), tol) == "PartialDeath"
-    assert wf.classify_regime(np.array([0.5, 0.5, 0.5]), np.array([False] * 3), tol) == "CompleteLocking"
-    assert wf.classify_regime(np.array([0.5, 0.5, 0.9]), np.array([False] * 3), tol) == "PartialLocking"
-    assert wf.classify_regime(np.array([0.1, 0.5, 0.9]), np.array([False] * 3), tol) == "Incoherence"
+    assert wf.classify_regime(np.array([0.0, 0.0, 0.0]), tol) == "CompleteDeath"
+    assert wf.classify_regime(np.array([0.0, 0.0, 0.5]), tol) == "PartialDeath"
+    assert wf.classify_regime(np.array([0.5, 0.5, 0.5]), tol) == "CompleteLocking"
+    assert wf.classify_regime(np.array([0.5, 0.5, 0.9]), tol) == "PartialLocking"
+    assert wf.classify_regime(np.array([0.1, 0.5, 0.9]), tol) == "Incoherence"
 
 
 def test_default_regime_tol():
