@@ -67,7 +67,7 @@ _COMMANDS = {
     "critical-coupling": _FREQUENCIES,
     "bounds": ("kind", "n", *_FAMILY, *_BOUND_KEYS.values()),
     "montecarlo": ("kind", "samples", "workers", *_SYSTEM, *_FAMILY, *_SOLVER, "delta", "t_horizon", "t_level"),
-    "verify": (*_SYSTEM, *_FAMILY, *_SOLVER, "initial", "mu"),
+    "verify": (*_SYSTEM, *_SOLVER, "initial", "mu"),
     "kappa-pc": (*_FREQUENCIES, *_FAMILY, *_SOLVER, "initial"),
 }
 
@@ -295,7 +295,7 @@ def cmd_montecarlo(cfg: dict) -> int:
     if kind == "order-param-cdf":
         n = cfg.get("n", 10)
         t_level = cfg.get("t_level", 0.5)
-        est = montecarlo.empirical_order_param_cdf(n, t_level, mc)
+        est = montecarlo.empirical_order_param_cdf(n, t_level, mc, spec)
         params = {"n": n, "t_level": t_level}
         bound_params = BoundParams(t_level=t_level)
     elif kind == "death":
@@ -314,20 +314,19 @@ def cmd_montecarlo(cfg: dict) -> int:
         bound_params = BoundParams(delta=delta, T=t_horizon, kappa=config.kappa)
     else:
         raise ConfigurationError(f"unknown montecarlo kind: {kind}")
-    bound = None
-    if bound_params is not None:
-        bound = thresholds.probability_bound(montecarlo.BOUND_KINDS[kind], n, bound_params)
+    bound_kind, bound = montecarlo.BOUND_KINDS[kind], None
+    if bound_params is not None and spec.family in thresholds.BOUNDS[bound_kind].families:
+        bound = thresholds.probability_bound(bound_kind, n, bound_params, spec)
     _write_json(cfg, montecarlo.result_json_dict(kind, params, est, bound), "-")
     return EXIT_OK
 
 
 def cmd_verify(cfg: dict) -> int:
     config = _system_config(cfg)
-    spec = _interaction_spec(cfg)
     opts = _solver_options(cfg)
     initial = _initial_state(cfg, config.n)
     mu = cfg.get("mu", 0.5)
-    traj = integrate.simulate(config, spec, initial, opts)
+    traj = integrate.simulate(config, model.sinusoidal(), initial, opts)
     report = integrate.verify_theorem_conclusions(traj, config, mu)
     _write_json(cfg, {**dataclasses.asdict(report), "all_ok": report.all_ok}, "-")
     return EXIT_OK
@@ -347,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="winfree", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, row in _COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
         p.add_argument("--config", help="JSON configuration file")
         for key in (*row, *_EVERY):
@@ -367,9 +366,9 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
     argparse reads a word that starts with '-' and is not one plain number as
     the next flag, so a vector whose first entry is negative needs the '='
-    spelling; this gives it that spelling, under any name argparse accepts
-    (abbreviations too).  '--kappa=-1' reads as '--kappa -1', so joining a
-    scalar changes nothing, and '--full -1' is an error either way.
+    spelling; this gives it that spelling, under any name.  '--kappa=-1'
+    reads as '--kappa -1', so joining a scalar changes nothing, and
+    '--full -1' is an error either way.
     """
     out: list[str] = []
     i = 0

@@ -334,22 +334,24 @@ def divergence_lower_bound(config: SystemConfig, spec: InteractionSpec, state):
     return float(bound) if np.ndim(r) == 0 else bound
 
 
-def jacobian(config: SystemConfig, state) -> np.ndarray:
-    """Jacobian of the sinusoidal vector field; trace equals the divergence.
+def jacobian(config: SystemConfig, state, spec: InteractionSpec = sinusoidal()) -> np.ndarray:
+    """Jacobian of the vector field of spec's family; its trace is the divergence.
 
-    Takes no spec: it always differentiates the sinusoidal field, whatever
-    family the caller simulates.  A state is one phase vector (returns the
-    (N, N) matrix) or a stack of them with rows on the leading axes (returns
-    one matrix per row, each bitwise its 1-D call).
+    Entry (i, j) is (kappa/N) * S(theta_i) * I'(theta_j), plus kappa * R * S'(theta_i)
+    on the diagonal.  A state is one phase vector (returns the (N, N) matrix)
+    or a stack of them with rows on the leading axes (returns one matrix per
+    row, each bitwise its 1-D call).
     """
+    family = FAMILIES[spec.family]
     theta = _phases(state)
     n = config.n
     kappa = config.kappa
-    s = np.sin(theta)
-    r = order_parameter(sinusoidal(), theta)
-    jac = (kappa / n) * (s[..., :, None] * s[..., None, :])
+    s, ip = family.sensitivity(spec, theta), family.influence_deriv(spec, theta)
+    r = order_parameter(spec, theta)
+    jac = (kappa / n) * (s[..., :, None] * ip[..., None, :])
     diag = np.arange(n)
-    jac[..., diag, diag] = -kappa * np.asarray(r)[..., None] * np.cos(theta) + (kappa / n) * s * s
+    sp = family.sensitivity_deriv(spec, theta)
+    jac[..., diag, diag] = kappa * np.asarray(r)[..., None] * sp + (kappa / n) * s * ip
     return jac
 
 

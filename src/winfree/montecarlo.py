@@ -125,11 +125,12 @@ def _cdf_block(
     return (model.order_parameter(spec, _draws(seed, n, start, stop)) <= t_level).tolist()
 
 
-def empirical_order_param_cdf(n: int, t_level: float, mc: McConfig) -> EstimateCI:
-    """Fraction of uniform initial states with R0 <= t_level (sinusoidal)."""
-    if not 0.0 < t_level <= 2.0:
-        raise DomainError("t_level must lie in (0, 2]")
-    spec = model.sinusoidal()
+def empirical_order_param_cdf(
+    n: int, t_level: float, mc: McConfig, spec: InteractionSpec = model.sinusoidal()
+) -> EstimateCI:
+    """Fraction of uniform initial states whose R0 under spec's influence is <= t_level."""
+    if not 0.0 < t_level <= spec.sup_I:
+        raise DomainError(f"t_level must lie in (0, {spec.sup_I:g}]")
     hits = _map_samples(_cdf_block, (spec, n, t_level, mc.seed), mc)
     return _estimate(sum(hits), mc.samples)
 
@@ -223,7 +224,8 @@ def result_json_dict(kind: str, params: dict, est: EstimateCI, bound: Optional[f
     The verdict follows the direction of the bound BOUND_KINDS[kind]: an upper
     bound sets `dominated` (estimate <= bound + 3 SE), a lower bound sets
     `dominates` (estimate >= bound - 3 SE).  The other key, and both when
-    there is no bound, is None.  "rng_stream" names the sample stream layout.
+    there is no bound, is None; pass bound=None for a family outside the
+    bound's families.  "rng_stream" names the sample stream layout.
     """
     dominated = dominates = None
     if bound is not None:

@@ -374,20 +374,22 @@ def _escape_measure(n: int, p: BoundParams, spec: Optional[InteractionSpec]) -> 
 
 
 class Bound(NamedTuple):
-    """One closed-form bound: its unclamped formula f(N, params, spec) and its direction."""
+    """One closed-form bound: its unclamped formula f(N, params, spec), its direction and its families."""
 
     formula: Callable[[int, BoundParams, Optional[InteractionSpec]], float]
     upper: bool  # True: the probability is at most the bound; False: at least
+    families: tuple[str, ...]  # the keys of model.FAMILIES the formula holds for
 
 
+_SINUSOIDAL, _EVERY_FAMILY = ("sinusoidal",), tuple(model.FAMILIES)
 BOUNDS = {
-    "SincosMain": Bound(_sincos_main, upper=False),
-    "SincosTime": Bound(_sincos_time, upper=False),
-    "OrderParamCDF": Bound(_order_param_cdf, upper=True),
-    "GeneralMaincor": Bound(_general_maincor, upper=False),
-    "KappaLarge": Bound(_kappa_large, upper=False),
-    "QuantIS": Bound(_quant_is, upper=False),
-    "EscapeMeasure": Bound(_escape_measure, upper=True),
+    "SincosMain": Bound(_sincos_main, upper=False, families=_SINUSOIDAL),
+    "SincosTime": Bound(_sincos_time, upper=False, families=_SINUSOIDAL),
+    "OrderParamCDF": Bound(_order_param_cdf, upper=True, families=_SINUSOIDAL),
+    "GeneralMaincor": Bound(_general_maincor, upper=False, families=_EVERY_FAMILY),
+    "KappaLarge": Bound(_kappa_large, upper=False, families=_EVERY_FAMILY),
+    "QuantIS": Bound(_quant_is, upper=False, families=_EVERY_FAMILY),
+    "EscapeMeasure": Bound(_escape_measure, upper=True, families=_SINUSOIDAL),
 }
 
 
@@ -399,12 +401,16 @@ def probability_bound(
     Upper bounds: OrderParamCDF (P(R0 <= t_level)) and EscapeMeasure (the
     measure of initial data keeping R < 1-delta up to T).  Lower bounds, on
     success probabilities: SincosMain, SincosTime, GeneralMaincor, KappaLarge
-    and QuantIS.
+    and QuantIS.  A spec outside BOUNDS[kind].families raises DomainError;
+    SincosMain, SincosTime, OrderParamCDF and EscapeMeasure hold for the
+    sinusoidal family only and never read spec.
     """
     if n < 1:
         raise DomainError("N must be >= 1")
     if kind not in BOUNDS:
         raise DomainError(f"unknown bound kind: {kind}")
+    if spec is not None and spec.family not in BOUNDS[kind].families:
+        raise DomainError(f"{kind} does not hold for the {spec.family} family")
     return min(1.0, max(0.0, BOUNDS[kind].formula(n, params, spec)))
 
 

@@ -293,16 +293,11 @@ def test_bounds_reject_out_of_range_inputs(capsys, args, name):
     assert name in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spelling", ["space", "equals", "abbreviated"])
+@pytest.mark.parametrize("spelling", ["space", "equals"])
 def test_vector_options_take_a_negative_first_entry(tmp_path, capsys, spelling):
-    # argparse reads "-0.5,0.2" as a flag unless main joins it to its option,
-    # which it must do for the abbreviations argparse accepts as well
-    short = {"--omega": "--om", "--initial": "--init", "--kappa-grid": "--kappa-g", "--gamma-grid": "--gamma-g"}
-
+    # argparse reads "-0.5,0.2" as a flag unless main joins it to its option
     def opt(name, value):
-        if spelling == "equals":
-            return [f"{name}={value}"]
-        return [short[name] if spelling == "abbreviated" else name, value]
+        return [f"{name}={value}"] if spelling == "equals" else [name, value]
 
     assert main(["critical-coupling", *opt("--omega", "-0.5,0.2")]) == 0
     assert capsys.readouterr().out == f"{wf.critical_coupling(np.array([-0.5, 0.2])):.10g}\n"
@@ -373,6 +368,12 @@ def test_every_input_error_exits_2(monkeypatch, capsys, name):
     (["kappa-pc", "--omega", "0.3,-0.3", "--kappa", "1"], "--kappa"),
     (["montecarlo", "--kind", "order-param-cdf", "--epsilon", "0.3"], "--epsilon"),
     (["simulate", "--omega", "0.1", "--samples", "9"], "--samples"),
+    # verify checks the sinusoidal theorem only
+    (["verify", "--omega", "0.1", "--family", "power_cosine"], "--family"),
+    # abbreviations are off: a flag the subcommand does not take is not a prefix of one it does
+    (["sweep", "--kappa", "3", "--gamma-grid", "0.5"], "--kappa"),
+    (["bounds", "--kind", "SincosMain", "--omega", "1"], "--omega"),
+    (["critical-coupling", "--om", "-0.5,0.2"], "--om"),
 ])
 def test_subcommands_refuse_settings_they_do_not_read(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -411,3 +412,71 @@ def test_family_flags_convert_like_config_keys(tmp_path, capsys):
     assert capsys.readouterr().out == from_file
     assert main(base + ["--family", "power_cosine", "--power", "1"]) == 0
     assert capsys.readouterr().out != from_file
+
+
+# arguments valid for every family, so a kind exits 0 exactly when its row lists the family
+_BOUND_ARGS = {
+    "SincosMain": ["--n", "50", "--epsilon", "0.5"],
+    "SincosTime": ["--n", "50", "--epsilon", "0.5", "--kappa", "2"],
+    "OrderParamCDF": ["--n", "10", "--t-level", "0.5"],
+    "GeneralMaincor": ["--n", "10", "--r-star", "0.5"],
+    "KappaLarge": ["--n", "10", "--c-mu", "0.5", "--beta", "0.5", "--kappa", "50", "--omega-max", "1"],
+    "QuantIS": ["--n", "10", "--kappa", "1", "--t-horizon", "1", "--delta", "0.1"],
+    "EscapeMeasure": ["--n", "10", "--delta", "0.5", "--kappa", "2", "--t-horizon", "1"],
+}
+
+
+def _family_args(family, tmp_path):
+    if family == "custom":
+        th = np.linspace(-np.pi, np.pi, 33)
+        for name, values in (("i.csv", 1.0 + np.cos(th)), ("s.csv", -np.sin(th))):
+            (tmp_path / name).write_text("theta,value\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(th, values)))
+        return ["--influence-table", str(tmp_path / "i.csv"), "--sensitivity-table", str(tmp_path / "s.csv")]
+    return {"sinusoidal": [], "power_cosine": ["--power", "3"], "rectified_poisson": ["--r-pk", "0.5"]}[family]
+
+
+@pytest.mark.parametrize("family", list(wf.model.FAMILIES))
+@pytest.mark.parametrize("kind", list(wf.thresholds.BOUNDS))
+def test_bounds_take_only_the_families_of_their_row(tmp_path, capsys, kind, family):
+    assert set(_BOUND_ARGS) == set(wf.thresholds.BOUNDS)
+    code = main(["bounds", "--kind", kind, *_BOUND_ARGS[kind], "--family", family,
+                 *_family_args(family, tmp_path), "--output", "-"])
+    out, err = capsys.readouterr()
+    if family in wf.thresholds.BOUNDS[kind].families:
+        assert code == 0 and 0.0 <= json.loads(out)["value"] <= 1.0, err
+    else:
+        assert code == 2 and kind in err and family in err, err
+
+
+# kind -> (samples, seed, arguments)
+_MC_RUNS = {
+    "order-param-cdf": (400, 5, ["--n", "10", "--t-level", "2.5"]),
+    "death": (16, 2, ["--omega", "0.1,-0.1,0.05,-0.05,0.02,-0.02", "--kappa", "1", "--horizon", "20",
+                      "--abs-tol", "1e-6", "--rel-tol", "1e-6", "--max-dt", "0.5"]),
+    "escape": (64, 4, ["--omega", "0,0,0,0,0,0", "--kappa", "0.05", "--delta", "0.5", "--t-horizon", "2",
+                       "--abs-tol", "1e-6", "--rel-tol", "1e-6", "--max-dt", "0.5"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(_MC_RUNS))
+def test_montecarlo_estimates_the_family_and_drops_a_verdict_it_cannot_give(capsys, kind):
+    # every bound the estimators are checked against holds for the sinusoidal
+    # family only: power_cosine(3) gets its own estimate and no verdict
+    spec = wf.power_cosine(3)
+    samples, seed, args = _MC_RUNS[kind]
+    assert main(["montecarlo", "--kind", kind, *args, "--samples", str(samples), "--seed", str(seed),
+                 "--family", "power_cosine", "--power", "3", "--output", "-"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["bound"] is None and data["dominated"] is None and data["dominates"] is None, data
+    mc = wf.McConfig(samples=samples, seed=seed)
+    opts = wf.dp45_options(20.0, 1.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
+    if kind == "order-param-cdf":
+        want = float(np.mean(wf.order_parameter(spec, wf.montecarlo._draws(mc.seed, 10, 0, mc.samples)) <= 2.5))
+        assert 0.0 < want < 1.0
+    elif kind == "death":
+        cfg = wf.SystemConfig(n=6, omega=np.array([0.1, -0.1, 0.05, -0.05, 0.02, -0.02]), kappa=1.0)
+        want = wf.empirical_death_probability(cfg, spec, opts, mc).estimate
+    else:
+        cfg = wf.SystemConfig(n=6, omega=np.zeros(6), kappa=0.05)
+        want = wf.estimate_escape_measure(cfg, spec, 0.5, 2.0, opts, mc).estimate
+    assert data["estimate"] == want

@@ -216,6 +216,8 @@ def test_family_divergence_equals_jacobian_trace(name):
             e[j] = h
             trace += (wf.vector_field(cfg, spec, theta + e)[j] - wf.vector_field(cfg, spec, theta - e)[j]) / (2 * h)
         assert wf.divergence(cfg, spec, theta) == pytest.approx(trace, abs=1e-6)
+        # the Jacobian is built from the same family table, so its trace is the divergence
+        assert np.trace(wf.jacobian(cfg, theta, spec)) == pytest.approx(wf.divergence(cfg, spec, theta), rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", [wf.sinusoidal(), wf.power_cosine(2), wf.rectified_poisson(0.3),

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -229,6 +232,17 @@ def test_bound_table_directions():
     upper_doc, lower_doc = doc.split("Upper bounds:")[1].split("Lower bounds")
     for kind, bound in thresholds.BOUNDS.items():
         assert kind in (upper_doc if bound.upper else lower_doc), kind
+
+
+@pytest.mark.parametrize("kind", list(thresholds.BOUNDS))
+def test_bound_families_follow_the_formula(kind):
+    # a formula that never reads spec cannot tell the families apart, so it may
+    # list the sinusoidal family only, the one its closed form was proved for
+    bound = thresholds.BOUNDS[kind]
+    node = ast.parse(textwrap.dedent(inspect.getsource(bound.formula)))
+    reads_spec = any(isinstance(n, ast.Name) and n.id == "spec" and isinstance(n.ctx, ast.Load) for n in ast.walk(node))
+    assert "sinusoidal" in bound.families and set(bound.families) <= set(wf.model.FAMILIES), bound.families
+    assert (set(bound.families) != {"sinusoidal"}) == reads_spec, (kind, bound.families)
 
 
 def test_probability_bounds_clamped():
