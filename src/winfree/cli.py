@@ -54,7 +54,10 @@ _SETTINGS = {
 
 _FREQUENCIES = ("n", "omega", "gamma")
 _SYSTEM = (*_FREQUENCIES, "kappa")
-_FAMILY = ("family", "power", "r_pk", "influence_table", "sensitivity_table")
+# family parameter -> the family that reads it
+_FAMILY_OF = {"power": "power_cosine", "r_pk": "rectified_poisson",
+              "influence_table": "custom", "sensitivity_table": "custom"}
+_FAMILY = ("family", *_FAMILY_OF)
 _SOLVER = ("horizon", "sample_stride", "method", "dt", "abs_tol", "rel_tol", "max_dt")
 _EVERY = ("seed", "output")  # besides --config
 
@@ -134,6 +137,9 @@ def _system_config(cfg: dict) -> SystemConfig:
 
 def _interaction_spec(cfg: dict) -> InteractionSpec:
     family = cfg.get("family", "sinusoidal")
+    for key, owner in _FAMILY_OF.items():
+        if key in cfg and family != owner:
+            raise ConfigurationError(f"{key} is read only by family {owner}, but family is {family}")
     if family == "sinusoidal":
         return model.sinusoidal()
     if family == "power_cosine":
@@ -297,7 +303,8 @@ def cmd_montecarlo(cfg: dict) -> int:
         t_level = cfg.get("t_level", 0.5)
         est = montecarlo.empirical_order_param_cdf(n, t_level, mc, spec)
         params = {"n": n, "t_level": t_level}
-        bound_params = BoundParams(t_level=t_level)
+        if 0.0 < t_level < 1.0:  # the bound's domain; the estimate's reaches sup I
+            bound_params = BoundParams(t_level=t_level)
     elif kind == "death":
         config = _system_config(cfg)
         est = montecarlo.empirical_death_probability(config, spec, _solver_options(cfg), mc)

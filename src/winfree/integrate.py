@@ -157,9 +157,13 @@ def _integrate_rows(
     arithmetic per row.  kappa is None (config.kappa) or one coupling per row.
     stop(times, thetas) -> one bool per row is evaluated on the rows that
     reach a sample time (and on every row at t=0); a row whose value is true
-    ends there.  Rows that end are dropped from the arrays.  Returns, per row,
-    its trajectory and its failure message (None when it reached the horizon
-    or stopped).
+    ends there.  Rows that end are dropped from the arrays.  Each sample event
+    is recorded as one block (the rows due, their sample time, their states);
+    at the end the blocks are ordered by row and every R comes from one
+    model.order_parameter call, so the rows' times, states and r_series are
+    contiguous slices of three shared arrays.  Returns, per row, its
+    trajectory and its failure message (None when it reached the horizon or
+    stopped).
     """
     theta = np.array(initial, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != config.n:
@@ -173,8 +177,8 @@ def _integrate_rows(
     min_h = _MIN_STEP_FRACTION * opts.horizon
     h_start = min(opts.max_dt, opts.sample_stride) if adaptive else opts.dt
 
-    times = [[0.0] for _ in range(b)]
-    states = [[row] for row in theta.copy()]
+    # sample blocks (rows, times, states) in the order they were taken
+    blocks = [(range(b), [0.0] * b, theta.copy())]
     accepted = [0] * b
     rejected = [0] * b
     failures: list[Optional[str]] = [None] * b
@@ -243,29 +247,36 @@ def _integrate_rows(
         due = [i for i in took if not ended[i] and not t[i] < targets[nxt[i]] - tol_t]
         while due:
             snap = theta[due]
-            for i, state in zip(due, snap):
-                times[rows[i]].append(targets[nxt[i]])
-                states[rows[i]].append(state)
+            due_t = [targets[nxt[i]] for i in due]
+            blocks.append(([rows[i] for i in due], due_t, snap))
             stops = [False] * len(due)
             if stop is not None:
-                stops = stop(np.array([targets[nxt[i]] for i in due]), snap)
+                stops = stop(np.array(due_t), snap)
             for i, stopped in zip(due, stops):
                 nxt[i] += 1
                 ended[i] = bool(stopped) or nxt[i] > last
             due = [i for i in due if not ended[i] and not t[i] < targets[nxt[i]] - tol_t]
 
+    owner = np.array([row for block in blocks for row in block[0]], dtype=int)
+    times = np.array([when for block in blocks for when in block[1]])
+    states = np.concatenate([block[2] for block in blocks])
+    del blocks  # at most one extra copy of the samples while they are reordered
+    order = np.argsort(owner, kind="stable")
+    times, states = times[order], states[order]
+    r_series = model.order_parameter(spec, states)
     out = []
-    for row in range(b):
-        states_arr = np.vstack(states[row])
+    lo = 0
+    for row, hi in enumerate(np.cumsum(np.bincount(owner)).tolist()):
         traj = Trajectory(
-            times=np.asarray(times[row]),
-            states=states_arr,
-            r_series=model.order_parameter(spec, states_arr),
+            times=times[lo:hi],
+            states=states[lo:hi],
+            r_series=r_series[lo:hi],
             accepted_steps=accepted[row],
             rejected_steps=rejected[row],
             solver_tol=opts.tolerance,
         )
         out.append((traj, failures[row]))
+        lo = hi
     return out
 
 

@@ -1,8 +1,8 @@
 """Seeded Monte Carlo estimators for the probabilities bounded in closed form.
 
 Each seed gives one PCG64 stream, and sample k is always doubles
-k*N .. k*N+N-1 of it: a block of samples jumps to its first sample with
-PCG64.advance and draws its rows in one call.  The death and escape
+k*N .. k*N+N-1 of it: a chunk of samples jumps to its first sample with
+PCG64.advance once and draws its blocks of rows in order.  The death and escape
 estimators integrate each block of samples as one batch whose rows do not
 depend on each other, so estimates are bit-identical regardless of worker
 count, block size or scheduling.  Result records name this layout in their
@@ -12,7 +12,6 @@ count, block size or scheduling.  Result records name this layout in their
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -73,11 +72,20 @@ def _estimate(successes: int, count: int) -> EstimateCI:
     )
 
 
-def _draws(seed: int, n: int, start: int, stop: int) -> np.ndarray:
-    """Samples start..stop-1 as rows; sample k is doubles k*n .. k*n+n-1 of seed's stream."""
+def _stream(seed: int, n: int, start: int) -> np.random.Generator:
+    """seed's stream positioned at sample start; each _rows call draws the samples that follow."""
     bits = np.random.PCG64(np.random.SeedSequence(seed))
     bits.advance(start * n)  # one double per 64-bit output
-    return np.random.Generator(bits).uniform(-np.pi, np.pi, (stop - start, n))
+    return np.random.Generator(bits)
+
+
+def _rows(stream: np.random.Generator, count: int, n: int) -> np.ndarray:
+    return stream.uniform(-np.pi, np.pi, (count, n))
+
+
+def _draws(seed: int, n: int, start: int, stop: int) -> np.ndarray:
+    """Samples start..stop-1 as rows; sample k is doubles k*n .. k*n+n-1 of seed's stream."""
+    return _rows(_stream(seed, n, start), stop - start, n)
 
 
 def sample_uniform_initial(n: int, mc: McConfig) -> np.ndarray:
@@ -96,33 +104,37 @@ def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
     return [(a, min(a + size, total)) for a in range(0, total, size)]
 
 
-def _run_chunk(fn, args, chunk) -> list[bool]:
-    """fn(*args, start, stop) over the chunk's consecutive blocks of BLOCK_SAMPLES samples."""
+def _run_chunk(fn, args, n: int, seed: int, chunk) -> list[bool]:
+    """fn(*args, rows) over the chunk's consecutive blocks of BLOCK_SAMPLES samples.
+
+    One stream positioned at the chunk's first sample draws the blocks in order.
+    """
     start, stop = chunk
+    stream = _stream(seed, n, start)
     hits: list[bool] = []
     for a in range(start, stop, BLOCK_SAMPLES):
-        hits.extend(fn(*args, a, min(a + BLOCK_SAMPLES, stop)))
+        hits.extend(fn(*args, _rows(stream, min(BLOCK_SAMPLES, stop - a), n)))
     return hits
 
 
-def _map_samples(fn, args, mc: McConfig) -> list[bool]:
-    """One hit per sample, in sample order; fn is a module-level block function.
+def _map_samples(fn, args, n: int, mc: McConfig) -> list[bool]:
+    """One hit per sample of n phases, in sample order; fn is a module-level block function.
 
     Sample k reads only its own slice of the stream and each row of a block
     integrates on its own, so the hits do not depend on the worker count or
     block size.
     """
     if mc.workers == 1:
-        return _run_chunk(fn, args, (0, mc.samples))
+        return _run_chunk(fn, args, n, mc.seed, (0, mc.samples))
+    from concurrent.futures import ProcessPoolExecutor  # not loaded by a one-worker run
+
     with ProcessPoolExecutor(max_workers=mc.workers) as pool:
-        futures = [pool.submit(_run_chunk, fn, args, ch) for ch in _chunks(mc.samples, mc.workers)]
+        futures = [pool.submit(_run_chunk, fn, args, n, mc.seed, ch) for ch in _chunks(mc.samples, mc.workers)]
         return [hit for f in futures for hit in f.result()]
 
 
-def _cdf_block(
-    spec: InteractionSpec, n: int, t_level: float, seed: int, start: int, stop: int
-) -> list[bool]:
-    return (model.order_parameter(spec, _draws(seed, n, start, stop)) <= t_level).tolist()
+def _cdf_block(spec: InteractionSpec, t_level: float, draws: np.ndarray) -> list[bool]:
+    return (model.order_parameter(spec, draws) <= t_level).tolist()
 
 
 def empirical_order_param_cdf(
@@ -131,7 +143,7 @@ def empirical_order_param_cdf(
     """Fraction of uniform initial states whose R0 under spec's influence is <= t_level."""
     if not 0.0 < t_level <= spec.sup_I:
         raise DomainError(f"t_level must lie in (0, {spec.sup_I:g}]")
-    hits = _map_samples(_cdf_block, (spec, n, t_level, mc.seed), mc)
+    hits = _map_samples(_cdf_block, (spec, t_level), n, mc)
     return _estimate(sum(hits), mc.samples)
 
 
@@ -141,11 +153,9 @@ def _death_block(
     opts: SolverOptions,
     r_floor: float,
     window_start: float,
-    seed: int,
-    start: int,
-    stop: int,
+    draws: np.ndarray,
 ) -> list[bool]:
-    runs = integrate._integrate_rows(config, spec, _draws(seed, config.n, start, stop), opts)
+    runs = integrate._integrate_rows(config, spec, draws, opts)
     return [
         failure is None
         and bool(np.all(integrate.detect_death(traj, window_start)))
@@ -168,9 +178,7 @@ def empirical_death_probability(
     the window and the final order parameter clears r_floor.  Integration
     failures count as non-death (conservative).
     """
-    hits = _map_samples(
-        _death_block, (config, spec, opts, r_floor, window_start, mc.seed), mc
-    )
+    hits = _map_samples(_death_block, (config, spec, opts, r_floor, window_start), config.n, mc)
     return _estimate(sum(hits), mc.samples)
 
 
@@ -179,20 +187,20 @@ def _escape_block(
     spec: InteractionSpec,
     opts: SolverOptions,
     delta: float,
-    seed: int,
-    start: int,
-    stop: int,
+    draws: np.ndarray,
 ) -> list[bool]:
+    """A row escapes when it neither failed nor was stopped at a sample with R >= 1-delta.
+
+    Every earlier sample of a stopped row had R < 1-delta, and a row that did
+    neither reached the horizon, so its last R decides.
+    """
     level = 1.0 - delta
 
     def reached(times, thetas):
         return model.order_parameter(spec, thetas) >= level
 
-    runs = integrate._integrate_rows(config, spec, _draws(seed, config.n, start, stop), opts, stop=reached)
-    return [
-        failure is None and bool(np.all(traj.r_series < level)) and traj.times[-1] >= opts.horizon - 1e-9
-        for traj, failure in runs
-    ]
+    runs = integrate._integrate_rows(config, spec, draws, opts, stop=reached)
+    return [failure is None and float(traj.r_series[-1]) < level for traj, failure in runs]
 
 
 def estimate_escape_measure(
@@ -214,7 +222,7 @@ def estimate_escape_measure(
     if config.kappa <= 0:
         raise DomainError("requires kappa > 0")
     run_opts = replace(opts, horizon=t_horizon, sample_stride=min(opts.sample_stride, t_horizon))
-    hits = _map_samples(_escape_block, (config, spec, run_opts, delta, mc.seed), mc)
+    hits = _map_samples(_escape_block, (config, spec, run_opts, delta), config.n, mc)
     return _estimate(sum(hits), mc.samples)
 
 

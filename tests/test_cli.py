@@ -480,3 +480,38 @@ def test_montecarlo_estimates_the_family_and_drops_a_verdict_it_cannot_give(caps
         cfg = wf.SystemConfig(n=6, omega=np.zeros(6), kappa=0.05)
         want = wf.estimate_escape_measure(cfg, spec, 0.5, 2.0, opts, mc).estimate
     assert data["estimate"] == want
+
+
+@pytest.mark.parametrize("t_level", [1.5, 0.5])
+def test_order_param_cdf_verdict_only_inside_the_bound_domain(capsys, t_level):
+    # the sinusoidal estimate takes t_level up to sup I = 2; the OrderParamCDF bound only (0, 1)
+    assert main(["montecarlo", "--kind", "order-param-cdf", "--n", "4", "--t-level", str(t_level),
+                 "--samples", "50", "--output", "-"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["estimate"] == wf.empirical_order_param_cdf(4, t_level, wf.McConfig(samples=50, seed=0)).estimate
+    assert data["dominates"] is None
+    if t_level < 1.0:
+        assert data["bound"] is not None and isinstance(data["dominated"], bool), data
+    else:
+        assert data["bound"] is None and data["dominated"] is None, data
+
+
+@pytest.mark.parametrize("command", [
+    ["montecarlo", "--kind", "order-param-cdf", "--n", "10", "--samples", "20"],
+    ["bounds", "--kind", "GeneralMaincor", "--n", "10", "--r-star", "0.5"],
+], ids=["montecarlo", "bounds"])
+@pytest.mark.parametrize("key, family", [
+    ("power", "power_cosine"), ("r_pk", "rectified_poisson"),
+    ("influence_table", "custom"), ("sensitivity_table", "custom"),
+])
+def test_family_parameters_need_their_family(tmp_path, capsys, command, key, family):
+    # a family parameter given without its family used to be ignored
+    value = {"power": "4", "r_pk": "0.3"}.get(key, str(tmp_path / "table.csv"))
+    assert main([*command, "--" + key.replace("_", "-"), value, "--output", "-"]) == 2
+    err = capsys.readouterr().err
+    assert key in err and family in err, err
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"family": "sinusoidal", key: value}))
+    assert main([*command, "--config", str(path), "--output", "-"]) == 2
+    err = capsys.readouterr().err
+    assert key in err and family in err, err

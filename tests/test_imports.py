@@ -1,6 +1,9 @@
 import ast
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -34,3 +37,12 @@ def test_exported_functions_read_every_parameter(name):
     params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
     read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert [p for p in params if p not in read] == []
+
+
+def test_import_winfree_leaves_multiprocessing_unloaded():
+    # the process pool is imported only by a Monte Carlo run with workers > 1
+    src = str(pathlib.Path(winfree.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, winfree; print('multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]

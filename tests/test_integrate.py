@@ -284,6 +284,27 @@ def test_ensemble_rows_do_not_depend_on_batch(spec, opts):
     assert ends[0] == 30.0 and min(ends[4:]) < 30.0  # kappa = 0 runs on, strong coupling stops
 
 
+@pytest.mark.parametrize("opts", [
+    wf.dp45_options(horizon=10.0, sample_stride=0.5, abs_tol=1e-7, rel_tol=1e-7, max_dt=0.5),
+    wf.rk4_options(0.05, 10.0, 0.5),
+], ids=["dp45", "rk4"])
+def test_batched_rows_are_contiguous_and_take_r_from_their_own_states(opts):
+    # rows of a batch are slices of shared sample arrays, ordered by row
+    rng = np.random.default_rng(8)
+    cfg = wf.SystemConfig(n=5, omega=rng.uniform(-1, 1, 5), kappa=1.0)
+    initial = rng.uniform(-np.pi, np.pi, (6, 5))
+    for spec in (SPEC, wf.power_cosine(2), wf.rectified_poisson(0.3), _table_spec()):
+        level = 0.85 * float(wf.influence(spec, np.zeros(1))[0])
+        runs = integrate._integrate_rows(cfg, spec, initial, opts, kappa=[0.0, 0.5, 1.0, 2.0, 3.0, 4.0],
+                                         stop=lambda t, y: wf.order_parameter(spec, y) >= level)
+        assert len({len(traj.times) for traj, _ in runs}) > 1  # rows end at different samples
+        for theta0, (traj, _) in zip(initial, runs):
+            assert traj.r_series.tobytes() == wf.order_parameter(spec, traj.states).tobytes()
+            assert traj.times.flags.c_contiguous and traj.states.flags.c_contiguous
+            assert traj.states.shape == (len(traj.times), 5) and np.array_equal(traj.states[0], theta0)
+            assert np.all(np.diff(traj.times) > 0)
+
+
 def test_integration_failures_logged_only_at_debug(caplog):
     underflow = wf.SystemConfig(n=2, omega=np.array([1e155, 0.0]), kappa=1e300)
     opts = wf.dp45_options(horizon=1.0, sample_stride=0.1)

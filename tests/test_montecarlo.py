@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import winfree as wf
-from winfree import montecarlo
+from winfree import integrate, montecarlo
 from winfree.errors import ConfigurationError, DomainError, IntegrationFailure
 
 
@@ -158,21 +158,20 @@ def test_result_json_dict():
 
 
 def _one_at_a_time_hits(cfg, opts, seed, samples, r_floor=None, delta=None):
-    """The estimators' per-sample rules, one simulate call per sample."""
+    """The estimators' per-sample rules, one simulate call per sample; a failed sample is no hit."""
     hits = []
+    level = None if delta is None else 1.0 - delta
+    stop = None if delta is None else (lambda t, y: wf.order_parameter(SPEC, y) >= level)
     for k in range(samples):
         theta0 = montecarlo._draws(seed, cfg.n, k, k + 1)[0]
+        try:
+            traj = wf.simulate(cfg, SPEC, theta0, opts, stop_condition=stop)
+        except IntegrationFailure:
+            hits.append(False)
+            continue
         if delta is None:
-            try:
-                traj = wf.simulate(cfg, SPEC, theta0, opts)
-            except IntegrationFailure:
-                hits.append(False)
-                continue
             hits.append(bool(np.all(wf.detect_death(traj, 0.0))) and traj.r_series[-1] >= r_floor)
         else:
-            level = 1.0 - delta
-            traj = wf.simulate(cfg, SPEC, theta0, opts,
-                               stop_condition=lambda t, y: wf.order_parameter(SPEC, y) >= level)
             hits.append(bool(np.all(traj.r_series < level)) and traj.times[-1] >= opts.horizon - 1e-9)
     return hits
 
@@ -186,7 +185,7 @@ def test_block_estimators_match_one_sample_at_a_time(monkeypatch, block):
     omega = np.random.default_rng(77).uniform(-1, 1, 6)
     cfg = wf.SystemConfig(n=6, omega=omega, kappa=0.97 * wf.critical_coupling(omega))
     opts = wf.dp45_options(horizon=40.0, sample_stride=2.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
-    hits = montecarlo._death_block(cfg, SPEC, opts, 0.0, 0.0, 5, 0, 16)
+    hits = montecarlo._death_block(cfg, SPEC, opts, 0.0, 0.0, montecarlo._draws(5, 6, 0, 16))
     assert hits == _one_at_a_time_hits(cfg, opts, 5, 16, r_floor=0.0)
     assert 0 < sum(hits) < 16
     est = wf.empirical_death_probability(cfg, SPEC, opts, wf.McConfig(samples=16, seed=5))
@@ -197,6 +196,44 @@ def test_block_estimators_match_one_sample_at_a_time(monkeypatch, block):
     assert 0 < sum(want) < 40
     est = wf.estimate_escape_measure(weak, SPEC, 0.1, 10.0, esc_opts, wf.McConfig(samples=40, seed=9))
     assert est.estimate == sum(want) / 40
+
+
+def test_escape_verdict_reads_how_each_row_ended():
+    # the escape block decides each row from how it ended, not from its R
+    # series: a row whose R first reaches 1-delta at the horizon sample was
+    # stopped there, and a row that fails recorded only R below 1-delta
+    cfg = wf.SystemConfig(n=4, omega=np.zeros(4), kappa=0.5)
+    opts = wf.dp45_options(horizon=2.0, sample_stride=0.25, abs_tol=1e-7, rel_tol=1e-7, max_dt=0.5)
+    draws = montecarlo._draws(11, 4, 0, 64)
+    free = [traj.r_series for traj, _ in integrate._integrate_rows(cfg, SPEC, draws, opts)]
+    k = max(range(64), key=lambda j: free[j][-1] - free[j][:-1].max())  # R rises to the end
+    assert free[k][-1] > free[k][:-1].max()
+    delta = 1.0 - 0.5 * (free[k][-1] + free[k][:-1].max())
+    hits = montecarlo._escape_block(cfg, SPEC, opts, delta, draws)
+    assert hits == _one_at_a_time_hits(cfg, opts, 11, 64, delta=delta)
+    assert not hits[k] and 0 < sum(hits) < 64
+    # at kappa = 1e100 every row that does not stop at t=0 fails on its first step
+    strong = wf.SystemConfig(n=4, omega=np.zeros(4), kappa=1e100)
+    runs = integrate._integrate_rows(strong, SPEC, draws, opts,
+                                     stop=lambda t, y: wf.order_parameter(SPEC, y) >= 1.0 - delta)
+    failed = [failure is not None and traj.r_series[-1] < 1.0 - delta for traj, failure in runs]
+    assert 0 < sum(failed) < 64
+    hits = montecarlo._escape_block(strong, SPEC, opts, delta, draws)
+    assert hits == _one_at_a_time_hits(strong, opts, 11, 64, delta=delta) == [False] * 64
+
+
+def test_estimators_return_python_floats():
+    mc = wf.McConfig(samples=40, seed=9)
+    opts = wf.dp45_options(horizon=10.0, sample_stride=0.25, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
+    strong = wf.SystemConfig(n=4, omega=np.array([0.1, -0.1, 0.05, 0.0]), kappa=1.0)
+    weak = wf.SystemConfig(n=6, omega=np.zeros(6), kappa=0.02)
+    ests = [
+        wf.empirical_order_param_cdf(6, 0.8, mc),
+        wf.empirical_death_probability(strong, SPEC, opts, mc),
+        wf.estimate_escape_measure(weak, SPEC, 0.1, 10.0, opts, mc),
+    ]
+    assert [type(est.estimate) for est in ests] == [float] * 3
+    assert all(0.0 < est.estimate for est in ests)
 
 
 def test_wilson_interval_is_not_degenerate_at_zero_and_one():
