@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
@@ -130,6 +131,49 @@ class RegimeReport:
     death_flags: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class _Rows(Sequence):
+    """The rows of one _integrate_rows call, as columns.
+
+    times, states and r_series hold every sample, ordered by row: row i owns
+    samples ends[i-1] .. ends[i]-1 (from 0 for row 0).  Item i is row i's
+    (Trajectory, failure) pair, built when it is read from contiguous slices
+    of those arrays, so a caller that reads only the columns (final_r,
+    failures) builds no Trajectory.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+    r_series: np.ndarray
+    ends: np.ndarray
+    accepted: tuple[int, ...]
+    rejected: tuple[int, ...]
+    failures: tuple[Optional[str], ...]
+    solver_tol: float
+
+    def __len__(self) -> int:
+        return len(self.failures)
+
+    def __getitem__(self, row: int) -> tuple[Trajectory, Optional[str]]:
+        row = range(len(self))[row]  # a negative row counts from the end
+        lo = int(self.ends[row - 1]) if row else 0
+        hi = int(self.ends[row])
+        traj = Trajectory(
+            times=self.times[lo:hi],
+            states=self.states[lo:hi],
+            r_series=self.r_series[lo:hi],
+            accepted_steps=self.accepted[row],
+            rejected_steps=self.rejected[row],
+            solver_tol=self.solver_tol,
+        )
+        return traj, self.failures[row]
+
+    @property
+    def final_r(self) -> np.ndarray:
+        """Each row's last R, r_series[-1] of its trajectory."""
+        return self.r_series[self.ends - 1]
+
+
 def _sample_times(opts: SolverOptions) -> np.ndarray:
     n_strides = int(np.floor(opts.horizon / opts.sample_stride + 1e-9))
     times = opts.sample_stride * np.arange(n_strides + 1)
@@ -147,7 +191,7 @@ def _integrate_rows(
     opts: SolverOptions,
     kappa=None,
     stop=None,
-) -> list[tuple[Trajectory, Optional[str]]]:
+) -> _Rows:
     """The one step loop: integrate each row of initial, shape (B, N), on its own clock.
 
     Every row keeps its own t, step size, next sample time, step counters and
@@ -160,14 +204,15 @@ def _integrate_rows(
     ends there.  Rows that end are dropped from the arrays.  Each sample event
     is recorded as one block (the rows due, their sample time, their states);
     at the end the blocks are ordered by row and every R comes from one
-    model.order_parameter call, so the rows' times, states and r_series are
-    contiguous slices of three shared arrays.  Returns, per row, its
-    trajectory and its failure message (None when it reached the horizon or
-    stopped).
+    model.order_parameter call.  Returns those columns as a _Rows, whose
+    items are, per row, its trajectory and its failure message (None when it
+    reached the horizon or stopped).
     """
     theta = np.array(initial, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != config.n:
         raise ConfigurationError("initial state length must equal config.n")
+    if not np.isfinite(theta).all():
+        raise ConfigurationError("initial state must be finite")
     b, n = theta.shape
     kap = None if kappa is None else np.array(kappa, dtype=float)
     targets = _sample_times(opts).tolist()
@@ -203,8 +248,9 @@ def _integrate_rows(
             ks = np.empty((len(rows), 7, n))
             ks[:, 0] = k1
             for i in range(1, 7):
-                ks[:, i] = model.vector_field(config, spec, theta + step * (_DP_A[i] @ ks[:, :i]), kap)
-            y5 = theta + step * (_DP_B5 @ ks)
+                stage = theta + step * (_DP_A[i] @ ks[:, :i])
+                ks[:, i] = model.vector_field(config, spec, stage, kap)
+            y5 = stage  # _DP_A[6] is _DP_B5 without its zero last weight (first-same-as-last)
             err_vec = step * (_DP_E @ ks)
             scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(theta), np.abs(y5))
             errs = np.sqrt(np.add.reduce((err_vec / scale) ** 2, axis=-1) / n).tolist()
@@ -264,20 +310,8 @@ def _integrate_rows(
     order = np.argsort(owner, kind="stable")
     times, states = times[order], states[order]
     r_series = model.order_parameter(spec, states)
-    out = []
-    lo = 0
-    for row, hi in enumerate(np.cumsum(np.bincount(owner)).tolist()):
-        traj = Trajectory(
-            times=times[lo:hi],
-            states=states[lo:hi],
-            r_series=r_series[lo:hi],
-            accepted_steps=accepted[row],
-            rejected_steps=rejected[row],
-            solver_tol=opts.tolerance,
-        )
-        out.append((traj, failures[row]))
-        lo = hi
-    return out
+    return _Rows(times, states, r_series, np.cumsum(np.bincount(owner)), tuple(accepted), tuple(rejected),
+                 tuple(failures), opts.tolerance)
 
 
 def simulate(

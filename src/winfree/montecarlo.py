@@ -192,7 +192,8 @@ def _escape_block(
     """A row escapes when it neither failed nor was stopped at a sample with R >= 1-delta.
 
     Every earlier sample of a stopped row had R < 1-delta, and a row that did
-    neither reached the horizon, so its last R decides.
+    neither reached the horizon, so its last R decides: the block reads the
+    final-R and failure columns and builds no Trajectory.
     """
     level = 1.0 - delta
 
@@ -200,7 +201,7 @@ def _escape_block(
         return model.order_parameter(spec, thetas) >= level
 
     runs = integrate._integrate_rows(config, spec, draws, opts, stop=reached)
-    return [failure is None and float(traj.r_series[-1]) < level for traj, failure in runs]
+    return [failure is None and r < level for r, failure in zip(runs.final_r.tolist(), runs.failures)]
 
 
 def estimate_escape_measure(

@@ -219,6 +219,19 @@ def test_huge_escape_horizon_exits_2():
     assert out.returncode == 2 and out.stderr.startswith("configuration error") and "sample_stride" in out.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["kappa-pc", "--n", "3", "--initial", "inf,0,0", "--horizon", "2"],
+    ["simulate", "--n", "3", "--kappa", "1", "--initial", "nan,0,0", "--horizon", "2"],
+], ids=["kappa_pc_inf", "simulate_nan"])
+def test_non_finite_initial_state_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # kappa-pc used to print the unbisected upper end and simulate to exit 3
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("configuration error") and "finite" in out.err, out.err
+    assert out.out == "" and list(tmp_path.iterdir()) == []
+
+
 def test_import_winfree_leaves_cli_unloaded():
     code = "import sys, winfree; print('argparse' in sys.modules, 'winfree.cli' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True, check=True)

@@ -305,6 +305,51 @@ def test_batched_rows_are_contiguous_and_take_r_from_their_own_states(opts):
             assert np.all(np.diff(traj.times) > 0)
 
 
+def _pair_bytes(pair):
+    traj, failure = pair
+    return (traj.times.tobytes(), traj.states.tobytes(), traj.r_series.tobytes(),
+            traj.accepted_steps, traj.rejected_steps, traj.solver_tol, failure)
+
+
+def test_rows_read_like_a_list_of_pairs():
+    # a batch whose rows stop, fail and reach the horizon gives each row's
+    # pair by positive and negative index and by iteration, built from its
+    # slices of the shared columns; the final-R column is each row's last R
+    rng = np.random.default_rng(9)
+    cfg = wf.SystemConfig(n=4, omega=rng.uniform(-1, 1, 4), kappa=1.0)
+    initial = rng.uniform(-np.pi, np.pi, (6, 4))
+    kappas = [0.0, 3.0, 1e308, 4.0, 0.5, 1e308]
+    opts = wf.dp45_options(horizon=10.0, sample_stride=0.5, abs_tol=1e-7, rel_tol=1e-7, max_dt=0.5)
+
+    def stop(times, thetas):
+        return wf.order_parameter(SPEC, thetas) >= 1.7
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        runs = integrate._integrate_rows(cfg, SPEC, initial, opts, kappa=kappas, stop=stop)
+        single = [integrate._integrate_rows(cfg, SPEC, initial[j:j + 1], opts, kappa=kappas[j:j + 1], stop=stop)[0]
+                  for j in range(6)]
+    want = [_pair_bytes(pair) for pair in single]
+    assert len(runs) == 6
+    assert [_pair_bytes(runs[j]) for j in range(6)] == want
+    assert [_pair_bytes(runs[j - 6]) for j in range(6)] == want
+    assert [_pair_bytes(pair) for pair in runs] == want
+    for bad in (6, -7):
+        with pytest.raises(IndexError):
+            runs[bad]
+    ends = ["failed" if f is not None else "horizon" if t.times[-1] == 10.0 else "stopped" for t, f in single]
+    assert {"failed", "horizon", "stopped"} <= set(ends), ends
+    assert runs.failures == tuple(f for _, f in single)
+    assert runs.final_r.tobytes() == np.array([t.r_series[-1] for t, _ in single]).tobytes()
+
+
+def test_simulate_refuses_a_non_finite_initial_state():
+    cfg = wf.SystemConfig(n=3, omega=np.array([0.1, 0.0, -0.1]), kappa=1.0)
+    opts = wf.dp45_options(horizon=2.0, sample_stride=0.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigurationError, match="finite"):
+            wf.simulate(cfg, SPEC, [0.0, bad, 0.0], opts)
+
+
 def test_integration_failures_logged_only_at_debug(caplog):
     underflow = wf.SystemConfig(n=2, omega=np.array([1e155, 0.0]), kappa=1e300)
     opts = wf.dp45_options(horizon=1.0, sample_stride=0.1)

@@ -222,6 +222,24 @@ def test_escape_verdict_reads_how_each_row_ended():
     assert hits == _one_at_a_time_hits(strong, opts, 11, 64, delta=delta) == [False] * 64
 
 
+def test_escape_builds_no_trajectory_and_simulate_builds_one(monkeypatch):
+    built = []
+    real = integrate.Trajectory
+
+    def counting(**fields):
+        built.append(fields["times"][-1])
+        return real(**fields)
+
+    monkeypatch.setattr(integrate, "Trajectory", counting)
+    weak = wf.SystemConfig(n=6, omega=np.zeros(6), kappa=0.02)
+    opts = wf.dp45_options(horizon=10.0, sample_stride=0.25, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
+    est = wf.estimate_escape_measure(weak, SPEC, 0.1, 10.0, opts, wf.McConfig(samples=200, seed=9))
+    assert 0.0 < est.estimate < 1.0
+    assert built == []
+    traj = wf.simulate(weak, SPEC, np.zeros(6), opts)
+    assert built == [10.0] and isinstance(traj, real)
+
+
 def test_estimators_return_python_floats():
     mc = wf.McConfig(samples=40, seed=9)
     opts = wf.dp45_options(horizon=10.0, sample_stride=0.25, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
