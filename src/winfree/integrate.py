@@ -89,9 +89,9 @@ def rk4_options(dt: float, horizon: float, sample_stride: float) -> SolverOption
 def dp45_options(
     horizon: float,
     sample_stride: float,
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-9,
-    max_dt: float = 0.1,
+    abs_tol: float = SolverOptions.abs_tol,
+    rel_tol: float = SolverOptions.rel_tol,
+    max_dt: float = SolverOptions.max_dt,
 ) -> SolverOptions:
     return SolverOptions(
         method="dormand_prince45",
@@ -351,8 +351,6 @@ def estimate_pathwise_critical_coupling(
     one-at-a-time bisection.
     """
     upper, _ = thresholds.toy_thresholds(spec, config, list(range(config.n)))
-    if upper == 0.0:
-        return 0.0
     theta = model._phases(initial)
 
     def dies(kappas: list[float]) -> list[bool]:
@@ -422,20 +420,14 @@ def classify_regime(rho, tol: float) -> str:
     return "Incoherence"
 
 
-def regime_report(
-    traj: Trajectory,
-    config: SystemConfig,
-    window_start: Optional[float] = None,
-    tol: Optional[float] = None,
-) -> RegimeReport:
-    """Rotation numbers, death flags and regime; the regime reads rho alone (see classify_regime)."""
-    if window_start is None:
-        window_start = 0.0
-    if tol is None:
-        tol = default_regime_tol(config.omega)
+def regime_report(traj: Trajectory, config: SystemConfig) -> RegimeReport:
+    """Rotation numbers, death flags over the whole run and regime at default_regime_tol.
+
+    The regime reads rho alone (see classify_regime).
+    """
     rho = rotation_numbers(traj)
-    flags = detect_death(traj, window_start)
-    return RegimeReport(rho=rho, regime=classify_regime(rho, tol), death_flags=flags)
+    regime = classify_regime(rho, default_regime_tol(config.omega))
+    return RegimeReport(rho=rho, regime=regime, death_flags=detect_death(traj, 0.0))
 
 
 @dataclass(frozen=True)
@@ -459,15 +451,14 @@ def verify_theorem_conclusions(traj: Trajectory, config: SystemConfig, mu: float
     (a) R(t) >= R0 - mu at all samples; (c) the cos(theta_i) >= -1+mu band is
     forward-invariant and reaches cos >= 1-mu within the entrance time; (e) the
     frequency-ordered gap bounds with exponential envelopes, for co-trapped
-    pairs, checked at sample times.  Slack is 10x the solver tolerance.
+    pairs, checked at sample times.  Slack is 10x the solver tolerance.  The
+    domain of mu and the threshold kappa must exceed come from
+    thresholds.sinusoidal_threshold.
     """
     r0 = float(traj.r_series[0])
     omega_inf = config.omega_max
     kappa = config.kappa
-    if not 0.0 < mu < min(r0, 1.0):
-        raise PreconditionError(f"need 0 < mu < min(R0, 1): mu={mu}, R0={r0}")
-    rate = (r0 - mu) * np.sqrt(mu * (2.0 - mu))
-    threshold = omega_inf / rate
+    threshold = thresholds.sinusoidal_threshold(r0, mu, omega_inf)
     if kappa <= threshold:
         raise PreconditionError(
             f"hypothesis kappa > omega_max/((R0-mu)*sqrt(mu*(2-mu))) fails: "
@@ -476,6 +467,7 @@ def verify_theorem_conclusions(traj: Trajectory, config: SystemConfig, mu: float
     slack = 10.0 * traj.solver_tol
     times = traj.times
     cos_states = np.cos(traj.states)
+    rate = (r0 - mu) * np.sqrt(mu * (2.0 - mu))  # conclusion (c)'s rate, the threshold's denominator
     tau = np.pi / (kappa * rate - omega_inf)
     decay = kappa * (r0 - mu) * (1.0 - mu)
 

@@ -355,10 +355,10 @@ def jacobian(config: SystemConfig, state, spec: InteractionSpec = sinusoidal()) 
     return jac
 
 
-def is_gradient_spec(spec: InteractionSpec, tol: float = 1e-8) -> bool:
-    """True when S = I' holds (numerically on a grid), i.e. gradient flow."""
+def is_gradient_spec(spec: InteractionSpec) -> bool:
+    """True when S = I' holds to 1e-8 on a 2048-point grid, i.e. gradient flow."""
     th = np.linspace(-np.pi, np.pi, 2048)
-    return bool(np.max(np.abs(sensitivity(spec, th) - influence_deriv(spec, th))) < tol)
+    return bool(np.max(np.abs(sensitivity(spec, th) - influence_deriv(spec, th))) < 1e-8)
 
 
 def potential(config: SystemConfig, spec: InteractionSpec, state) -> float:

@@ -124,12 +124,14 @@ def _map_samples(fn, args, n: int, mc: McConfig) -> list[bool]:
     integrates on its own, so the hits do not depend on the worker count or
     block size.
     """
-    if mc.workers == 1:
-        return _run_chunk(fn, args, n, mc.seed, (0, mc.samples))
-    from concurrent.futures import ProcessPoolExecutor  # not loaded by a one-worker run
+    chunks = _chunks(mc.samples, mc.workers)
+    if len(chunks) == 1:
+        return _run_chunk(fn, args, n, mc.seed, chunks[0])
+    from concurrent.futures import ProcessPoolExecutor  # not loaded by a one-chunk run
 
-    with ProcessPoolExecutor(max_workers=mc.workers) as pool:
-        futures = [pool.submit(_run_chunk, fn, args, n, mc.seed, ch) for ch in _chunks(mc.samples, mc.workers)]
+    # a fork pool starts all max_workers processes at the first submit
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        futures = [pool.submit(_run_chunk, fn, args, n, mc.seed, ch) for ch in chunks]
         return [hit for f in futures for hit in f.result()]
 
 
@@ -152,13 +154,12 @@ def _death_block(
     spec: InteractionSpec,
     opts: SolverOptions,
     r_floor: float,
-    window_start: float,
     draws: np.ndarray,
 ) -> list[bool]:
     runs = integrate._integrate_rows(config, spec, draws, opts)
     return [
         failure is None
-        and bool(np.all(integrate.detect_death(traj, window_start)))
+        and bool(np.all(integrate.detect_death(traj, 0.0)))
         and float(traj.r_series[-1]) >= r_floor
         for traj, failure in runs
     ]
@@ -170,15 +171,14 @@ def empirical_death_probability(
     opts: SolverOptions,
     mc: McConfig,
     r_floor: float = 0.0,
-    window_start: float = 0.0,
 ) -> EstimateCI:
     """Fraction of seeded uniform initial data exhibiting all-oscillator death.
 
     A sample counts when every unwrapped phase stays within a 2*pi band over
-    the window and the final order parameter clears r_floor.  Integration
+    the whole run and the final order parameter clears r_floor.  Integration
     failures count as non-death (conservative).
     """
-    hits = _map_samples(_death_block, (config, spec, opts, r_floor, window_start), config.n, mc)
+    hits = _map_samples(_death_block, (config, spec, opts, r_floor), config.n, mc)
     return _estimate(sum(hits), mc.samples)
 
 

@@ -67,13 +67,13 @@ def general_threshold(spec: InteractionSpec, r0: float, omega_max: float) -> flo
     return max(branch1, branch2)
 
 
-def _golden_min(f, a: float, b: float, tol: float = 1e-11) -> tuple[float, float]:
-    """Golden-section minimum of f on [a, b]."""
+def _golden_min(f, a: float, b: float) -> tuple[float, float]:
+    """Golden-section minimum of f on [a, b], to a bracket width of 1e-11."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-11:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -125,16 +125,16 @@ def _bisect_walk(above: Callable[[list[float]], Sequence[bool]], a: float, b: fl
     return a, b
 
 
-def _grid_extrema(f, points: int = 4096) -> tuple[float, float]:
+def _grid_extrema(f) -> tuple[float, float]:
     """(min, max) of a periodic scalar function over [-pi, pi].
 
-    One grid scan, then a golden-section refinement around its argmin and argmax.
+    One 4096-point grid scan, then a golden-section refinement around its argmin and argmax.
     """
-    grid = np.linspace(-np.pi, np.pi, points)
+    grid = np.linspace(-np.pi, np.pi, 4096)
     vals = f(grid)
     extrema = []
     for idx, sign in ((int(np.argmin(vals)), 1.0), (int(np.argmax(vals)), -1.0)):
-        a, b = grid[max(idx - 1, 0)], grid[min(idx + 1, points - 1)]
+        a, b = grid[max(idx - 1, 0)], grid[min(idx + 1, len(grid) - 1)]
         _, v = _golden_min(lambda x: sign * float(f(np.array([x]))[0]), a, b)
         extrema.append(sign * v)
     return extrema[0], extrema[1]

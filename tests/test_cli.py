@@ -194,8 +194,9 @@ def _env_with_src():
 @pytest.mark.parametrize("args", [
     ["--max-dt", "nan"], ["--abs-tol", "nan"], ["--horizon", "nan"], ["--horizon", "inf"],
     ["--sample-stride", "nan"], ["--dt", "nan", "--method", "rk4_fixed"],
-    ["--horizon", "1e300"], ["--horizon", "1", "--sample-stride", "5e-324"],
-], ids=["max_dt", "abs_tol", "horizon_nan", "horizon_inf", "sample_stride", "dt", "horizon_huge", "sample_stride_tiny"])
+    ["--horizon", "1e300"], ["--horizon", "1", "--sample-stride", "5e-324"], ["--dt", "nan"],
+], ids=["max_dt", "abs_tol", "horizon_nan", "horizon_inf", "sample_stride", "dt", "horizon_huge", "sample_stride_tiny",
+        "dt_unread_by_dp45"])
 def test_non_finite_solver_settings_exit_2(args):
     # a subprocess with a timeout: a NaN step size used to loop forever, and a
     # sample grid past integrate.MAX_SAMPLES is refused before it is built
@@ -222,14 +223,46 @@ def test_huge_escape_horizon_exits_2():
 @pytest.mark.parametrize("argv", [
     ["kappa-pc", "--n", "3", "--initial", "inf,0,0", "--horizon", "2"],
     ["simulate", "--n", "3", "--kappa", "1", "--initial", "nan,0,0", "--horizon", "2"],
-], ids=["kappa_pc_inf", "simulate_nan"])
+    ["kappa-pc", "--n", "3", "--omega", "0,0,0", "--initial", "inf,0,0", "--horizon", "2"],
+], ids=["kappa_pc_inf", "simulate_nan", "kappa_pc_zero_omega"])
 def test_non_finite_initial_state_exits_2(tmp_path, monkeypatch, capsys, argv):
-    # kappa-pc used to print the unbisected upper end and simulate to exit 3
+    # kappa-pc used to print the unbisected upper end (0.0 at omega = 0) and simulate to exit 3
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.err.startswith("configuration error") and "finite" in out.err, out.err
     assert out.out == "" and list(tmp_path.iterdir()) == []
+
+
+_READS_THE_SOLVER = {
+    "simulate": ["simulate", "--n", "3", "--kappa", "1"],
+    "sweep": ["sweep", "--n", "3", "--kappa-grid", "1", "--gamma-grid", "0.5"],
+    "montecarlo": ["montecarlo", "--kind", "death", "--n", "3", "--kappa", "1", "--samples", "2"],
+    "verify": ["verify", "--omega", "0.02,-0.02,0.01", "--kappa", "3"],
+    "kappa-pc": ["kappa-pc", "--n", "3"],
+}
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command", _READS_THE_SOLVER)
+def test_unknown_solver_method_exits_2(tmp_path, monkeypatch, capsys, command, via):
+    # every method but rk4_fixed used to run as DP45
+    monkeypatch.chdir(tmp_path)
+    written = []
+    extra = ["--method", "rk45"]
+    if via == "config":
+        (tmp_path / "run.json").write_text(json.dumps({"method": "rk45"}))
+        written, extra = ["run.json"], ["--config", "run.json"]
+    assert main([*_READS_THE_SOLVER[command], *extra]) == 2
+    out = capsys.readouterr()
+    assert "unknown solver method: rk45" in out.err and out.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == written
+
+
+def test_rk4_ignores_the_dp45_settings(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--n", "3", "--kappa", "1", "--horizon", "2", "--method", "rk4_fixed",
+                 "--abs-tol", "0"]) == 0
 
 
 def test_import_winfree_leaves_cli_unloaded():

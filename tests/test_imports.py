@@ -39,6 +39,35 @@ def test_exported_functions_read_every_parameter(name):
     assert [p for p in params if p not in read] == []
 
 
+def _calls(root: pathlib.Path) -> dict:
+    """Function name -> the ast.Call nodes that call it by that name, in src/, tests/ and perfbench/."""
+    calls: dict = {}
+    for path in sorted(p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def test_exported_functions_set_every_default():
+    # a default that no caller overrides is a constant that asks to be set
+    calls = _calls(pathlib.Path(__file__).resolve().parents[1])
+    unset = []
+    for name in EXPORTED_FUNCTIONS:
+        args = ast.parse(textwrap.dedent(inspect.getsource(getattr(winfree, name)))).body[0].args
+        positional = [a.arg for a in (*args.posonlyargs, *args.args)]
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        for param in defaulted:
+            index = positional.index(param) if param in positional else None
+            if not any(param in {k.arg for k in call.keywords}
+                       or (index is not None and len(call.args) > index)
+                       for call in calls.get(name, [])):
+                unset.append(f"{name}.{param}")
+    assert unset == []
+
+
 def test_import_winfree_leaves_multiprocessing_unloaded():
     # the process pool is imported only by a Monte Carlo run with workers > 1
     src = str(pathlib.Path(winfree.__file__).parents[1])

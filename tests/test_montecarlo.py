@@ -102,6 +102,35 @@ def test_worker_count_invariance():
     assert e1 == e3
 
 
+def test_process_pool_is_sized_by_its_chunks(monkeypatch):
+    # a fork pool starts every max_workers process at the first submit, so
+    # 8 workers for 3 samples used to fork 8 processes for 3 chunks
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    one = wf.empirical_order_param_cdf(8, 0.9, wf.McConfig(samples=3, seed=7))
+    assert sizes == []
+    assert wf.empirical_order_param_cdf(8, 0.9, wf.McConfig(samples=3, seed=7, workers=8)) == one
+    assert sizes == [3]
+
+
 def test_death_probability_strong_coupling():
     rng = np.random.default_rng(0)
     n = 12
@@ -185,7 +214,7 @@ def test_block_estimators_match_one_sample_at_a_time(monkeypatch, block):
     omega = np.random.default_rng(77).uniform(-1, 1, 6)
     cfg = wf.SystemConfig(n=6, omega=omega, kappa=0.97 * wf.critical_coupling(omega))
     opts = wf.dp45_options(horizon=40.0, sample_stride=2.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
-    hits = montecarlo._death_block(cfg, SPEC, opts, 0.0, 0.0, montecarlo._draws(5, 6, 0, 16))
+    hits = montecarlo._death_block(cfg, SPEC, opts, 0.0, montecarlo._draws(5, 6, 0, 16))
     assert hits == _one_at_a_time_hits(cfg, opts, 5, 16, r_floor=0.0)
     assert 0 < sum(hits) < 16
     est = wf.empirical_death_probability(cfg, SPEC, opts, wf.McConfig(samples=16, seed=5))
