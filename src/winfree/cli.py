@@ -60,6 +60,14 @@ _FAMILY_OF = {"power": "power_cosine", "r_pk": "rectified_poisson",
 _FAMILY = ("family", *_FAMILY_OF)
 _SOLVER = ("horizon", "sample_stride", "method", "dt", "abs_tol", "rel_tol", "max_dt")
 _EVERY = ("seed", "output")  # besides --config
+_MC_EVERY = ("kind", "samples", "workers")
+# montecarlo kind -> the settings it reads besides _MC_EVERY; the escape
+# estimator integrates up to t_horizon, so it does not read horizon
+_MC_KINDS = {
+    "order-param-cdf": ("n", *_FAMILY, "t_level"),
+    "death": (*_SYSTEM, *_FAMILY, *_SOLVER),
+    "escape": (*_SYSTEM, *_FAMILY, *(key for key in _SOLVER if key != "horizon"), "delta", "t_horizon"),
+}
 
 # subcommand -> the settings it reads; its function is cmd_<name>, looked up
 # when the parser is built so that a wrapped cmd_* function is the one that runs
@@ -69,7 +77,7 @@ _COMMANDS = {
     "equilibria": _SYSTEM,
     "critical-coupling": _FREQUENCIES,
     "bounds": ("kind", "n", *_FAMILY, *_BOUND_KEYS.values()),
-    "montecarlo": ("kind", "samples", "workers", *_SYSTEM, *_FAMILY, *_SOLVER, "delta", "t_horizon", "t_level"),
+    "montecarlo": (*_MC_EVERY, *dict.fromkeys(key for row in _MC_KINDS.values() for key in row)),
     "verify": (*_SYSTEM, *_SOLVER, "initial", "mu"),
     "kappa-pc": (*_FREQUENCIES, *_FAMILY, *_SOLVER, "initial"),
 }
@@ -283,6 +291,11 @@ def cmd_bounds(cfg: dict) -> int:
 
 def cmd_montecarlo(cfg: dict) -> int:
     kind = cfg.get("kind", "order-param-cdf")
+    if kind not in _MC_KINDS:
+        raise ConfigurationError(f"unknown montecarlo kind: {kind}")
+    unread = [key for key in _COMMANDS["montecarlo"] if key in cfg and key not in (*_MC_EVERY, *_MC_KINDS[kind])]
+    if unread:
+        raise ConfigurationError(f"montecarlo kind {kind} does not read: {', '.join(unread)}")
     mc = _mc_config(cfg)
     spec = _interaction_spec(cfg)
     bound_params: Optional[BoundParams] = None
@@ -300,15 +313,13 @@ def cmd_montecarlo(cfg: dict) -> int:
         eps = config.kappa / config.omega_max - 2.0 if config.omega_max > 0 else 1.0
         if 0.0 < eps:
             bound_params = BoundParams(epsilon=min(eps, 1.0))
-    elif kind == "escape":
+    else:  # escape
         config, opts = _system_config(cfg), _solver_options(cfg)
         delta = cfg.get("delta", 0.5)
         t_horizon = cfg.get("t_horizon", 10.0)
         est = montecarlo.estimate_escape_measure(config, spec, delta, t_horizon, opts, mc)
         n, params = config.n, {"n": config.n, "kappa": config.kappa, "delta": delta, "T": t_horizon}
         bound_params = BoundParams(delta=delta, T=t_horizon, kappa=config.kappa)
-    else:
-        raise ConfigurationError(f"unknown montecarlo kind: {kind}")
     bound_kind, bound = montecarlo.BOUND_KINDS[kind], None
     if bound_params is not None and spec.family in thresholds.BOUNDS[bound_kind].families:
         bound = thresholds.probability_bound(bound_kind, n, bound_params, spec)

@@ -30,7 +30,8 @@ ROOT_TOL = 1e-12
 TANGENT_TOL = 1e-10
 DEDUP_TOL = 1e-8
 R_UPPER = 2.0 + 1e-9
-BLOCK_SIGNATURES = 64  # signatures per grid evaluation; bounds scan memory independently of 2^N
+BLOCK_SIGNATURES = 64  # signatures per grid evaluation; bounds the (block x grid) arrays of the scan
+_COUNTS = ("brackets", "halvings", "split", "accepted", "rejected")  # _branch_roots' counts
 
 _log = logging.getLogger(__name__)
 
@@ -90,7 +91,7 @@ class WPolynomial:
         a = max(lo, float(np.sqrt(np.max(w))))
         if hi <= a:
             return np.asarray([])
-        roots = _branch_roots(w, 1.0, _signatures(w.size), a, hi)  # w_j = (omega_j/kappa)^2
+        roots, _ = _branch_roots(w, 1.0, _signatures(w.size), a, hi)  # w_j = (omega_j/kappa)^2
         return np.asarray(_merge_close(itertools.chain.from_iterable(roots), DEDUP_TOL))
 
     def to_json(self, path) -> None:
@@ -133,14 +134,16 @@ def _signatures(n: int) -> np.ndarray:
 
 
 def _bisect_brackets(omega2: np.ndarray, kappa2: float, sigma: np.ndarray, a: np.ndarray,
-                     b: np.ndarray, fa: np.ndarray) -> np.ndarray:
-    """Root of f for signature row sigma_k in each bracket [a_k, b_k], f(a_k) = fa_k.
+                     b: np.ndarray, fa: np.ndarray) -> tuple[np.ndarray, int]:
+    """Root of f for signature row sigma_k in each bracket [a_k, b_k], f(a_k) = fa_k; and the halvings made.
 
-    All brackets are halved together.  Bracket k stops once |f(mid)| < ROOT_TOL or
-    b_k - a_k < 1e-16, after at most 200 halvings; its root is the midpoint.
+    All brackets are halved together, each independently of the others.
+    Bracket k stops once |f(mid)| < ROOT_TOL or b_k - a_k < 1e-16, after at
+    most 200 halvings; its root is the midpoint.
     """
     a, b, fa = np.array(a, dtype=float), np.array(b, dtype=float), np.array(fa, dtype=float)
     live = np.arange(a.size)
+    halvings = 0
     for _ in range(200):
         if live.size == 0:
             break
@@ -148,65 +151,96 @@ def _bisect_brackets(omega2: np.ndarray, kappa2: float, sigma: np.ndarray, a: np
         fm = _branch_values(omega2, kappa2, sigma[live], mid)
         go = ~((np.abs(fm) < ROOT_TOL) | (b[live] - a[live] < 1e-16))
         live, mid, fm = live[go], mid[go], fm[go]
+        halvings += live.size
         left = fa[live] * fm < 0
         b[live[left]] = mid[left]
         a[live[~left]] = mid[~left]
         fa[live[~left]] = fm[~left]
-    return 0.5 * (a + b)
+    return 0.5 * (a + b), halvings
+
+
+def _half_table(radicals: np.ndarray, sigmas: np.ndarray, cols: slice) -> tuple[np.ndarray, np.ndarray]:
+    """sum_j sigma_j radicals[:, j] over the columns cols, one row per distinct half of sigmas; each row's index.
+
+    A half is keyed by its bits (bit j set where sigma_j = -1), and only the
+    halves that occur in sigmas get a table row.
+    """
+    half = sigmas[:, cols]
+    keys = (half < 0) @ (1 << np.arange(half.shape[1]))
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    return np.einsum("gn,sn->sg", radicals[:, cols], half[first]), index
 
 
 def _branch_roots(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, lo: float,
-                  hi: float) -> list[list[float]]:
-    """Roots on [lo, hi] of the branch function of every signature row in sigmas.
+                  hi: float) -> tuple[list[list[float]], dict[str, int]]:
+    """Roots on [lo, hi] of the branch function of every signature row in sigmas; and the solver's counts.
 
     The branch function f(r) = 1 + (1/N) sum_j sigma_j sqrt(1 - omega_j^2/(kappa r)^2) - r
     is evaluated on SCAN_POINTS subintervals for BLOCK_SIGNATURES signatures at
-    a time.  Its roots are the left end point when |f| < ROOT_TOL there and
-    the bisected (_bisect_brackets) cells where f goes from strictly one sign
-    to 0 or the other sign.  A grid minimum of |f| below 1e-6 whose two
-    neighbours share its sign s is refined by golden section of s*f: a
-    minimum below 0 splits its two cells into two brackets (two simple roots
-    closer than one cell), one below TANGENT_TOL is a tangential (double)
-    root.  Each row's roots come unsorted.
+    a time, the sum as L[low half] + H[high half] from two tables
+    (_half_table) over the columns :N//2 and N//2:.  Its roots are the left
+    end point when |f| < ROOT_TOL there and the bisected cells where f goes
+    from strictly one sign to 0 or the other sign.  A grid minimum of |f|
+    below 1e-6 whose two neighbours share its sign s is refined by golden
+    section of s*f: a minimum below 0 splits its two cells into two brackets
+    (two simple roots closer than one cell), one below TANGENT_TOL is a
+    tangential (double) root.  The grid only picks brackets by sign; every
+    bracket of every block is bisected by one _bisect_brackets call.  Each
+    row's roots come unsorted.  The counts are the brackets bisected, their
+    halvings and the tangent candidates split, accepted and rejected.
     """
     grid = np.linspace(lo, hi, SCAN_POINTS + 1)
     radicals = _radicals(omega2, kappa2, grid)
+    sigmas = np.asarray(sigmas, dtype=float)
+    low, low_index = _half_table(radicals, sigmas, slice(None, omega2.size // 2))
+    high, high_index = _half_table(radicals, sigmas, slice(omega2.size // 2, None))
     roots: list[list[float]] = [[] for _ in range(len(sigmas))]
+    counts = dict.fromkeys(_COUNTS, 0)
+    rows, a, b, fa = [], [], [], []  # the brackets to bisect
     for start in range(0, len(sigmas), BLOCK_SIGNATURES):
-        block = np.asarray(sigmas[start:start + BLOCK_SIGNATURES], dtype=float)
-        found = roots[start:start + BLOCK_SIGNATURES]
-        vals = np.einsum("gn,sn->sg", radicals, block)
+        stop = start + BLOCK_SIGNATURES
+        vals = low[low_index[start:stop]]
+        vals += high[high_index[start:stop]]
         vals /= omega2.size  # in place, 1 + sum/N - r as in _branch_values
         vals += 1.0
         vals -= grid
-        for s in np.nonzero(np.abs(vals[:, 0]) < ROOT_TOL)[0]:
-            found[s].append(float(grid[0]))
-        neg, pos = vals < 0, vals > 0
-        s, k = np.nonzero((neg[:, :-1] & ~neg[:, 1:]) | (pos[:, :-1] & ~pos[:, 1:]))
-        bisected = _bisect_brackets(omega2, kappa2, block[s], grid[k], grid[k + 1], vals[s, k])
-        for row, r in zip(s.tolist(), bisected.tolist()):
-            found[row].append(r)
-        s, k = np.nonzero(np.abs(vals[:, 1:-1]) < 1e-6)
-        k = k + 1
-        here, before, after = np.abs(vals[s, k]), np.abs(vals[s, k - 1]), np.abs(vals[s, k + 1])
+        size, neg, pos = np.abs(vals), vals < 0, vals > 0
+        for s in np.flatnonzero(size[:, 0] < ROOT_TOL).tolist():
+            roots[start + s].append(float(grid[0]))
+        s, k = np.divmod(np.flatnonzero((neg[:, :-1] & ~neg[:, 1:]) | (pos[:, :-1] & ~pos[:, 1:])), SCAN_POINTS)
+        rows.append(start + s)
+        a.append(grid[k])
+        b.append(grid[k + 1])
+        fa.append(vals[s, k])
+        s, k = np.divmod(np.flatnonzero(size[:, 1:-1] < 1e-6), SCAN_POINTS - 1)
+        k += 1
+        here, before, after = size[s, k], size[s, k - 1], size[s, k + 1]
         same_side = (pos[s, k - 1] & pos[s, k] & pos[s, k + 1]) | (neg[s, k - 1] & neg[s, k] & neg[s, k + 1])
         dip = (here <= before) & (here <= after) & same_side
-        for row, k in zip(s[dip].tolist(), k[dip].tolist()):
-            side = 1.0 if pos[row, k] else -1.0
+        for s, k in zip(s[dip].tolist(), k[dip].tolist()):
+            row, side = start + s, 1.0 if pos[s, k] else -1.0
 
-            def side_f(r, sigma=block[row:row + 1], side=side):
+            def side_f(r, sigma=sigmas[row:row + 1], side=side):
                 return side * float(_branch_values(omega2, kappa2, sigma, np.array([r]))[0])
 
             x, v = _golden_min(side_f, grid[k - 1], grid[k + 1])
             verdict = "split" if v < 0.0 else "accepted" if v < TANGENT_TOL else "rejected"
             _log.debug("tangent candidate r=%.17g min side*f=%.3g %s", x, v, verdict)
+            counts[verdict] += 1
             if verdict == "split":
-                ends = np.array([grid[k - 1], x, grid[k + 1]])
-                found[row] += _bisect_brackets(omega2, kappa2, block[[row, row]], ends[:-1], ends[1:],
-                                               np.array([vals[row, k - 1], side * v])).tolist()
+                rows.append([row, row])
+                a.append([grid[k - 1], x])
+                b.append([x, grid[k + 1]])
+                fa.append([vals[s, k - 1], side * v])
             elif verdict == "accepted":
-                found[row].append(x)
-    return roots
+                roots[row].append(x)
+    rows = np.concatenate(rows)
+    bisected, counts["halvings"] = _bisect_brackets(omega2, kappa2, sigmas[rows], np.concatenate(a),
+                                                    np.concatenate(b), np.concatenate(fa))
+    counts["brackets"] = rows.size
+    for row, r in zip(rows.tolist(), bisected.tolist()):
+        roots[row].append(r)
+    return roots, counts
 
 
 def _merge_close(roots, tol: float) -> list[float]:
@@ -218,13 +252,17 @@ def _merge_close(roots, tol: float) -> list[float]:
     return keep
 
 
-def _fixed_point_roots(config: SystemConfig, sigmas: np.ndarray, lo: float, hi: float) -> list[list[float]]:
-    """Per signature row, the sorted roots of the fixed-point equation on [max(lo, max|omega|/|kappa|), hi]."""
+def _fixed_point_roots(config: SystemConfig, sigmas: np.ndarray, lo: float,
+                       hi: float) -> tuple[list[list[float]], dict[str, int]]:
+    """Per signature row, the sorted roots of the fixed-point equation on [max(lo, max|omega|/|kappa|), hi].
+
+    Also the counts of _branch_roots (all 0 when the interval is empty).
+    """
     lo = max(lo, config.omega_max / abs(config.kappa))
     if lo > hi:
-        return [[] for _ in range(len(sigmas))]
-    roots = _branch_roots(*_scaled_squares(config), sigmas, lo, hi)
-    return [_merge_close(r, 1e-10) for r in roots]
+        return [[] for _ in range(len(sigmas))], dict.fromkeys(_COUNTS, 0)
+    roots, counts = _branch_roots(*_scaled_squares(config), sigmas, lo, hi)
+    return [_merge_close(r, 1e-10) for r in roots], counts
 
 
 def solve_R_equation(config: SystemConfig, signature: Signature) -> list[float]:
@@ -240,7 +278,8 @@ def solve_R_equation(config: SystemConfig, signature: Signature) -> list[float]:
     sigma = signature.sigma
     if sigma.shape != (config.n,):
         raise DomainError("signature length must equal N")
-    return _fixed_point_roots(config, sigma[None], 0.0, R_UPPER)[0]
+    (roots,), _ = _fixed_point_roots(config, sigma[None], 0.0, R_UPPER)
+    return roots
 
 
 def _canonical(theta: np.ndarray) -> np.ndarray:
@@ -319,17 +358,20 @@ def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
     BLOCK_SIGNATURES signatures get their phases and dedup keys as one
     stack, and the records kept from it are built as one stack (one
     Jacobian stack, one eigvals call), so memory stays bounded in 2^N.
-    Counts and the times of the scan, dedup (phases, keys and dedup) and
-    record phases go to the DEBUG log.
+    Counts, the branch solver's among them (_branch_roots), and the times of
+    the scan, dedup (phases, keys and dedup) and record phases go to the
+    DEBUG log.
     """
     if config.kappa == 0.0:
         raise DomainError("kappa must be nonzero")
-    if config.n > 17:  # 2^17 records take 40-50 s on a 2-vCPU machine
-        raise SizeLimitError("signature enumeration limited to N <= 17")
+    if config.n > 18:  # 2^18 records take about 31 s and 460 MB on a 2-vCPU machine
+        raise SizeLimitError("signature enumeration limited to N <= 18")
     clock = time.perf_counter()
     sigmas = _signatures(config.n)
     bipolar = _frequencies_vanish(config)
-    roots = None if bipolar else _fixed_point_roots(config, sigmas, 0.0, R_UPPER)
+    roots, counts = None, dict.fromkeys(_COUNTS, 0)
+    if not bipolar:
+        roots, counts = _fixed_point_roots(config, sigmas, 0.0, R_UPPER)
     found = len(sigmas) if bipolar else sum(map(len, roots))
     scan_s, dedup_s, record_s = time.perf_counter() - clock, 0.0, 0.0
     records: list[EquilibriumRecord] = []
@@ -354,8 +396,9 @@ def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
             chunks += 1
         record_s += time.perf_counter() - clock
     _log.debug("enumerate N=%d: %d signatures, %d roots, %d records, %d chunks; "
+               "%d brackets, %d halvings; tangent candidates %d split, %d accepted, %d rejected; "
                "scan %.6f s, dedup %.6f s, records %.6f s",
-               config.n, len(sigmas), found, len(records), chunks,
+               config.n, len(sigmas), found, len(records), chunks, *counts.values(),
                scan_s, dedup_s, record_s)
     return records
 
@@ -422,7 +465,7 @@ def construct_prescribed_equilibrium(
     if _frequencies_vanish(config):
         theta, r = _bipolar(sigma)
         return _records(config, sigma, r, theta)[0], m
-    roots = _fixed_point_roots(config, sigma, 0.5 * rho0, 1.5 * rho0)[0]
+    (roots,), _ = _fixed_point_roots(config, sigma, 0.5 * rho0, 1.5 * rho0)
     if not roots:
         raise DomainError("no fixed-point root in the prescribed interval")
     r = np.array([min(roots, key=lambda x: abs(x - rho0))])

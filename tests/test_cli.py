@@ -427,6 +427,32 @@ def test_subcommands_refuse_settings_they_do_not_read(capsys, argv, flag):
     assert exc.value.code == 2 and flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("kind, key, value", [
+    ("order-param-cdf", "method", "rk45"),
+    ("order-param-cdf", "dt", "nan"),
+    ("order-param-cdf", "kappa", "3"),
+    ("order-param-cdf", "delta", "0.2"),
+    ("order-param-cdf", "omega", "0.1,0.2,0.3"),
+    ("death", "t_level", "0.3"),
+    ("death", "t_horizon", "2"),
+    ("escape", "horizon", "5"),
+    ("escape", "t_level", "0.5"),
+])
+def test_montecarlo_kinds_refuse_settings_they_do_not_read(tmp_path, monkeypatch, capsys, kind, key, value, via):
+    # the kinds share one flag row; order-param-cdf used to ignore every system and solver setting
+    monkeypatch.chdir(tmp_path)
+    argv = ["montecarlo", "--kind", kind, "--n", "3", "--samples", "2"]
+    if via == "flag":
+        argv += ["--" + key.replace("_", "-"), value]
+    else:
+        (tmp_path / "run.json").write_text(json.dumps({key: value}))
+        argv += ["--config", "run.json"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err == f"configuration error: montecarlo kind {kind} does not read: {key}\n" and out.out == ""
+
+
 def test_each_subcommand_takes_exactly_its_row():
     parser = cli.build_parser()
     for name, row in cli._COMMANDS.items():

@@ -596,8 +596,8 @@ def test_critical_coupling_equals_scalar_bisection(monkeypatch, n):
 
 
 def test_enumeration_size_cut():
-    cfg = wf.SystemConfig(n=18, omega=np.zeros(18), kappa=1.0)
-    with pytest.raises(SizeLimitError, match="N <= 17"):
+    cfg = wf.SystemConfig(n=19, omega=np.zeros(19), kappa=1.0)
+    with pytest.raises(SizeLimitError, match="N <= 18"):
         wf.enumerate_equilibria(cfg)
 
 
@@ -612,3 +612,126 @@ def test_enumeration_phase_times_logged_only_at_debug(caplog):
         assert f"{phase} " in lines[0]
     # that nothing prints by default is checked by the subprocess run in
     # test_tangent_close_calls_logged_only_at_debug, which logs this line too
+
+
+def _reference_branch_roots(omega2, kappa2, sigmas, lo, hi):
+    """The branch solver's root rules, one signature row at a time, on _branch_values grid values.
+
+    Brackets are picked by the signs of those values (a cell from a strict
+    sign into 0 or the other sign), tangent candidates by their magnitudes,
+    and each row's brackets are bisected by their own _bisect_brackets call.
+    """
+    grid = np.linspace(lo, hi, equilibria.SCAN_POINTS + 1)
+    roots = []
+    for sigma in np.asarray(sigmas, dtype=float):
+        f = equilibria._branch_values(omega2, kappa2, sigma, grid)
+        sign, size = np.sign(f), np.abs(f)
+        found = [float(grid[0])] if size[0] < equilibria.ROOT_TOL else []
+        k = np.flatnonzero((sign[:-1] != 0) & (sign[1:] != sign[:-1]))
+        a, b, fa = grid[k].tolist(), grid[k + 1].tolist(), f[k].tolist()
+        k = np.arange(1, grid.size - 1)
+        dips = k[(size[k] < 1e-6) & (size[k] <= size[k - 1]) & (size[k] <= size[k + 1]) & (sign[k] != 0)
+                 & (sign[k - 1] == sign[k]) & (sign[k + 1] == sign[k])]
+        for k in dips.tolist():
+            side = float(sign[k])
+
+            def side_f(r, side=side):
+                return side * float(equilibria._branch_values(omega2, kappa2, sigma, np.array([r]))[0])
+
+            x, v = equilibria._golden_min(side_f, grid[k - 1], grid[k + 1])
+            if v < 0.0:
+                a, b, fa = a + [grid[k - 1], x], b + [x, grid[k + 1]], fa + [f[k - 1], side * v]
+            elif v < equilibria.TANGENT_TOL:
+                found.append(x)
+        if a:
+            found += equilibria._bisect_brackets(omega2, kappa2, np.tile(sigma, (len(a), 1)), a, b, fa)[0].tolist()
+        roots.append(found)
+    return roots, dict.fromkeys(equilibria._COUNTS, 0)
+
+
+def _near_zero_system():
+    """N=5 system whose all-plus branch function is within 1e-14 of 0 at scan grid point 4000.
+
+    omega = w * c with w bisected so that f(grid[4000]) changes sign; the grid
+    starts at max|omega| = w, so it moves with w.
+    """
+    c = np.array([1.0, -0.9, 0.7, -0.4, 0.2])
+
+    def f_at_grid_point(w):
+        cfg = wf.SystemConfig(n=5, omega=w * c, kappa=1.0)
+        grid = np.linspace(cfg.omega_max, equilibria.R_UPPER, equilibria.SCAN_POINTS + 1)
+        return equilibria._branch_values(*equilibria._scaled_squares(cfg), np.ones(5), grid[4000:4001])[0]
+
+    a, b = 0.5, 0.9  # f > 0 at a, f < 0 at b
+    while b - a > 1e-15:
+        w = 0.5 * (a + b)
+        a, b = (w, b) if f_at_grid_point(w) > 0 else (a, w)
+    assert abs(f_at_grid_point(b)) < 1e-14
+    return wf.SystemConfig(n=5, omega=b * c, kappa=1.0)
+
+
+def _oracle_systems():
+    for n in (1, 2, 5, 9):
+        omega = np.random.default_rng([n, 20]).uniform(-1.0, 1.0, n)
+        kc = wf.critical_coupling(omega)
+        for kappa in (kc * (1 + 1e-9), 1.3 * kc, -2.0 * kc):
+            yield wf.SystemConfig(n=n, omega=omega, kappa=kappa)
+    yield _near_zero_system()
+
+
+def _record_bits(records):
+    return [(rec.R.hex(), rec.theta.tobytes(), rec.signature.sigma.tolist(), rec.divergence.hex(), rec.stability,
+             rec.max_eig_real.hex()) for rec in records]
+
+
+@pytest.mark.parametrize("cfg", list(_oracle_systems()), ids=lambda cfg: f"N={cfg.n},kappa={cfg.kappa:.6g}")
+def test_split_scan_matches_a_direct_scan(cfg):
+    # the half tables give each grid value to within 1e-14 of _branch_values,
+    # with its sign wherever it is not within rounding of 0; and the batched
+    # solver, with one bisection over every block, gives the records of a
+    # row-by-row scan, bisection and tangent search
+    omega2, kappa2 = equilibria._scaled_squares(cfg)
+    grid = np.linspace(cfg.omega_max / abs(cfg.kappa), equilibria.R_UPPER, equilibria.SCAN_POINTS + 1)
+    radicals = equilibria._radicals(omega2, kappa2, grid)
+    sigmas = equilibria._signatures(cfg.n).astype(float)
+    low, low_index = equilibria._half_table(radicals, sigmas, slice(None, cfg.n // 2))
+    high, high_index = equilibria._half_table(radicals, sigmas, slice(cfg.n // 2, None))
+    for sigma, i, j in zip(sigmas, low_index, high_index):
+        split = (low[i] + high[j]) / cfg.n + 1.0 - grid
+        direct = equilibria._branch_values(omega2, kappa2, sigma, grid)
+        assert np.max(np.abs(split - direct)) <= 1e-14
+        clear = np.abs(direct) > 1e-13
+        assert np.array_equal(np.sign(split[clear]), np.sign(direct[clear]))
+    records = wf.enumerate_equilibria(cfg)
+    with mock.patch.object(equilibria, "_branch_roots", _reference_branch_roots):
+        reference = wf.enumerate_equilibria(cfg)
+    assert len(reference) > 0
+    assert _record_bits(records) == _record_bits(reference)
+
+
+@pytest.mark.parametrize("ratio, verdict", [(1.0, "accepted"), (1 + 1e-9, "split")])
+def test_enumeration_logs_the_branch_solver_counts(caplog, monkeypatch, ratio, verdict):
+    omega = np.random.default_rng(2).uniform(-1.0, 1.0, 5)
+    cfg = wf.SystemConfig(n=5, omega=omega, kappa=wf.critical_coupling(omega) * ratio)
+    calls, bisect = [], equilibria._bisect_brackets
+
+    def spy(omega2, kappa2, sigma, a, b, fa):
+        roots, halvings = bisect(omega2, kappa2, sigma, a, b, fa)
+        calls.append((len(roots), halvings))
+        return roots, halvings
+
+    monkeypatch.setattr(equilibria, "_bisect_brackets", spy)
+    with caplog.at_level(logging.DEBUG, logger="winfree.equilibria"):
+        wf.enumerate_equilibria(cfg)
+    (brackets, halvings), = calls  # one bisection per solve
+    verdicts = [m.rsplit(" ", 1)[1] for m in caplog.messages if m.startswith("tangent candidate")]
+    assert verdicts == [verdict]
+    omega2, kappa2 = equilibria._scaled_squares(cfg)
+    grid = np.linspace(cfg.omega_max / abs(cfg.kappa), equilibria.R_UPPER, equilibria.SCAN_POINTS + 1)
+    signs = np.sign([equilibria._branch_values(omega2, kappa2, sigma, grid) for sigma in equilibria._signatures(5)])
+    sign_changes = int(np.sum((signs[:, :-1] != 0) & (signs[:, 1:] != signs[:, :-1])))
+    assert brackets == sign_changes + 2 * verdicts.count("split")
+    assert (halvings > 0) == (brackets > 0)
+    (line,) = [m for m in caplog.messages if m.startswith("enumerate N=5:")]
+    tangents = ", ".join(f"{verdicts.count(v)} {v}" for v in ("split", "accepted", "rejected"))
+    assert f" {brackets} brackets, {halvings} halvings; tangent candidates {tangents};" in line
