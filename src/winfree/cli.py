@@ -313,10 +313,10 @@ def cmd_montecarlo(cfg: dict) -> int:
         eps = config.kappa / config.omega_max - 2.0 if config.omega_max > 0 else 1.0
         if 0.0 < eps:
             bound_params = BoundParams(epsilon=min(eps, 1.0))
-    else:  # escape
-        config, opts = _system_config(cfg), _solver_options(cfg)
-        delta = cfg.get("delta", 0.5)
-        t_horizon = cfg.get("t_horizon", 10.0)
+    else:  # escape: integrates to t_horizon, its stride clamped to it as in estimate_escape_measure
+        config, delta, t_horizon = _system_config(cfg), cfg.get("delta", 0.5), cfg.get("t_horizon", 10.0)
+        opts = _solver_options({**cfg, "horizon": t_horizon,
+                                "sample_stride": min(cfg.get("sample_stride", 1.0), t_horizon)})
         est = montecarlo.estimate_escape_measure(config, spec, delta, t_horizon, opts, mc)
         n, params = config.n, {"n": config.n, "kappa": config.kappa, "delta": delta, "T": t_horizon}
         bound_params = BoundParams(delta=delta, T=t_horizon, kappa=config.kappa)

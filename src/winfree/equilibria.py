@@ -30,7 +30,7 @@ ROOT_TOL = 1e-12
 TANGENT_TOL = 1e-10
 DEDUP_TOL = 1e-8
 R_UPPER = 2.0 + 1e-9
-BLOCK_SIGNATURES = 64  # signatures per grid evaluation; bounds the (block x grid) arrays of the scan
+BLOCK_SIGNATURES = 64  # rows per scan block and per Jacobian stack; bounds the (block x grid) and (block, N, N) arrays
 _COUNTS = ("brackets", "halvings", "split", "accepted", "rejected")  # _branch_roots' counts
 
 _log = logging.getLogger(__name__)
@@ -301,13 +301,15 @@ def _stability(config: SystemConfig, r: np.ndarray, theta: np.ndarray) -> tuple[
 
     Rows are order parameters r (M,) and phases theta (M, N).  A row on the
     boundary |kappa|*R = max|omega| is Indeterminate with max part nan, and
-    its eigenvalues are not computed.
+    its eigenvalues are not computed.  The other rows go BLOCK_SIGNATURES at
+    a time into one Jacobian stack and one eigvals call, so memory stays
+    bounded in M.
     """
     max_eig = np.full(r.shape, np.nan)
-    inner = ~(np.abs(abs(config.kappa) * r - config.omega_max) < 1e-12)
-    if np.any(inner):
-        jac = model.jacobian(config, theta[inner])
-        max_eig[inner] = np.max(np.linalg.eigvals(jac).real, axis=-1)
+    inner = np.flatnonzero(~(np.abs(abs(config.kappa) * r - config.omega_max) < 1e-12))
+    for start in range(0, inner.size, BLOCK_SIGNATURES):
+        rows = inner[start:start + BLOCK_SIGNATURES]
+        max_eig[rows] = np.max(np.linalg.eigvals(model.jacobian(config, theta[rows])).real, axis=-1)
     labels = np.where(max_eig > 1e-8, "Unstable", np.where(max_eig < -1e-8, "Stable", "Indeterminate"))
     return labels.tolist(), max_eig
 
@@ -325,15 +327,16 @@ def _records(config: SystemConfig, sigmas: np.ndarray, r: np.ndarray,
     ]
 
 
-def _dedup(theta: np.ndarray, kept: dict[int, list[np.ndarray]]) -> list[int]:
-    """Rows of theta (M, N) not within DEDUP_TOL of a kept theta, in order; each joins kept.
+def _dedup(theta: np.ndarray) -> list[int]:
+    """Rows of theta (M, N) not within DEDUP_TOL of an earlier kept row, in order.
 
-    Greedy, first record wins.  kept files each theta under its key cell
+    Greedy, first row wins.  Kept rows are filed under their key cell
     floor(mean(cos theta) / (2 DEDUP_TOL)).  |cos a - cos b| <= |wrap(a - b)|,
     so a theta within DEDUP_TOL of a kept one has its key within DEDUP_TOL of
     that one's: only the kept thetas in the row's cell and its two neighbours
     (a key window of at least +-2 DEDUP_TOL) are compared.
     """
+    kept: dict[int, list[np.ndarray]] = {}
     new = []
     cells = np.floor(np.mean(np.cos(theta), axis=-1) / (2 * DEDUP_TOL)).astype(np.int64).tolist()
     for i, (row, cell) in enumerate(zip(theta, cells)):
@@ -354,17 +357,15 @@ def _bipolar(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
     """All equilibria (mod 2*pi), via signature enumeration; at most 2^(N+1).
 
-    After the branch solve of every signature, the roots of each block of
-    BLOCK_SIGNATURES signatures get their phases and dedup keys as one
-    stack, and the records kept from it are built as one stack (one
-    Jacobian stack, one eigvals call), so memory stays bounded in 2^N.
-    Counts, the branch solver's among them (_branch_roots), and the times of
-    the scan, dedup (phases, keys and dedup) and record phases go to the
-    DEBUG log.
+    One pass: the branch solve of every signature (_branch_roots), the
+    phases of every root as one stack, one _dedup call over them, and one
+    _records call over the rows kept (_stability bounds its Jacobian
+    stacks).  Counts, the branch solver's among them, and the times of the
+    scan, dedup (phases and dedup) and record phases go to the DEBUG log.
     """
     if config.kappa == 0.0:
         raise DomainError("kappa must be nonzero")
-    if config.n > 18:  # 2^18 records take about 31 s and 460 MB on a 2-vCPU machine
+    if config.n > 18:  # 2^18 records take about 30 s and 415 MB max RSS on a 2-vCPU machine
         raise SizeLimitError("signature enumeration limited to N <= 18")
     clock = time.perf_counter()
     sigmas = _signatures(config.n)
@@ -372,34 +373,24 @@ def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
     roots, counts = None, dict.fromkeys(_COUNTS, 0)
     if not bipolar:
         roots, counts = _fixed_point_roots(config, sigmas, 0.0, R_UPPER)
-    found = len(sigmas) if bipolar else sum(map(len, roots))
-    scan_s, dedup_s, record_s = time.perf_counter() - clock, 0.0, 0.0
-    records: list[EquilibriumRecord] = []
-    kept: dict[int, list[np.ndarray]] = {}  # thetas of the kept records by key cell (_dedup)
-    chunks = 0
-    for start in range(0, len(sigmas), BLOCK_SIGNATURES):
-        clock = time.perf_counter()
-        block = sigmas[start:start + BLOCK_SIGNATURES]
-        if bipolar:  # all distinct
-            theta, r = _bipolar(block)
-        else:
-            block_roots = roots[start:start + BLOCK_SIGNATURES]
-            block = np.repeat(block, [len(x) for x in block_roots], axis=0)
-            r = np.array(list(itertools.chain.from_iterable(block_roots)), dtype=float)
-            theta = _equilibrium_theta(config, block, r)
-            new = _dedup(theta, kept)
-            block, r, theta = block[new], r[new], theta[new]
-        dedup_s += time.perf_counter() - clock
-        clock = time.perf_counter()
-        if r.size:
-            records += _records(config, block, r, theta)
-            chunks += 1
-        record_s += time.perf_counter() - clock
-    _log.debug("enumerate N=%d: %d signatures, %d roots, %d records, %d chunks; "
+    scan_s, clock = time.perf_counter() - clock, time.perf_counter()
+    if bipolar:  # all distinct
+        (theta, r), rows, found = _bipolar(sigmas), sigmas, len(sigmas)
+    else:
+        rows = np.repeat(sigmas, [len(x) for x in roots], axis=0)
+        r = np.array(list(itertools.chain.from_iterable(roots)), dtype=float)
+        del roots  # 2^N lists: kept while the records are built, they add about 30 MB to the N = 18 peak
+        found = r.size
+        theta = _equilibrium_theta(config, rows, r)
+        new = _dedup(theta)
+        rows, r, theta = rows[new], r[new], theta[new]
+    dedup_s, clock = time.perf_counter() - clock, time.perf_counter()
+    records = _records(config, rows, r, theta)
+    record_s = time.perf_counter() - clock
+    _log.debug("enumerate N=%d: %d signatures, %d roots, %d records; "
                "%d brackets, %d halvings; tangent candidates %d split, %d accepted, %d rejected; "
                "scan %.6f s, dedup %.6f s, records %.6f s",
-               config.n, len(sigmas), found, len(records), chunks, *counts.values(),
-               scan_s, dedup_s, record_s)
+               config.n, len(sigmas), found, len(records), *counts.values(), scan_s, dedup_s, record_s)
     return records
 
 

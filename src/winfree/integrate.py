@@ -452,8 +452,8 @@ def verify_theorem_conclusions(traj: Trajectory, config: SystemConfig, mu: float
     forward-invariant and reaches cos >= 1-mu within the entrance time; (e) the
     frequency-ordered gap bounds with exponential envelopes, for co-trapped
     pairs, checked at sample times.  Slack is 10x the solver tolerance.  The
-    domain of mu and the threshold kappa must exceed come from
-    thresholds.sinusoidal_threshold.
+    domain of mu, the threshold kappa must exceed and the trapping rate come
+    from thresholds (sinusoidal_threshold, _trapping_rate).
     """
     r0 = float(traj.r_series[0])
     omega_inf = config.omega_max
@@ -467,7 +467,7 @@ def verify_theorem_conclusions(traj: Trajectory, config: SystemConfig, mu: float
     slack = 10.0 * traj.solver_tol
     times = traj.times
     cos_states = np.cos(traj.states)
-    rate = (r0 - mu) * np.sqrt(mu * (2.0 - mu))  # conclusion (c)'s rate, the threshold's denominator
+    rate = thresholds._trapping_rate(r0, mu)  # conclusion (c)'s rate, the threshold's denominator
     tau = np.pi / (kappa * rate - omega_inf)
     decay = kappa * (r0 - mu) * (1.0 - mu)
 

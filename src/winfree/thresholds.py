@@ -50,11 +50,16 @@ def kc_coefficient(r0) -> float | np.ndarray:
     return float(kc) if kc.ndim == 0 else kc
 
 
-def sinusoidal_threshold(r0: float, mu: float, omega_max: float) -> float:
-    """Coupling threshold omega_max / ((R0-mu) * sqrt(mu*(2-mu)))."""
+def _trapping_rate(r0: float, mu: float) -> float:
+    """(R0-mu) * sqrt(mu*(2-mu)), for 0 < mu < min(R0, 1)."""
     if not 0.0 < mu < min(r0, 1.0):
         raise DomainError(f"need 0 < mu < min(R0, 1): mu={mu}, R0={r0}")
-    return omega_max / ((r0 - mu) * math.sqrt(mu * (2.0 - mu)))
+    return (r0 - mu) * math.sqrt(mu * (2.0 - mu))
+
+
+def sinusoidal_threshold(r0: float, mu: float, omega_max: float) -> float:
+    """Coupling threshold omega_max / ((R0-mu) * sqrt(mu*(2-mu)))."""
+    return omega_max / _trapping_rate(r0, mu)
 
 
 def general_threshold(spec: InteractionSpec, r0: float, omega_max: float) -> float:

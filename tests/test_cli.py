@@ -309,15 +309,17 @@ def test_montecarlo_verdict_follows_bound_direction(capsys):
     # CDF and the escape measure against upper bounds; the other key is null
     omega = np.random.default_rng(3).uniform(-1.0, 1.0, 20)
     kappa = 2.5 * float(np.max(np.abs(omega)))
-    runs = {
-        "death": ["--omega=" + ",".join(f"{w:.17g}" for w in omega), "--kappa", f"{kappa:.17g}",
-                  "--samples", "32", "--seed", "3", "--horizon", "50", "--sample-stride", "1",
-                  "--abs-tol", "1e-6", "--rel-tol", "1e-6", "--max-dt", "0.5"],
-        "order-param-cdf": ["--n", "10", "--t-level", "0.5", "--samples", "2000", "--seed", "1"],
-        "escape": ["--omega", "0,0,0,0,0,0", "--kappa", "2", "--delta", "0.5", "--t-horizon", "5",
-                   "--samples", "64", "--seed", "4"],
-    }
-    for kind, args in runs.items():
+    runs = [
+        ("death", ["--omega=" + ",".join(f"{w:.17g}" for w in omega), "--kappa", f"{kappa:.17g}",
+                   "--samples", "32", "--seed", "3", "--horizon", "50", "--sample-stride", "1",
+                   "--abs-tol", "1e-6", "--rel-tol", "1e-6", "--max-dt", "0.5"]),
+        ("order-param-cdf", ["--n", "10", "--t-level", "0.5", "--samples", "2000", "--seed", "1"]),
+        ("escape", ["--omega", "0,0,0,0,0,0", "--kappa", "2", "--delta", "0.5", "--t-horizon", "5",
+                    "--samples", "64", "--seed", "4"]),
+        # a stride above the default horizon 500 but within --t-horizon, the horizon escape integrates to
+        ("escape", ["--n", "3", "--kappa", "1", "--samples", "2", "--t-horizon", "1000", "--sample-stride", "600"]),
+    ]
+    for kind, args in runs:
         assert main(["montecarlo", "--kind", kind, *args, "--output", "-"]) == 0
         data = json.loads(capsys.readouterr().out)
         if kind == "death":

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import winfree as wf
-from winfree import equilibria
+from winfree import equilibria, model
 from winfree.equilibria import Signature, solve_R_equation
 from winfree.errors import DegenerateFrequenciesError, DomainError, SizeLimitError
 
@@ -542,6 +542,33 @@ def test_stacked_records_equal_one_at_a_time_records(omega, kappa, near, zero, c
     assert got == _one_at_a_time_records(cfg)
 
 
+_OMEGA7 = np.random.default_rng(1).uniform(-1.0, 1.0, 7)
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("omega, kappa, boundary", [
+    (_OMEGA7, 2.0 * wf.critical_coupling(_OMEGA7), 0),  # 102 records; some 3 signatures in a row have 4 roots
+    (0.3 * np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0]), 0.3, 1),  # 65 records, R = 1 on the boundary
+], ids=["two_roots", "boundary"])
+def test_jacobian_stacks_stay_bounded(monkeypatch, omega, kappa, boundary, block):
+    # the whole enumeration is one stack of rows; _stability alone walks it
+    # BLOCK_SIGNATURES rows at a time, so no (rows, N, N) array grows with 2^N
+    if block is not None:
+        monkeypatch.setattr(equilibria, "BLOCK_SIGNATURES", block)
+    stacks, jacobian = [], model.jacobian
+
+    def recorded(config, state, *args, **kwargs):
+        stacks.append(np.array(state))
+        return jacobian(config, state, *args, **kwargs)
+
+    monkeypatch.setattr(model, "jacobian", recorded)
+    records = wf.enumerate_equilibria(wf.SystemConfig(n=7, omega=omega, kappa=kappa))
+    assert all(0 < len(stack) <= equilibria.BLOCK_SIGNATURES for stack in stacks)
+    inner = [rec.theta for rec in records if not math.isnan(rec.max_eig_real)]
+    assert len(inner) == len(records) - boundary
+    assert np.array_equal(np.concatenate(stacks), np.array(inner))  # each inner record once, in order
+
+
 def _scalar_critical_coupling(omega):
     """kappa_c by one h(u) evaluation per bisection step; also the number of steps taken."""
     omega = np.asarray(omega, dtype=float)
@@ -607,7 +634,7 @@ def test_enumeration_phase_times_logged_only_at_debug(caplog):
         records = wf.enumerate_equilibria(cfg)
     lines = [m for m in caplog.messages if m.startswith("enumerate N=3:")]
     assert len(lines) == 1
-    assert f"8 signatures, 8 roots, {len(records)} records, 1 chunks;" in lines[0]
+    assert f"8 signatures, 8 roots, {len(records)} records;" in lines[0]
     for phase in ("scan", "dedup", "records"):
         assert f"{phase} " in lines[0]
     # that nothing prints by default is checked by the subprocess run in

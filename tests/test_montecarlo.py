@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import winfree as wf
-from winfree import integrate, montecarlo
+from winfree import equilibria, integrate, montecarlo
 from winfree.errors import ConfigurationError, DomainError, IntegrationFailure
 
 
@@ -225,6 +225,40 @@ def test_block_estimators_match_one_sample_at_a_time(monkeypatch, block):
     assert 0 < sum(want) < 40
     est = wf.estimate_escape_measure(weak, SPEC, 0.1, 10.0, esc_opts, wf.McConfig(samples=40, seed=9))
     assert est.estimate == sum(want) / 40
+
+
+@pytest.mark.parametrize("n", [5, 20, 50])
+def test_death_samples_end_at_the_stable_equilibrium(monkeypatch, n):
+    # for kappa > 0 only the all-plus signature can give a stable equilibrium:
+    # every sample the death estimator counts must end on it (mod 2 pi)
+    runs, integrate_rows = [], integrate._integrate_rows
+
+    def recorded(*args, **kwargs):
+        runs.append(integrate_rows(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(integrate, "_integrate_rows", recorded)
+    omega = np.random.default_rng(501).uniform(-1.0, 1.0, n)
+    kc = wf.critical_coupling(omega)
+    opts = wf.dp45_options(horizon=500.0, sample_stride=5.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
+    plus = wf.Signature(np.ones(n, dtype=int))
+    for kappa in (1.05 * kc, 1.5 * kc, 3.0 * np.max(np.abs(omega))):
+        cfg = wf.SystemConfig(n=n, omega=omega, kappa=kappa)
+        stable = []
+        for r in wf.solve_R_equation(cfg, plus):
+            theta = equilibria._equilibrium_theta(cfg, plus.sigma, r)
+            eq = wf.EquilibriumRecord(R=r, theta=theta, signature=plus, divergence=math.nan, stability="",
+                                      max_eig_real=math.nan)
+            if wf.classify_stability(cfg, eq) == "Stable":
+                stable.append(theta)
+        assert len(stable) == 1, (n, kappa)
+        runs.clear()
+        hits = montecarlo._death_block(cfg, SPEC, opts, 0.0, montecarlo._draws(502, n, 0, 16))
+        (rows,) = runs
+        assert sum(hits) > 0, (n, kappa)
+        for (traj, _), hit in zip(rows, hits):
+            if hit:
+                assert np.max(np.abs(wf.wrap_to_pi(traj.states[-1] - stable[0]))) < 1e-9, (n, kappa)
 
 
 def test_escape_verdict_reads_how_each_row_ended():
