@@ -119,8 +119,13 @@ def _scaled_squares(config: SystemConfig) -> tuple[np.ndarray, float]:
 
 
 def _radicals(omega2: np.ndarray, kappa2: float, r: np.ndarray) -> np.ndarray:
-    """sqrt(1 - omega_j^2 / (kappa r)^2), clipped at the branch point; shape r.shape + (N,)."""
-    return np.sqrt(np.clip(1.0 - omega2 / (kappa2 * np.square(r)[..., None]), 0.0, None))
+    """sqrt(1 - omega_j^2 / (kappa r)^2), clipped at the branch point; shape r.shape + (N,).
+
+    Computed in one array, so a scan grid costs one (points, N) array at a time.
+    """
+    x = omega2 / (kappa2 * np.square(r)[..., None])
+    np.subtract(1.0, x, out=x)
+    return np.sqrt(np.clip(x, 0.0, None, out=x), out=x)
 
 
 def _branch_values(omega2: np.ndarray, kappa2: float, sigma: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -11,13 +11,14 @@ count, block size or scheduling.  Result records name this layout in their
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from . import integrate, model, thresholds
+from . import equilibria, integrate, model, thresholds
 from .errors import ConfigurationError, DomainError
 from .integrate import SolverOptions
 from .model import InteractionSpec, SystemConfig
@@ -30,6 +31,8 @@ _Z95 = 1.959963984540054  # standard normal 97.5% quantile
 # Version of the sample stream layout, written into every result record; bump
 # it whenever the draws of a (seed, sample) pair change.
 RNG_STREAM = "pcg64-advance/1"
+
+_log = logging.getLogger(__name__)
 
 # The closed-form bound (a key of thresholds.BOUNDS) each estimator is checked against.
 BOUND_KINDS = {"order-param-cdf": "OrderParamCDF", "death": "SincosMain", "escape": "EscapeMeasure"}
@@ -149,6 +152,109 @@ def empirical_order_param_cdf(
     return _estimate(sum(hits), mc.samples)
 
 
+# Solver-error allowance of the early exit's ball, in units of sqrt(N) * opts.tolerance (see _Ball).
+_SLACK_TOLERANCES = 100.0
+
+
+@dataclass(frozen=True)
+class _Ball:
+    """Sup-norm balls about an equilibrium theta_star of the sinusoidal family at kappa > 0.
+
+    A phase vector at sup distance e from theta_star (mod 2 pi) lies in the
+    ball of radius rho = e + slack.  With a_i = |theta*_i| + rho < pi/2, every
+    phase of that ball has cos >= cos a_i and |sin| <= sin a_i, so
+    R >= R_min = 1 + mean cos a, and the row-sum log-norm of the Jacobian
+    J_ij = (kappa/N) sin theta_i sin theta_j - delta_ij kappa R cos theta_i
+    is at most log_norm_bound(rho).  When that bound mu satisfies
+    mu * rho + ||f(theta_star)||_inf < 0 the ball is forward-invariant for the
+    exact flow (contraction analysis): every later phase stays within rho of
+    the lift of theta*_i nearest it, and R stays in [R_min, R_max].
+
+    slack covers the solver's error, which the exact flow's ball does not:
+    DP45 accepts a step when the RMS over the N components of
+    err_i / (abs_tol + rel_tol |theta_i|) is <= 1, so one component's local
+    error can reach sqrt(N) * tolerance * (1 + |theta_i|), with |theta_i| < 3 pi
+    while the row's band stays below 2 pi; inside the ball the flow contracts,
+    so these errors are damped, not summed.  slack = 100 sqrt(N) tolerance
+    allows about nine such steps undamped.
+    """
+
+    theta: np.ndarray  # theta_star, each entry in (-pi/2, pi/2)
+    kappa: float
+    slack: float
+    residual: float  # ||f(theta_star)||_inf, which the root solve leaves
+
+    def nearest(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of states (..., N): the lifts of theta_star nearest it, and its sup distance e."""
+        offset = model.wrap_to_pi(states - self.theta)
+        return states - offset, np.max(np.abs(offset), axis=-1)
+
+    def log_norm_bound(self, rho) -> np.ndarray:
+        """max_i [-kappa R_min cos a_i + (kappa/N) sin a_i sum_j sin a_j] per radius rho, a = |theta*| + rho.
+
+        A bound on the row-sum log-norm of the Jacobian over the ball of
+        radius rho; it holds while every a_i < pi/2.
+        """
+        a = np.abs(self.theta) + np.asarray(rho)[..., None]
+        cos_a, sin_a = np.cos(a), np.sin(a)
+        r_min = self.r_range(rho)[0][..., None]
+        off = self.kappa / self.theta.size * sin_a * np.sum(sin_a, axis=-1, keepdims=True)
+        return np.max(-self.kappa * r_min * cos_a + off, axis=-1)
+
+    def r_range(self, rho) -> tuple[np.ndarray, np.ndarray]:
+        """(R_min, R_max) of the order parameter over the ball of radius rho."""
+        rho = np.asarray(rho)[..., None]
+        r_min = 1.0 + np.mean(np.cos(np.abs(self.theta) + rho), axis=-1)
+        r_max = 1.0 + np.mean(np.cos(np.maximum(np.abs(self.theta) - rho, 0.0)), axis=-1)
+        return r_min, r_max
+
+    def certified(self, rho) -> np.ndarray:
+        """Whether the ball of radius rho is forward-invariant, per radius."""
+        rho = np.asarray(rho)
+        inside = np.all(np.abs(self.theta) + rho[..., None] < 0.5 * np.pi, axis=-1)
+        return inside & (self.log_norm_bound(rho) * rho + self.residual < 0.0)
+
+
+def _contraction_ball(
+    config: SystemConfig, spec: InteractionSpec, opts: SolverOptions
+) -> tuple[Optional[_Ball], str]:
+    """The early exit's ball about the stable equilibrium, or None and why every row runs to the horizon.
+
+    theta_star comes from the largest all-plus root of the R equation (for
+    kappa > 0 only that signature can give a stable equilibrium), or is 0
+    with R = 2 when every frequency vanishes.  The slack rests on DP45's error
+    control, so rk4_fixed runs to the horizon, as does a system whose ball is
+    not certified even at e = 0 (kappa just above kappa_c, where the stable
+    and the saddle equilibrium are about to merge).
+    """
+    if spec.family != "sinusoidal":
+        return None, f"family {spec.family}"
+    if config.kappa <= 0.0:
+        return None, "kappa <= 0"
+    if opts.method != "dormand_prince45":
+        return None, f"method {opts.method}"
+    plus = np.ones(config.n, dtype=int)
+    if equilibria._frequencies_vanish(config):
+        r_star = 2.0
+    else:
+        roots = equilibria.solve_R_equation(config, equilibria.Signature(plus))
+        if not roots:
+            return None, "no all-plus root"
+        r_star = roots[-1]
+    theta = equilibria._equilibrium_theta(config, plus, r_star)
+    residual = float(np.max(np.abs(model.vector_field(config, spec, theta))))
+    slack = _SLACK_TOLERANCES * math.sqrt(config.n) * opts.tolerance
+    ball = _Ball(theta, config.kappa, slack, residual)
+    if not ball.certified(slack):  # the smallest ball any row can have
+        return None, "no certified ball at e = 0"
+    return ball, ""
+
+
+def _full_run_hit(traj: integrate.Trajectory, failure: Optional[str], r_floor: float) -> bool:
+    """The death rule on a row run to the horizon; a failed row is no hit."""
+    return failure is None and bool(np.all(integrate.detect_death(traj, 0.0))) and float(traj.r_series[-1]) >= r_floor
+
+
 def _death_block(
     config: SystemConfig,
     spec: InteractionSpec,
@@ -156,13 +262,61 @@ def _death_block(
     r_floor: float,
     draws: np.ndarray,
 ) -> list[bool]:
-    runs = integrate._integrate_rows(config, spec, draws, opts)
-    return [
-        failure is None
-        and bool(np.all(integrate.detect_death(traj, 0.0)))
-        and float(traj.r_series[-1]) >= r_floor
-        for traj, failure in runs
-    ]
+    """Death hits of a block, each row stopped once the rest of its run cannot change its hit.
+
+    A row stops at a sample where its ball (see _Ball) is certified and the
+    ball's [R_min, R_max] lies on one side of r_floor.  Its hit is then
+    decided by its samples so far and the ball: no hit when a phase band is
+    already >= 2 pi or R_max < r_floor; a hit when every band widened by the
+    ball, [min(lo, lift - rho), max(hi, lift + rho)], stays below 2 pi and
+    R_min >= r_floor.  A stopped row that neither decides is run again to the
+    horizon.  Without a ball (see _contraction_ball) every row runs to the
+    horizon.
+    """
+    ball, why = _contraction_ball(config, spec, opts)
+    if ball is None:
+        runs = integrate._integrate_rows(config, spec, draws, opts)
+        hits = [_full_run_hit(traj, failure, r_floor) for traj, failure in runs]
+        _log.debug("death block: %d rows, no early exit (%s)", len(hits), why)
+        return hits
+
+    def settled(times, states):
+        rho = ball.nearest(states)[1] + ball.slack
+        r_min, r_max = ball.r_range(rho)
+        return ball.certified(rho) & ((r_min >= r_floor) | (r_max < r_floor))
+
+    hits, rerun, stop_t, stop_e, band_margin, r_margin = [], [], [], [], [], []
+    for i, (traj, failure) in enumerate(integrate._integrate_rows(config, spec, draws, opts, stop=settled)):
+        if failure is not None or traj.times[-1] == opts.horizon:
+            hits.append(_full_run_hit(traj, failure, r_floor))
+            continue
+        lift, e = ball.nearest(traj.states[-1])
+        rho = e + ball.slack
+        r_min, r_max = ball.r_range(rho)
+        lo, hi = traj.states.min(axis=0), traj.states.max(axis=0)
+        widened = np.maximum(hi, lift + rho) - np.minimum(lo, lift - rho)
+        stop_t.append(float(traj.times[-1]))
+        stop_e.append(float(e))
+        if np.any(hi - lo >= 2.0 * np.pi) or r_max < r_floor:
+            hits.append(False)
+        elif np.all(widened < 2.0 * np.pi) and r_min >= r_floor:
+            hits.append(True)
+            band_margin.append(2.0 * np.pi - float(np.max(widened)))
+            r_margin.append(float(r_min) - r_floor)
+        else:
+            rerun.append(i)
+            hits.append(False)
+    if rerun:
+        for i, row in zip(rerun, integrate._integrate_rows(config, spec, draws[rerun], opts)):
+            hits[i] = _full_run_hit(*row, r_floor)
+    _log.debug(
+        "death block: %d rows, %d stopped (%d decided, %d re-run), %d to the horizon; stops at t=%g..%g, "
+        "max e %.3g; min margins 2pi-band %.3g, R_min-r_floor %.3g",
+        len(hits), len(stop_t), len(stop_t) - len(rerun), len(rerun), len(hits) - len(stop_t),
+        min(stop_t, default=math.nan), max(stop_t, default=math.nan), max(stop_e, default=math.nan),
+        min(band_margin, default=math.nan), min(r_margin, default=math.nan),
+    )
+    return hits
 
 
 def empirical_death_probability(
@@ -177,6 +331,19 @@ def empirical_death_probability(
     A sample counts when every unwrapped phase stays within a 2*pi band over
     the whole run and the final order parameter clears r_floor.  Integration
     failures count as non-death (conservative).
+
+    A sample stops early once the rest of its run cannot change its count:
+    at a sample time where it lies inside a sup-norm ball about the stable
+    equilibrium theta* on which the flow contracts (a closed-form bound on the
+    Jacobian's log-norm is < 0), widened by a solver-error slack of
+    100*sqrt(N)*opts.tolerance, and that ball's R range lies on one side of
+    r_floor.  Its count then follows from its phase bands so far and the ball;
+    the rare sample whose widened band would reach 2*pi is run again to the
+    horizon.  The early exit applies to the sinusoidal family with kappa > 0
+    and DP45; other families, kappa <= 0, rk4_fixed, kappa below kappa_c (no
+    theta*) and a ball not certified even at zero distance run every sample
+    to the horizon.  Either way the counts are those of the full runs (see
+    _death_block and _Ball).
     """
     hits = _map_samples(_death_block, (config, spec, opts, r_floor), config.n, mc)
     return _estimate(sum(hits), mc.samples)

@@ -116,6 +116,17 @@ def test_kappa_pc_command(capsys):
     assert data["horizon_dependent"] is True
 
 
+@pytest.mark.parametrize("horizon, zero", [("20", True), ("22", False)])
+def test_kappa_pc_is_zero_when_no_phase_can_turn_within_the_horizon(capsys, horizon, zero):
+    # max|omega| * horizon = 6 < 2 pi at T=20: even uncoupled, no phase band
+    # reaches 2 pi, so every coupling dies and kappa_pc is 0.0 (exit 0); at
+    # T=22 (6.6 > 2 pi) the fastest oscillator turns and kappa_pc is positive
+    assert main(["kappa-pc", "--omega", "0.3,-0.2,0.1", "--horizon", horizon, "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert ('"kappa_pc": 0.0\n' in out) is zero, out
+    assert json.loads(out)["kappa_pc"] >= 0.0
+
+
 def test_winfree_seed_env_override(tmp_path, monkeypatch, capsys):
     args = ["montecarlo", "--kind", "order-param-cdf", "--n", "5",
             "--t-level", "0.5", "--samples", "200", "--seed", "1"]

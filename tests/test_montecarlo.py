@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -186,15 +187,15 @@ def test_result_json_dict():
     assert d3["dominated"] is False
 
 
-def _one_at_a_time_hits(cfg, opts, seed, samples, r_floor=None, delta=None):
+def _one_at_a_time_hits(cfg, opts, seed, samples, r_floor=None, delta=None, spec=SPEC):
     """The estimators' per-sample rules, one simulate call per sample; a failed sample is no hit."""
     hits = []
     level = None if delta is None else 1.0 - delta
-    stop = None if delta is None else (lambda t, y: wf.order_parameter(SPEC, y) >= level)
+    stop = None if delta is None else (lambda t, y: wf.order_parameter(spec, y) >= level)
     for k in range(samples):
         theta0 = montecarlo._draws(seed, cfg.n, k, k + 1)[0]
         try:
-            traj = wf.simulate(cfg, SPEC, theta0, opts, stop_condition=stop)
+            traj = wf.simulate(cfg, spec, theta0, opts, stop_condition=stop)
         except IntegrationFailure:
             hits.append(False)
             continue
@@ -227,10 +228,17 @@ def test_block_estimators_match_one_sample_at_a_time(monkeypatch, block):
     assert est.estimate == sum(want) / 40
 
 
+def _full_horizon_hits(runs, r_floor):
+    return [failure is None and bool(np.all(wf.detect_death(traj, 0.0))) and traj.r_series[-1] >= r_floor
+            for traj, failure in runs]
+
+
 @pytest.mark.parametrize("n", [5, 20, 50])
 def test_death_samples_end_at_the_stable_equilibrium(monkeypatch, n):
     # for kappa > 0 only the all-plus signature can give a stable equilibrium:
-    # every sample the death estimator counts must end on it (mod 2 pi)
+    # every sample the death estimator counts must end on it (mod 2 pi) when
+    # run to the horizon, the early exit must give each row its full-horizon
+    # hit, and a row it stopped must stay in the ball it certified
     runs, integrate_rows = [], integrate._integrate_rows
 
     def recorded(*args, **kwargs):
@@ -242,23 +250,145 @@ def test_death_samples_end_at_the_stable_equilibrium(monkeypatch, n):
     kc = wf.critical_coupling(omega)
     opts = wf.dp45_options(horizon=500.0, sample_stride=5.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
     plus = wf.Signature(np.ones(n, dtype=int))
-    for kappa in (1.05 * kc, 1.5 * kc, 3.0 * np.max(np.abs(omega))):
+    draws = montecarlo._draws(502, n, 0, 16)
+    stopped = 0
+    for kappa in (1.01 * kc, 1.05 * kc, 1.5 * kc, 3.0 * np.max(np.abs(omega))):
         cfg = wf.SystemConfig(n=n, omega=omega, kappa=kappa)
         stable = []
-        for r in wf.solve_R_equation(cfg, plus):
+        roots = wf.solve_R_equation(cfg, plus)
+        for r in roots:
             theta = equilibria._equilibrium_theta(cfg, plus.sigma, r)
             eq = wf.EquilibriumRecord(R=r, theta=theta, signature=plus, divergence=math.nan, stability="",
                                       max_eig_real=math.nan)
             if wf.classify_stability(cfg, eq) == "Stable":
                 stable.append(theta)
         assert len(stable) == 1, (n, kappa)
-        runs.clear()
-        hits = montecarlo._death_block(cfg, SPEC, opts, 0.0, montecarlo._draws(502, n, 0, 16))
-        (rows,) = runs
-        assert sum(hits) > 0, (n, kappa)
-        for (traj, _), hit in zip(rows, hits):
-            if hit:
+        full = integrate_rows(cfg, SPEC, draws, opts)
+        for traj, failure in full:
+            if _full_horizon_hits([(traj, failure)], 0.0)[0]:
                 assert np.max(np.abs(wf.wrap_to_pi(traj.states[-1] - stable[0]))) < 1e-9, (n, kappa)
+        ball, _ = montecarlo._contraction_ball(cfg, SPEC, opts)
+        for r_floor in (0.0, max(roots) - 1e-3):
+            runs.clear()
+            hits = montecarlo._death_block(cfg, SPEC, opts, r_floor, draws)
+            assert hits == _full_horizon_hits(full, r_floor), (n, kappa, r_floor)
+            assert sum(hits) > 0, (n, kappa)
+            for (early, _), (traj, _) in zip(runs[0], full):
+                k = len(early.times) - 1
+                if early.times[-1] == opts.horizon:
+                    continue
+                stopped += 1
+                assert np.array_equal(ball.theta, stable[0])
+                assert np.array_equal(early.states, traj.states[:k + 1])
+                offset = wf.wrap_to_pi(early.states[-1] - stable[0])
+                rho = np.max(np.abs(offset)) + ball.slack
+                assert np.all(np.abs(traj.states[k:] - (early.states[-1] - offset)) <= rho), (n, kappa)
+    assert stopped > 0
+
+
+@pytest.mark.parametrize("n", [1, 3, 20])
+def test_log_norm_bound_holds_for_the_jacobian(n):
+    # the early exit's closed-form bound against model.jacobian: the row-sum
+    # log-norm max_i (J_ii + sum_{j != i} |J_ij|) stays below it at seeded
+    # points of the ball (shifted by whole turns), and meets it at the corner
+    # where every |theta_i| = |theta*_i| + rho, so the bound is not loose either
+    rng = np.random.default_rng(600 + n)
+    omega = rng.uniform(-1.0, 1.0, n)
+    opts = wf.dp45_options(horizon=10.0, sample_stride=1.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
+    for ratio in (1.05, 1.5, 4.0):
+        cfg = wf.SystemConfig(n=n, omega=omega, kappa=ratio * wf.critical_coupling(omega))
+        ball, why = montecarlo._contraction_ball(cfg, SPEC, opts)
+        assert ball is not None, why
+        room = 0.5 * np.pi - np.max(np.abs(ball.theta))
+        for rho in (0.05 * room, 0.5 * room, 0.95 * room):
+            bound = ball.log_norm_bound(rho)
+            corner = ball.theta + np.where(ball.theta < 0.0, -rho, rho)
+            points = np.vstack([corner, ball.theta + rng.uniform(-rho, rho, (64, n))])
+            points += 2.0 * np.pi * rng.integers(-2, 3, points.shape)
+            jac = wf.jacobian(cfg, points)
+            diag = np.diagonal(jac, axis1=-2, axis2=-1)
+            mu = np.max(diag + np.sum(np.abs(jac), axis=-1) - np.abs(diag), axis=-1)
+            assert np.all(mu <= bound + 1e-12 * cfg.kappa), (n, ratio, rho)
+            assert mu[0] == pytest.approx(bound, abs=1e-12 * cfg.kappa), (n, ratio, rho)
+
+
+@pytest.mark.parametrize("case", ["omega0", "negative_kappa", "n1", "below_kc", "power_cosine", "poisson", "rk4"])
+def test_death_estimate_without_early_exit_or_at_its_edges(case):
+    # where the early exit has no ball (kappa <= 0, below kappa_c, other
+    # families, rk4_fixed) or a special one (theta* = 0 at omega = 0, N = 1),
+    # the estimate is still the one-sample-at-a-time reference's, bit for bit
+    omega = np.random.default_rng(77).uniform(-1, 1, 6)
+    kc = wf.critical_coupling(omega)
+    cfg, spec = wf.SystemConfig(n=6, omega=omega, kappa=1.5 * kc), SPEC
+    if case == "omega0":
+        cfg = wf.SystemConfig(n=6, omega=np.zeros(6), kappa=0.3)
+    elif case == "negative_kappa":
+        cfg = wf.SystemConfig(n=6, omega=0.05 * omega, kappa=-1.0)
+    elif case == "n1":
+        cfg = wf.SystemConfig(n=1, omega=np.array([0.4]), kappa=2.0 * wf.critical_coupling([0.4]))
+    elif case == "below_kc":
+        cfg = wf.SystemConfig(n=6, omega=omega, kappa=0.97 * kc)
+    elif case == "power_cosine":
+        spec = wf.power_cosine(2)
+    elif case == "poisson":
+        spec = wf.rectified_poisson(0.3)
+    opts = wf.dp45_options(horizon=40.0, sample_stride=2.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
+    if case == "rk4":
+        opts = wf.rk4_options(dt=0.1, horizon=40.0, sample_stride=2.0)
+    want = _one_at_a_time_hits(cfg, opts, 5, 24, r_floor=0.0, spec=spec)
+    est = wf.empirical_death_probability(cfg, spec, opts, wf.McConfig(samples=24, seed=5))
+    assert est == montecarlo._estimate(sum(want), 24)
+    if case in ("omega0", "n1"):
+        assert montecarlo._contraction_ball(cfg, spec, opts)[0] is not None
+    else:
+        assert montecarlo._contraction_ball(cfg, spec, opts)[0] is None
+
+
+def test_death_block_logs_its_early_exit_only_at_debug(caplog):
+    omega = np.random.default_rng(77).uniform(-1, 1, 6)
+    opts = wf.dp45_options(horizon=40.0, sample_stride=2.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
+    strong = wf.SystemConfig(n=6, omega=omega, kappa=1.5 * wf.critical_coupling(omega))
+    negative = wf.SystemConfig(n=6, omega=omega, kappa=-1.0)
+    mc = wf.McConfig(samples=70, seed=5)  # two blocks
+
+    def lines():
+        return [r.getMessage() for r in caplog.records if r.name == "winfree.montecarlo"]
+
+    with caplog.at_level(logging.INFO, logger="winfree.montecarlo"):
+        wf.empirical_death_probability(strong, SPEC, opts, mc)
+    assert lines() == []
+    with caplog.at_level(logging.DEBUG, logger="winfree.montecarlo"):
+        est = wf.empirical_death_probability(strong, SPEC, opts, mc)
+        wf.empirical_death_probability(negative, SPEC, opts, wf.McConfig(samples=3, seed=5))
+    first, second, fallback = lines()
+    assert first.startswith("death block: 64 rows, 64 stopped (64 decided, 0 re-run), 0 to the horizon; stops at t=")
+    assert second.startswith("death block: 6 rows, 6 stopped")
+    for field in ("max e ", "min margins 2pi-band ", ", R_min-r_floor "):
+        assert field in first
+    assert est.estimate == 1.0
+    assert fallback == "death block: 3 rows, no early exit (kappa <= 0)"
+
+
+def test_undecided_rows_are_run_again_to_the_horizon(monkeypatch, caplog):
+    # at r_floor = 0 rows stop at their first certified sample, some still
+    # far from theta*; two of them have a band below 2 pi that the ball
+    # widens past 2 pi, and only those two are run again, without a stop
+    runs, integrate_rows = [], integrate._integrate_rows
+
+    def recorded(*args, **kwargs):
+        runs.append((kwargs.get("stop"), len(args[2])))
+        return integrate_rows(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "_integrate_rows", recorded)
+    omega = np.random.default_rng([501, 3]).uniform(-1.0, 1.0, 3)
+    cfg = wf.SystemConfig(n=3, omega=omega, kappa=1.05 * wf.critical_coupling(omega))
+    opts = wf.dp45_options(horizon=100.0, sample_stride=1.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
+    draws = montecarlo._draws(502, 3, 0, 64)
+    with caplog.at_level(logging.DEBUG, logger="winfree.montecarlo"):
+        hits = montecarlo._death_block(cfg, SPEC, opts, 0.0, draws)
+    assert hits == _full_horizon_hits(integrate_rows(cfg, SPEC, draws, opts), 0.0)
+    assert [(stop is None, rows) for stop, rows in runs] == [(False, 64), (True, 2)]
+    assert "64 stopped (62 decided, 2 re-run)" in caplog.records[-1].getMessage()
 
 
 def test_escape_verdict_reads_how_each_row_ended():
