@@ -287,6 +287,43 @@ def solve_R_equation(config: SystemConfig, signature: Signature) -> list[float]:
     return roots
 
 
+def _stable_root(config: SystemConfig) -> tuple[float, int, float] | None:
+    """Largest root R* of the all-plus branch function, the Newton steps taken and f'(R*); None below kappa_c.
+
+    f(r) = 1 + (1/N) sum_j sqrt(1 - omega_j^2/(kappa r)^2) - r is concave on
+    (max|omega|/|kappa|, 2] and f(2) <= 0, so Newton's method from r = 2
+    moves left and approaches the largest root from the right without passing
+    it.  It stops at f >= 0 or once a step no longer moves r left.  A step
+    that meets f' >= 0 while f < 0 has passed the maximum of f, and one that
+    reaches the branch point max|omega|/|kappa| has left the branch: either
+    way f < 0 on the whole branch, which has no root (kappa < kappa_c).  For
+    kappa > 0 the root's equilibrium is the only one that can be stable.
+    Frequencies must not vanish (as for solve_R_equation).
+    """
+    omega2, kappa2 = _scaled_squares(config)
+    branch = config.omega_max / abs(config.kappa)
+    r = 2.0
+    if branch >= r:
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):  # x >= 1 within rounding of the branch point: nan or inf
+        for steps in range(100):  # at most 6 steps from 1.05 kappa_c up, about 25 at kappa_c
+            x = omega2 / (kappa2 * r * r)
+            s = np.sqrt(1.0 - x)
+            f = 1.0 + float(np.sum(s)) / omega2.size - r
+            slope = float(np.sum(x / s)) / (omega2.size * r) - 1.0  # d/dr sqrt(1 - x) = x / (r sqrt(1 - x))
+            if f >= 0.0:
+                break
+            if not slope < 0.0:
+                return None
+            r_next = r - f / slope
+            if r_next >= r:
+                break
+            if r_next <= branch:
+                return None
+            r = r_next
+    return r, steps, slope
+
+
 def _canonical(theta: np.ndarray) -> np.ndarray:
     """Wrap to (-pi, pi]."""
     wrapped = np.mod(-theta + np.pi, 2.0 * np.pi)

@@ -218,14 +218,17 @@ class _Ball:
 def _contraction_ball(
     config: SystemConfig, spec: InteractionSpec, opts: SolverOptions
 ) -> tuple[Optional[_Ball], str]:
-    """The early exit's ball about the stable equilibrium, or None and why every row runs to the horizon.
+    """The early exit's ball about the stable equilibrium and how theta_star was found; or None and why not.
 
-    theta_star comes from the largest all-plus root of the R equation (for
-    kappa > 0 only that signature can give a stable equilibrium), or is 0
-    with R = 2 when every frequency vanishes.  The slack rests on DP45's error
-    control, so rk4_fixed runs to the horizon, as does a system whose ball is
-    not certified even at e = 0 (kappa just above kappa_c, where the stable
-    and the saddle equilibrium are about to merge).
+    theta_star comes from the largest all-plus root R* of the R equation
+    (for kappa > 0 only that signature can give a stable equilibrium), found
+    by Newton's method on the concave all-plus branch (equilibria._stable_root),
+    or is 0 with R = 2 when every frequency vanishes.  The note gives R*, the
+    Newton steps and f'(R*), the fold margin: it tends to 0 as kappa falls to
+    kappa_c.  The slack rests on DP45's error control, so rk4_fixed runs to the
+    horizon, as does a system whose ball is not certified even at e = 0 (kappa
+    just above kappa_c, where the stable and the saddle equilibrium are about
+    to merge).
     """
     if spec.family != "sinusoidal":
         return None, f"family {spec.family}"
@@ -235,19 +238,19 @@ def _contraction_ball(
         return None, f"method {opts.method}"
     plus = np.ones(config.n, dtype=int)
     if equilibria._frequencies_vanish(config):
-        r_star = 2.0
+        root = 2.0, 0, -1.0  # f(r) = 2 - r
     else:
-        roots = equilibria.solve_R_equation(config, equilibria.Signature(plus))
-        if not roots:
+        root = equilibria._stable_root(config)
+        if root is None:
             return None, "no all-plus root"
-        r_star = roots[-1]
+    r_star, steps, slope = root
     theta = equilibria._equilibrium_theta(config, plus, r_star)
     residual = float(np.max(np.abs(model.vector_field(config, spec, theta))))
     slack = _SLACK_TOLERANCES * math.sqrt(config.n) * opts.tolerance
     ball = _Ball(theta, config.kappa, slack, residual)
     if not ball.certified(slack):  # the smallest ball any row can have
         return None, "no certified ball at e = 0"
-    return ball, ""
+    return ball, f"R* {r_star:.17g} after {steps} Newton steps, f'(R*) {slope:.3g}"
 
 
 def _full_run_hit(traj: integrate.Trajectory, failure: Optional[str], r_floor: float) -> bool:
@@ -273,11 +276,11 @@ def _death_block(
     horizon.  Without a ball (see _contraction_ball) every row runs to the
     horizon.
     """
-    ball, why = _contraction_ball(config, spec, opts)
+    ball, note = _contraction_ball(config, spec, opts)
     if ball is None:
         runs = integrate._integrate_rows(config, spec, draws, opts)
         hits = [_full_run_hit(traj, failure, r_floor) for traj, failure in runs]
-        _log.debug("death block: %d rows, no early exit (%s)", len(hits), why)
+        _log.debug("death block: %d rows, no early exit (%s)", len(hits), note)
         return hits
 
     def settled(times, states):
@@ -311,10 +314,10 @@ def _death_block(
             hits[i] = _full_run_hit(*row, r_floor)
     _log.debug(
         "death block: %d rows, %d stopped (%d decided, %d re-run), %d to the horizon; stops at t=%g..%g, "
-        "max e %.3g; min margins 2pi-band %.3g, R_min-r_floor %.3g",
+        "max e %.3g; min margins 2pi-band %.3g, R_min-r_floor %.3g; %s",
         len(hits), len(stop_t), len(stop_t) - len(rerun), len(rerun), len(hits) - len(stop_t),
         min(stop_t, default=math.nan), max(stop_t, default=math.nan), max(stop_e, default=math.nan),
-        min(band_margin, default=math.nan), min(r_margin, default=math.nan),
+        min(band_margin, default=math.nan), min(r_margin, default=math.nan), note,
     )
     return hits
 
@@ -337,7 +340,9 @@ def empirical_death_probability(
     equilibrium theta* on which the flow contracts (a closed-form bound on the
     Jacobian's log-norm is < 0), widened by a solver-error slack of
     100*sqrt(N)*opts.tolerance, and that ball's R range lies on one side of
-    r_floor.  Its count then follows from its phase bands so far and the ball;
+    r_floor.  theta* comes from the largest all-plus root of the R equation,
+    which Newton's method finds on the concave all-plus branch once per block
+    of samples.  Its count then follows from its phase bands so far and the ball;
     the rare sample whose widened band would reach 2*pi is run again to the
     horizon.  The early exit applies to the sinusoidal family with kappa > 0
     and DP45; other families, kappa <= 0, rk4_fixed, kappa below kappa_c (no

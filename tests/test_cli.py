@@ -297,22 +297,23 @@ def test_bounds_config_values_are_converted(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("seed", [3, 4])
-@pytest.mark.parametrize("epsilon", [0.5, 1.0])
+@pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
 def test_main_theorem_death_dominates_sincos_bound(capsys, seed, epsilon):
-    # kappa = (2 + eps) * max|omega|: the death fraction must reach the
-    # SincosMain lower bound minus 3 SE, read from the command's own verdict
-    omega = np.random.default_rng(seed).uniform(-1.0, 1.0, 20)
-    kappa = (2.0 + epsilon) * float(np.max(np.abs(omega)))
-    code = main(["montecarlo", "--kind", "death", "--omega=" + ",".join(f"{w:.17g}" for w in omega),
-                 "--kappa", f"{kappa:.17g}", "--samples", "32", "--seed", str(seed),
-                 "--horizon", "50", "--sample-stride", "1", "--abs-tol", "1e-6", "--rel-tol", "1e-6",
-                 "--max-dt", "0.5", "--output", "-"])
-    assert code == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["bound"] == pytest.approx(1.0 - np.exp(-epsilon**2 * 20 / 25.0))
-    assert data["dominates"] is True, data
-    lo, hi = data["wilson_95"]
-    assert lo <= data["estimate"] <= hi
+    # kappa = (2 + eps) * max|omega|: at every N the death fraction must reach
+    # the SincosMain lower bound minus 3 SE, read from the command's own verdict
+    for n in (5, 20, 80):
+        omega = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        kappa = (2.0 + epsilon) * float(np.max(np.abs(omega)))
+        code = main(["montecarlo", "--kind", "death", "--omega=" + ",".join(f"{w:.17g}" for w in omega),
+                     "--kappa", f"{kappa:.17g}", "--samples", "32", "--seed", str(seed),
+                     "--horizon", "50", "--sample-stride", "1", "--abs-tol", "1e-6", "--rel-tol", "1e-6",
+                     "--max-dt", "0.5", "--output", "-"])
+        assert code == 0, n
+        data = json.loads(capsys.readouterr().out)
+        assert data["bound"] == pytest.approx(1.0 - np.exp(-epsilon**2 * n / 25.0)), n
+        assert data["dominates"] is True, (n, data)
+        lo, hi = data["wilson_95"]
+        assert lo <= data["estimate"] <= hi, n
 
 
 def test_montecarlo_verdict_follows_bound_direction(capsys):

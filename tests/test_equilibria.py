@@ -762,3 +762,57 @@ def test_enumeration_logs_the_branch_solver_counts(caplog, monkeypatch, ratio, v
     (line,) = [m for m in caplog.messages if m.startswith("enumerate N=5:")]
     tangents = ", ".join(f"{verdicts.count(v)} {v}" for v in ("split", "accepted", "rejected"))
     assert f" {brackets} brackets, {halvings} halvings; tangent candidates {tangents};" in line
+
+
+def _plus_slope(cfg, r):
+    """f'(r) of the all-plus branch function f(r) = 1 + mean sqrt(1 - x_j) - r, x_j = (omega_j/(kappa r))^2."""
+    x = (cfg.omega / (cfg.kappa * r)) ** 2
+    return float(np.mean(x / np.sqrt(1.0 - x)) / r - 1.0)
+
+
+def _plus_residual(cfg, r):
+    theta = equilibria._equilibrium_theta(cfg, np.ones(cfg.n, dtype=int), r)
+    return float(np.max(np.abs(wf.vector_field(cfg, SPEC, theta))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 50, 200])
+def test_stable_root_is_the_largest_all_plus_root_of_the_grid_solver(n):
+    # Newton on the concave all-plus branch against the grid scan: the scan's
+    # bisection stops at |f| < ROOT_TOL, so the two largest roots lie within
+    # 2 ROOT_TOL / |f'(R*)| of each other, and the Newton root's equilibrium
+    # is at least as accurate; below kappa_c there is no root
+    plus = Signature(np.ones(n, dtype=int))
+    for seed in range(12):
+        omega = np.random.default_rng([seed, n]).uniform(-1.0, 1.0, n)
+        kc = wf.critical_coupling(omega)
+        for ratio in (1.001, 1.01, 1.05, 1.5, 3.0, 10.0):
+            cfg = wf.SystemConfig(n=n, omega=omega, kappa=ratio * kc)
+            grid = solve_R_equation(cfg, plus)[-1]
+            root = equilibria._stable_root(cfg)
+            assert root is not None, (n, seed, ratio)
+            r = root[0]
+            assert abs(r - grid) <= 2.0 * equilibria.ROOT_TOL / abs(_plus_slope(cfg, grid)), (n, seed, ratio)
+            assert _plus_residual(cfg, r) <= _plus_residual(cfg, grid), (n, seed, ratio)
+        for ratio in (0.999, 0.99999):
+            cfg = wf.SystemConfig(n=n, omega=omega, kappa=ratio * kc)
+            assert equilibria._stable_root(cfg) is None, (n, seed, ratio)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6])
+def test_stable_root_next_to_the_fold(eps):
+    # just above kappa_c the all-plus branch rises above 0 only between two
+    # roots that share one cell of the grid scan, whose tangent check then
+    # finds neither (solve_R_equation returns []); Newton from r = 2 still
+    # stops on the larger root, with f(R*) = 0 to rounding
+    omega = np.random.default_rng([0, 200]).uniform(-1.0, 1.0, 200)
+    cfg = wf.SystemConfig(n=200, omega=omega, kappa=(1.0 + eps) * wf.critical_coupling(omega))
+    r, _, slope = equilibria._stable_root(cfg)
+    omega2, kappa2 = equilibria._scaled_squares(cfg)
+
+    def f(r):
+        return equilibria._branch_values(omega2, kappa2, np.ones(200), np.asarray(r, dtype=float))
+
+    assert abs(f(r)) <= 4.0 * np.finfo(float).eps
+    assert f(cfg.omega_max / cfg.kappa) < 0.0 < np.max(f(np.linspace(r - 1e-4, r, 2001)))  # a smaller root too
+    assert f(r + 1e-9) < 0.0
+    assert slope == pytest.approx(_plus_slope(cfg, r), rel=1e-9)

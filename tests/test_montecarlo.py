@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,14 @@ def test_death_samples_end_at_the_stable_equilibrium(monkeypatch, n):
             if _full_horizon_hits([(traj, failure)], 0.0)[0]:
                 assert np.max(np.abs(wf.wrap_to_pi(traj.states[-1] - stable[0]))) < 1e-9, (n, kappa)
         ball, _ = montecarlo._contraction_ball(cfg, SPEC, opts)
+        if ball is not None:
+            # theta* from the Newton root, within the grid solver's ROOT_TOL of its
+            # root (d theta_i / dR = -tan theta_i / R) and at least as accurate
+            r_star, _, slope = equilibria._stable_root(cfg)
+            assert np.array_equal(ball.theta, equilibria._equilibrium_theta(cfg, plus.sigma, r_star))
+            near = np.abs(np.tan(stable[0])) / r_star * 2.0 * equilibria.ROOT_TOL / abs(slope)
+            assert np.all(np.abs(wf.wrap_to_pi(ball.theta - stable[0])) <= near * (1.0 + 1e-6)), (n, kappa)
+            assert ball.residual <= np.max(np.abs(wf.vector_field(cfg, SPEC, stable[0]))), (n, kappa)
         for r_floor in (0.0, max(roots) - 1e-3):
             runs.clear()
             hits = montecarlo._death_block(cfg, SPEC, opts, r_floor, draws)
@@ -278,7 +287,6 @@ def test_death_samples_end_at_the_stable_equilibrium(monkeypatch, n):
                 if early.times[-1] == opts.horizon:
                     continue
                 stopped += 1
-                assert np.array_equal(ball.theta, stable[0])
                 assert np.array_equal(early.states, traj.states[:k + 1])
                 offset = wf.wrap_to_pi(early.states[-1] - stable[0])
                 rho = np.max(np.abs(offset)) + ball.slack
@@ -363,10 +371,27 @@ def test_death_block_logs_its_early_exit_only_at_debug(caplog):
     first, second, fallback = lines()
     assert first.startswith("death block: 64 rows, 64 stopped (64 decided, 0 re-run), 0 to the horizon; stops at t=")
     assert second.startswith("death block: 6 rows, 6 stopped")
-    for field in ("max e ", "min margins 2pi-band ", ", R_min-r_floor "):
+    for field in ("max e ", "min margins 2pi-band ", ", R_min-r_floor ", "; R* 1.", " Newton steps, f'(R*) -"):
         assert field in first
     assert est.estimate == 1.0
     assert fallback == "death block: 3 rows, no early exit (kappa <= 0)"
+
+
+def test_contraction_ball_memory_stays_linear_in_n():
+    # theta* comes from O(N) Newton steps, not from a scan grid of
+    # SCAN_POINTS + 1 rows of N radicals (6.5 MB at N = 200)
+    omega = np.random.default_rng([501, 200]).uniform(-1.0, 1.0, 200)
+    cfg = wf.SystemConfig(n=200, omega=omega, kappa=1.5 * wf.critical_coupling(omega))
+    opts = wf.dp45_options(horizon=10.0, sample_stride=1.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
+    montecarlo._contraction_ball(cfg, SPEC, opts)  # one-time set-up outside the trace
+    tracemalloc.start()
+    try:
+        ball, note = montecarlo._contraction_ball(cfg, SPEC, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ball is not None, note
+    assert peak < 64 * 1024, peak
 
 
 def test_undecided_rows_are_run_again_to_the_horizon(monkeypatch, caplog):
