@@ -339,19 +339,21 @@ def _equilibrium_theta(config: SystemConfig, sigma: np.ndarray, r) -> np.ndarray
 
 
 def _stability(config: SystemConfig, r: np.ndarray, theta: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Per row: (label, max real eigenvalue part) of the Jacobian, thresholds +-1e-8.
+    """Per row: (label, largest eigenvalue) of the Jacobian, thresholds +-1e-8.
 
-    Rows are order parameters r (M,) and phases theta (M, N).  A row on the
-    boundary |kappa|*R = max|omega| is Indeterminate with max part nan, and
-    its eigenvalues are not computed.  The other rows go BLOCK_SIGNATURES at
-    a time into one Jacobian stack and one eigvals call, so memory stays
+    Rows are order parameters r (M,) and phases theta (M, N).  The Jacobian
+    D + (kappa/N) s s^T (s = sin theta) is minus the Hessian of the potential
+    V, so it is symmetric and eigvalsh gives its spectrum.  A row on the
+    boundary |kappa|*R = max|omega| is Indeterminate with nan, and its
+    eigenvalues are not computed.  The other rows go BLOCK_SIGNATURES at a
+    time into one Jacobian stack and one eigvalsh call, so memory stays
     bounded in M.
     """
     max_eig = np.full(r.shape, np.nan)
     inner = np.flatnonzero(~(np.abs(abs(config.kappa) * r - config.omega_max) < 1e-12))
     for start in range(0, inner.size, BLOCK_SIGNATURES):
         rows = inner[start:start + BLOCK_SIGNATURES]
-        max_eig[rows] = np.max(np.linalg.eigvals(model.jacobian(config, theta[rows])).real, axis=-1)
+        max_eig[rows] = np.linalg.eigvalsh(model.jacobian(config, theta[rows]))[..., -1]
     labels = np.where(max_eig > 1e-8, "Unstable", np.where(max_eig < -1e-8, "Stable", "Indeterminate"))
     return labels.tolist(), max_eig
 
@@ -596,7 +598,7 @@ def build_W_polynomial(config: SystemConfig, exact: bool = False) -> WPolynomial
 
 
 def classify_stability(config: SystemConfig, eq: EquilibriumRecord) -> str:
-    """Linear stability from Jacobian eigenvalues (thresholds +-1e-8)."""
+    """Linear stability from the Jacobian's largest eigenvalue (thresholds +-1e-8)."""
     return _stability(config, np.array([eq.R], dtype=float), eq.theta[None])[0][0]
 
 

@@ -199,14 +199,14 @@ def _integrate_rows(
     matmuls (one gemv per row, as for a single state), the stages are
     model.vector_field of the stack, and step-size control is Python float
     arithmetic per row.  kappa is None (config.kappa) or one coupling per row.
-    stop(times, thetas) -> one bool per row is evaluated on the rows that
-    reach a sample time (and on every row at t=0); a row whose value is true
-    ends there.  Rows that end are dropped from the arrays.  Each sample event
-    is recorded as one block (the rows due, their sample time, their states);
-    at the end the blocks are ordered by row and every R comes from one
-    model.order_parameter call.  Returns those columns as a _Rows, whose
-    items are, per row, its trajectory and its failure message (None when it
-    reached the horizon or stopped).
+    stop(times, thetas, rows) -> one bool per row is evaluated on the rows
+    that reach a sample time (on every row at t=0), rows being their indices
+    in initial; a row whose value is true ends there.  Rows that end are
+    dropped from the arrays.  Each sample event is recorded as one block (the
+    rows due, their sample time, their states); at the end the blocks are
+    ordered by row and every R comes from one model.order_parameter call.
+    Returns those columns as a _Rows, whose items are, per row, its
+    trajectory and failure message (None when it reached the horizon or stopped).
     """
     theta = np.array(initial, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != config.n:
@@ -233,7 +233,7 @@ def _integrate_rows(
     h = [h_start] * b
     nxt = [1] * b  # index of the next sample time
     k1 = model.vector_field(config, spec, theta, kap)
-    ended = [False] * b if stop is None else [bool(s) for s in stop(np.zeros(b), theta)]
+    ended = [False] * b if stop is None else [bool(s) for s in stop(np.zeros(b), theta, np.arange(b))]
 
     while True:
         if any(ended):
@@ -294,10 +294,11 @@ def _integrate_rows(
         while due:
             snap = theta[due]
             due_t = [targets[nxt[i]] for i in due]
-            blocks.append(([rows[i] for i in due], due_t, snap))
+            due_rows = [rows[i] for i in due]
+            blocks.append((due_rows, due_t, snap))
             stops = [False] * len(due)
             if stop is not None:
-                stops = stop(np.array(due_t), snap)
+                stops = stop(np.array(due_t), snap, np.array(due_rows))
             for i, stopped in zip(due, stops):
                 nxt[i] += 1
                 ended[i] = bool(stopped) or nxt[i] > last
@@ -331,7 +332,7 @@ def simulate(
     """
     stop = None
     if stop_condition is not None:
-        def stop(ts, ys):
+        def stop(ts, ys, rows):
             return [stop_condition(t, y) for t, y in zip(ts, ys)]
     traj, failure = _integrate_rows(config, spec, model._phases(initial)[None], opts, stop=stop)[0]
     if failure is not None:

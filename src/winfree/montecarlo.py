@@ -197,7 +197,7 @@ class _Ball:
         """
         a = np.abs(self.theta) + np.asarray(rho)[..., None]
         cos_a, sin_a = np.cos(a), np.sin(a)
-        r_min = self.r_range(rho)[0][..., None]
+        r_min = 1.0 + np.mean(cos_a, axis=-1, keepdims=True)  # R_min of r_range
         off = self.kappa / self.theta.size * sin_a * np.sum(sin_a, axis=-1, keepdims=True)
         return np.max(-self.kappa * r_min * cos_a + off, axis=-1)
 
@@ -253,11 +253,6 @@ def _contraction_ball(
     return ball, f"R* {r_star:.17g} after {steps} Newton steps, f'(R*) {slope:.3g}"
 
 
-def _full_run_hit(traj: integrate.Trajectory, failure: Optional[str], r_floor: float) -> bool:
-    """The death rule on a row run to the horizon; a failed row is no hit."""
-    return failure is None and bool(np.all(integrate.detect_death(traj, 0.0))) and float(traj.r_series[-1]) >= r_floor
-
-
 def _death_block(
     config: SystemConfig,
     spec: InteractionSpec,
@@ -265,61 +260,61 @@ def _death_block(
     r_floor: float,
     draws: np.ndarray,
 ) -> list[bool]:
-    """Death hits of a block, each row stopped once the rest of its run cannot change its hit.
+    """Death hits of a block from one integration, each row stopped once its hit is decided.
 
-    A row stops at a sample where its ball (see _Ball) is certified and the
-    ball's [R_min, R_max] lies on one side of r_floor.  Its hit is then
-    decided by its samples so far and the ball: no hit when a phase band is
-    already >= 2 pi or R_max < r_floor; a hit when every band widened by the
-    ball, [min(lo, lift - rho), max(hi, lift + rho)], stays below 2 pi and
-    R_min >= r_floor.  A stopped row that neither decides is run again to the
-    horizon.  Without a ball (see _contraction_ball) every row runs to the
-    horizon.
+    The stop hook keeps each row's phase bands [lo, hi] over its samples.  With
+    a ball (see _Ball and _contraction_ball) it stops a row at a sample where
+    the ball is certified and the row's hit is already fixed: no hit when a
+    band is >= 2 pi or R_max < r_floor; a hit when R_min >= r_floor and every
+    band widened by the ball, [min(lo, lift - rho), max(hi, lift + rho)],
+    stays below 2 pi.  Any other row runs on, and a row that reaches the
+    horizon is judged from its bands, its final R and its failure: the block
+    reads columns and builds no Trajectory.
     """
     ball, note = _contraction_ball(config, spec, opts)
-    if ball is None:
-        runs = integrate._integrate_rows(config, spec, draws, opts)
-        hits = [_full_run_hit(traj, failure, r_floor) for traj, failure in runs]
-        _log.debug("death block: %d rows, no early exit (%s)", len(hits), note)
-        return hits
+    lo, hi = draws.copy(), draws.copy()
+    stopped = np.zeros(len(draws), dtype=bool)
+    verdict = np.zeros(len(draws), dtype=bool)
+    stop_t, stop_e, band_margin, r_margin = [], [], [], []
 
-    def settled(times, states):
-        rho = ball.nearest(states)[1] + ball.slack
-        r_min, r_max = ball.r_range(rho)
-        return ball.certified(rho) & ((r_min >= r_floor) | (r_max < r_floor))
-
-    hits, rerun, stop_t, stop_e, band_margin, r_margin = [], [], [], [], [], []
-    for i, (traj, failure) in enumerate(integrate._integrate_rows(config, spec, draws, opts, stop=settled)):
-        if failure is not None or traj.times[-1] == opts.horizon:
-            hits.append(_full_run_hit(traj, failure, r_floor))
-            continue
-        lift, e = ball.nearest(traj.states[-1])
+    def settled(times, thetas, rows):
+        lo[rows] = np.minimum(lo[rows], thetas)
+        hi[rows] = np.maximum(hi[rows], thetas)
+        stops = np.zeros(len(rows), dtype=bool)
+        if ball is None:
+            return stops
+        lift, e = ball.nearest(thetas)
         rho = e + ball.slack
+        ok = np.flatnonzero(ball.certified(rho))
+        if not ok.size:
+            return stops
+        row, rho = rows[ok], rho[ok]
         r_min, r_max = ball.r_range(rho)
-        lo, hi = traj.states.min(axis=0), traj.states.max(axis=0)
-        widened = np.maximum(hi, lift + rho) - np.minimum(lo, lift - rho)
-        stop_t.append(float(traj.times[-1]))
-        stop_e.append(float(e))
-        if np.any(hi - lo >= 2.0 * np.pi) or r_max < r_floor:
-            hits.append(False)
-        elif np.all(widened < 2.0 * np.pi) and r_min >= r_floor:
-            hits.append(True)
-            band_margin.append(2.0 * np.pi - float(np.max(widened)))
-            r_margin.append(float(r_min) - r_floor)
-        else:
-            rerun.append(i)
-            hits.append(False)
-    if rerun:
-        for i, row in zip(rerun, integrate._integrate_rows(config, spec, draws[rerun], opts)):
-            hits[i] = _full_run_hit(*row, r_floor)
+        widened = np.maximum(hi[row], lift[ok] + rho[:, None]) - np.minimum(lo[row], lift[ok] - rho[:, None])
+        miss = np.any(hi[row] - lo[row] >= 2.0 * np.pi, axis=1) | (r_max < r_floor)
+        hit = np.all(widened < 2.0 * np.pi, axis=1) & (r_min >= r_floor)
+        decided = miss | hit
+        stops[ok] = decided
+        stopped[row] = decided
+        verdict[row] = hit
+        stop_t.extend(times[ok][decided].tolist())
+        stop_e.extend(e[ok][decided].tolist())
+        band_margin.extend((2.0 * np.pi - np.max(widened[hit], axis=1)).tolist())
+        r_margin.extend((r_min[hit] - r_floor).tolist())
+        return stops
+
+    runs = integrate._integrate_rows(config, spec, draws, opts, stop=settled)
+    ran = np.array([failure is None for failure in runs.failures])
+    hits = np.where(stopped, verdict, ran & np.all(hi - lo < 2.0 * np.pi, axis=1) & (runs.final_r >= r_floor))
     _log.debug(
-        "death block: %d rows, %d stopped (%d decided, %d re-run), %d to the horizon; stops at t=%g..%g, "
+        "death block: %d rows, %d stopped with a hit, %d without, %d to the horizon; stops at t=%g..%g, "
         "max e %.3g; min margins 2pi-band %.3g, R_min-r_floor %.3g; %s",
-        len(hits), len(stop_t), len(stop_t) - len(rerun), len(rerun), len(hits) - len(stop_t),
+        len(hits), len(band_margin), len(stop_t) - len(band_margin), len(hits) - len(stop_t),
         min(stop_t, default=math.nan), max(stop_t, default=math.nan), max(stop_e, default=math.nan),
-        min(band_margin, default=math.nan), min(r_margin, default=math.nan), note,
+        min(band_margin, default=math.nan), min(r_margin, default=math.nan),
+        note if ball is not None else f"no early exit ({note})",
     )
-    return hits
+    return hits.tolist()
 
 
 def empirical_death_probability(
@@ -339,16 +334,15 @@ def empirical_death_probability(
     at a sample time where it lies inside a sup-norm ball about the stable
     equilibrium theta* on which the flow contracts (a closed-form bound on the
     Jacobian's log-norm is < 0), widened by a solver-error slack of
-    100*sqrt(N)*opts.tolerance, and that ball's R range lies on one side of
-    r_floor.  theta* comes from the largest all-plus root of the R equation,
-    which Newton's method finds on the concave all-plus branch once per block
-    of samples.  Its count then follows from its phase bands so far and the ball;
-    the rare sample whose widened band would reach 2*pi is run again to the
-    horizon.  The early exit applies to the sinusoidal family with kappa > 0
-    and DP45; other families, kappa <= 0, rk4_fixed, kappa below kappa_c (no
-    theta*) and a ball not certified even at zero distance run every sample
-    to the horizon.  Either way the counts are those of the full runs (see
-    _death_block and _Ball).
+    100*sqrt(N)*opts.tolerance, and its phase bands so far and that ball
+    already fix its count.  theta* comes from the largest all-plus root of
+    the R equation, which Newton's method finds on the concave all-plus
+    branch once per block of samples.  A sample the ball cannot decide yet
+    integrates on, in the same run.  The early exit applies to the sinusoidal
+    family with kappa > 0 and DP45; other families, kappa <= 0, rk4_fixed,
+    kappa below kappa_c (no theta*) and a ball not certified even at zero
+    distance run every sample to the horizon.  Either way the counts are
+    those of the full runs (see _death_block and _Ball).
     """
     hits = _map_samples(_death_block, (config, spec, opts, r_floor), config.n, mc)
     return _estimate(sum(hits), mc.samples)
@@ -369,7 +363,7 @@ def _escape_block(
     """
     level = 1.0 - delta
 
-    def reached(times, thetas):
+    def reached(times, thetas, rows):
         return model.order_parameter(spec, thetas) >= level
 
     runs = integrate._integrate_rows(config, spec, draws, opts, stop=reached)

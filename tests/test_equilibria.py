@@ -485,7 +485,7 @@ def test_extreme_scales_give_the_records_of_their_rescale(omega, kappa, shift):
 
 def _one_at_a_time_records(cfg):
     """Records built one at a time, as before stacking: theta, then the 1-D Jacobian,
-    its eigvals and the 1-D divergence per record; dedup against every kept theta."""
+    its largest eigvalsh eigenvalue and the 1-D divergence per record; dedup against every kept theta."""
     omega_max = float(np.max(np.abs(cfg.omega)))
     bipolar = not np.any((cfg.omega / cfg.kappa) ** 2)
     out, kept = [], []
@@ -506,7 +506,7 @@ def _one_at_a_time_records(cfg):
             if abs(abs(cfg.kappa) * r - omega_max) < 1e-12:
                 label, max_eig = "Indeterminate", float("nan")
             else:
-                max_eig = float(np.max(np.linalg.eigvals(wf.jacobian(cfg, theta)).real))
+                max_eig = float(np.linalg.eigvalsh(wf.jacobian(cfg, theta))[-1])
                 label = "Unstable" if max_eig > 1e-8 else "Stable" if max_eig < -1e-8 else "Indeterminate"
             out.append((float(r).hex(), theta.tobytes(), sigma.tolist(),
                         wf.divergence(cfg, SPEC, theta).hex(), label, max_eig.hex()))

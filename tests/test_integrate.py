@@ -248,6 +248,33 @@ def _table_spec():
     return wf.custom_interaction((1 + np.cos(th)) ** 1.5, -np.sin(th) * (1 + 0.2 * np.cos(th)))
 
 
+def _recording(stop):
+    """stop, keeping a copy of each call's (times, thetas, rows) in .calls."""
+    def hook(times, thetas, rows):
+        hook.calls.append((np.array(times), np.array(thetas), np.array(rows)))
+        return stop(times, thetas, rows)
+
+    hook.calls = []
+    return hook
+
+
+def _assert_hook_saw_every_sample(calls, runs):
+    # the t = 0 call gets every row, as arange(B); after it each call's rows
+    # are indices into initial, and thetas[k] is row rows[k]'s sample at
+    # times[k]; every recorded sample passes the hook exactly once
+    times, _, rows = calls[0]
+    assert rows.tolist() == list(range(len(runs))) and not times.any()
+    seen = [0] * len(runs)
+    for times, thetas, rows in calls:
+        assert rows.dtype.kind == "i"
+        for when, theta, row in zip(times, thetas, rows.tolist()):
+            traj = runs[row][0]
+            k = seen[row]
+            assert traj.times[k] == when and traj.states[k].tobytes() == theta.tobytes()
+            seen[row] += 1
+    assert seen == [len(traj.times) for traj, _ in runs]
+
+
 @pytest.mark.parametrize("opts", [
     wf.dp45_options(horizon=30.0, sample_stride=0.5, abs_tol=1e-7, rel_tol=1e-7, max_dt=0.5),
     wf.rk4_options(0.05, 30.0, 0.5),
@@ -266,11 +293,12 @@ def test_ensemble_rows_do_not_depend_on_batch(spec, opts):
     kappas = [0.0, 0.5, 1.0, 1e308, 2.0, 3.0, 4.0]
     level = 0.85 * float(wf.influence(spec, np.zeros(1))[0])
 
-    def stop(times, thetas):
+    def stop(times, thetas, rows):
         return (times >= 5.0) & (np.mean(wf.influence(spec, thetas), axis=1) >= level)
 
+    hook = _recording(stop)
     with np.errstate(over="ignore", invalid="ignore"):
-        batch = integrate._integrate_rows(cfg, spec, initial, opts, kappa=kappas, stop=stop)
+        batch = integrate._integrate_rows(cfg, spec, initial, opts, kappa=kappas, stop=hook)
         single = [integrate._integrate_rows(cfg, spec, initial[j:j + 1], opts,
                                             kappa=kappas[j:j + 1], stop=stop)[0] for j in range(7)]
     for (a, fail_a), (b, fail_b) in zip(batch, single):
@@ -279,6 +307,7 @@ def test_ensemble_rows_do_not_depend_on_batch(spec, opts):
         assert a.states.tobytes() == b.states.tobytes()
         assert a.r_series.tobytes() == b.r_series.tobytes()
         assert (a.accepted_steps, a.rejected_steps) == (b.accepted_steps, b.rejected_steps)
+    _assert_hook_saw_every_sample(hook.calls, batch)
     ends = [traj.times[-1] for traj, _ in batch]
     assert batch[3][1].startswith("non-finite state")
     assert ends[0] == 30.0 and min(ends[4:]) < 30.0  # kappa = 0 runs on, strong coupling stops
@@ -296,7 +325,7 @@ def test_batched_rows_are_contiguous_and_take_r_from_their_own_states(opts):
     for spec in (SPEC, wf.power_cosine(2), wf.rectified_poisson(0.3), _table_spec()):
         level = 0.85 * float(wf.influence(spec, np.zeros(1))[0])
         runs = integrate._integrate_rows(cfg, spec, initial, opts, kappa=[0.0, 0.5, 1.0, 2.0, 3.0, 4.0],
-                                         stop=lambda t, y: wf.order_parameter(spec, y) >= level)
+                                         stop=lambda t, y, rows: wf.order_parameter(spec, y) >= level)
         assert len({len(traj.times) for traj, _ in runs}) > 1  # rows end at different samples
         for theta0, (traj, _) in zip(initial, runs):
             assert traj.r_series.tobytes() == wf.order_parameter(spec, traj.states).tobytes()
@@ -321,13 +350,15 @@ def test_rows_read_like_a_list_of_pairs():
     kappas = [0.0, 3.0, 1e308, 4.0, 0.5, 1e308]
     opts = wf.dp45_options(horizon=10.0, sample_stride=0.5, abs_tol=1e-7, rel_tol=1e-7, max_dt=0.5)
 
-    def stop(times, thetas):
+    def stop(times, thetas, rows):
         return wf.order_parameter(SPEC, thetas) >= 1.7
 
+    hook = _recording(stop)
     with np.errstate(over="ignore", invalid="ignore"):
-        runs = integrate._integrate_rows(cfg, SPEC, initial, opts, kappa=kappas, stop=stop)
+        runs = integrate._integrate_rows(cfg, SPEC, initial, opts, kappa=kappas, stop=hook)
         single = [integrate._integrate_rows(cfg, SPEC, initial[j:j + 1], opts, kappa=kappas[j:j + 1], stop=stop)[0]
                   for j in range(6)]
+    _assert_hook_saw_every_sample(hook.calls, runs)
     want = [_pair_bytes(pair) for pair in single]
     assert len(runs) == 6
     assert [_pair_bytes(runs[j]) for j in range(6)] == want

@@ -367,14 +367,20 @@ def test_death_block_logs_its_early_exit_only_at_debug(caplog):
     assert lines() == []
     with caplog.at_level(logging.DEBUG, logger="winfree.montecarlo"):
         est = wf.empirical_death_probability(strong, SPEC, opts, mc)
+        wf.empirical_death_probability(strong, SPEC, opts, wf.McConfig(samples=3, seed=5), r_floor=1.95)
         wf.empirical_death_probability(negative, SPEC, opts, wf.McConfig(samples=3, seed=5))
-    first, second, fallback = lines()
-    assert first.startswith("death block: 64 rows, 64 stopped (64 decided, 0 re-run), 0 to the horizon; stops at t=")
-    assert second.startswith("death block: 6 rows, 6 stopped")
+    first, second, above_r_star, fallback = lines()
+    assert first.startswith("death block: 64 rows, 64 stopped with a hit, 0 without, 0 to the horizon; stops at t=")
+    assert second.startswith("death block: 6 rows, 6 stopped with a hit")
     for field in ("max e ", "min margins 2pi-band ", ", R_min-r_floor ", "; R* 1.", " Newton steps, f'(R*) -"):
         assert field in first
     assert est.estimate == 1.0
-    assert fallback == "death block: 3 rows, no early exit (kappa <= 0)"
+    # R* = 1.918 < r_floor: each row stops once its ball's R_max is below r_floor
+    assert above_r_star.startswith("death block: 3 rows, 0 stopped with a hit, 3 without, 0 to the horizon; ")
+    assert above_r_star.endswith("min margins 2pi-band nan, R_min-r_floor nan; R* 1.9184899600827539 after 3 "
+                                 "Newton steps, f'(R*) -0.908")
+    assert fallback == ("death block: 3 rows, 0 stopped with a hit, 0 without, 3 to the horizon; stops at t=nan..nan, "
+                        "max e nan; min margins 2pi-band nan, R_min-r_floor nan; no early exit (kappa <= 0)")
 
 
 def test_contraction_ball_memory_stays_linear_in_n():
@@ -394,26 +400,44 @@ def test_contraction_ball_memory_stays_linear_in_n():
     assert peak < 64 * 1024, peak
 
 
-def test_undecided_rows_are_run_again_to_the_horizon(monkeypatch, caplog):
-    # at r_floor = 0 rows stop at their first certified sample, some still
-    # far from theta*; two of them have a band below 2 pi that the ball
-    # widens past 2 pi, and only those two are run again, without a stop
+def test_undecided_rows_integrate_on_in_the_one_run(monkeypatch, caplog):
+    # at r_floor = 0 two rows reach their first certified sample with a band
+    # below 2 pi that the ball widens past 2 pi, so the ball leaves their hit
+    # open there: they integrate on past that sample in the block's one run,
+    # and every hit is the full-horizon hit
     runs, integrate_rows = [], integrate._integrate_rows
 
     def recorded(*args, **kwargs):
-        runs.append((kwargs.get("stop"), len(args[2])))
-        return integrate_rows(*args, **kwargs)
+        runs.append(integrate_rows(*args, **kwargs))
+        return runs[-1]
 
     monkeypatch.setattr(integrate, "_integrate_rows", recorded)
     omega = np.random.default_rng([501, 3]).uniform(-1.0, 1.0, 3)
     cfg = wf.SystemConfig(n=3, omega=omega, kappa=1.05 * wf.critical_coupling(omega))
     opts = wf.dp45_options(horizon=100.0, sample_stride=1.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
     draws = montecarlo._draws(502, 3, 0, 64)
+    full = integrate_rows(cfg, SPEC, draws, opts)
+    ball, _ = montecarlo._contraction_ball(cfg, SPEC, opts)
+    undecided = {}
+    for i, (traj, _) in enumerate(full):
+        lift, e = ball.nearest(traj.states)
+        rho = e + ball.slack
+        certified = np.flatnonzero(ball.certified(rho))
+        if not certified.size:
+            continue
+        k = certified[0]
+        lo, hi = traj.states[:k + 1].min(axis=0), traj.states[:k + 1].max(axis=0)
+        widened = np.maximum(hi, lift[k] + rho[k]) - np.minimum(lo, lift[k] - rho[k])
+        if np.all(hi - lo < 2.0 * np.pi) and np.any(widened >= 2.0 * np.pi):
+            undecided[i] = k
+    assert len(undecided) == 2
     with caplog.at_level(logging.DEBUG, logger="winfree.montecarlo"):
         hits = montecarlo._death_block(cfg, SPEC, opts, 0.0, draws)
-    assert hits == _full_horizon_hits(integrate_rows(cfg, SPEC, draws, opts), 0.0)
-    assert [(stop is None, rows) for stop, rows in runs] == [(False, 64), (True, 2)]
-    assert "64 stopped (62 decided, 2 re-run)" in caplog.records[-1].getMessage()
+    assert len(runs) == 1
+    for i, k in undecided.items():
+        assert len(runs[0][i][0].times) > k + 1, i
+    assert hits == _full_horizon_hits(full, 0.0)
+    assert caplog.records[-1].getMessage().startswith("death block: 64 rows, ")
 
 
 def test_escape_verdict_reads_how_each_row_ended():
@@ -433,7 +457,7 @@ def test_escape_verdict_reads_how_each_row_ended():
     # at kappa = 1e100 every row that does not stop at t=0 fails on its first step
     strong = wf.SystemConfig(n=4, omega=np.zeros(4), kappa=1e100)
     runs = integrate._integrate_rows(strong, SPEC, draws, opts,
-                                     stop=lambda t, y: wf.order_parameter(SPEC, y) >= 1.0 - delta)
+                                     stop=lambda t, y, rows: wf.order_parameter(SPEC, y) >= 1.0 - delta)
     failed = [failure is not None and traj.r_series[-1] < 1.0 - delta for traj, failure in runs]
     assert 0 < sum(failed) < 64
     hits = montecarlo._escape_block(strong, SPEC, opts, delta, draws)
@@ -453,6 +477,11 @@ def test_escape_builds_no_trajectory_and_simulate_builds_one(monkeypatch):
     opts = wf.dp45_options(horizon=10.0, sample_stride=0.25, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
     est = wf.estimate_escape_measure(weak, SPEC, 0.1, 10.0, opts, wf.McConfig(samples=200, seed=9))
     assert 0.0 < est.estimate < 1.0
+    assert built == []
+    # so does the death estimator, with a ball (rows stop) and without (rows reach the horizon)
+    strong = wf.SystemConfig(n=4, omega=np.array([0.1, -0.1, 0.05, 0.0]), kappa=1.0)
+    for cfg in (strong, wf.SystemConfig(n=4, omega=strong.omega, kappa=-1.0)):
+        wf.empirical_death_probability(cfg, SPEC, opts, wf.McConfig(samples=70, seed=9))
     assert built == []
     traj = wf.simulate(weak, SPEC, np.zeros(6), opts)
     assert built == [10.0] and isinstance(traj, real)
