@@ -130,6 +130,8 @@ def _load_config(args: argparse.Namespace) -> dict:
 
 def _quantile_frequencies(n: int, gamma: float) -> np.ndarray:
     """Deterministic equal-mass quantile sample of uniform[1-gamma, 1+gamma]."""
+    if not np.isfinite(gamma):
+        raise ConfigurationError(f"gamma must be finite, got {gamma}")
     return 1.0 - gamma + 2.0 * gamma * (np.arange(1, n + 1) - 0.5) / n
 
 
@@ -227,10 +229,10 @@ def cmd_sweep(cfg: dict) -> int:
     seed = cfg["seed"]
     rows = ["kappa,gamma,regime,death_fraction,mean_R_final"]
     cell = 0
-    for gamma in gamma_grid:
+    omegas = [_quantile_frequencies(n, float(gamma)) for gamma in gamma_grid]  # every gamma checked before a run
+    for gamma, omega in zip(gamma_grid, omegas):
         # the cells of one gamma share omega: integrate them as one batch with
         # per-row kappa (each row is bitwise its own simulate call)
-        omega = _quantile_frequencies(n, float(gamma))
         configs = [SystemConfig(n=n, omega=omega, kappa=float(kappa)) for kappa in kappa_grid]
         initial = np.array([
             np.random.default_rng((seed, cell + i)).uniform(-np.pi, np.pi, n) for i in range(len(configs))

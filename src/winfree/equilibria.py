@@ -99,6 +99,12 @@ class WPolynomial:
             json.dump({"degree": self.degree, "coeffs": [float(c) for c in self.coeffs]}, fh, sort_keys=True)
 
 
+def _require_coupling(config: SystemConfig) -> None:
+    """DomainError at kappa = 0, where no equilibrium equation of this module is defined."""
+    if config.kappa == 0.0:
+        raise DomainError("kappa must be nonzero")
+
+
 def _frequencies_vanish(config: SystemConfig) -> bool:
     """True when every (omega_j/kappa)^2 is 0, also when it underflows: those systems are omega = 0."""
     with np.errstate(under="ignore"):
@@ -276,8 +282,7 @@ def solve_R_equation(config: SystemConfig, signature: Signature) -> list[float]:
     The one-row case of the signature-batched branch solver (_branch_roots)
     on [max|omega|/|kappa|, 2 + 1e-9]; roots closer than 1e-10 are merged.
     """
-    if config.kappa == 0.0:
-        raise DomainError("kappa must be nonzero")
+    _require_coupling(config)
     if _frequencies_vanish(config):
         raise DegenerateFrequenciesError("all frequencies vanish; use the bipolar enumeration")
     sigma = signature.sigma
@@ -407,9 +412,8 @@ def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
     stacks).  Counts, the branch solver's among them, and the times of the
     scan, dedup (phases and dedup) and record phases go to the DEBUG log.
     """
-    if config.kappa == 0.0:
-        raise DomainError("kappa must be nonzero")
-    if config.n > 18:  # 2^18 records take about 30 s and 415 MB max RSS on a 2-vCPU machine
+    _require_coupling(config)
+    if config.n > 18:  # 2^18 records take about 18 s and 370 MB max RSS on a 2-vCPU machine
         raise SizeLimitError("signature enumeration limited to N <= 18")
     clock = time.perf_counter()
     sigmas = _signatures(config.n)
@@ -447,9 +451,9 @@ def critical_coupling(omega) -> float:
     (degenerate: every positive coupling admits equilibria).  Each round
     evaluates the balance function at the 7 midpoints of the next three
     bisection steps as one array (thresholds._bisect_walk), which gives the
-    one-step-at-a-time bisection's answer.
+    one-step-at-a-time bisection's answer.  omega must pass model.frequencies.
     """
-    omega = np.asarray(omega, dtype=float)
+    omega = model.frequencies(omega)
     omega_inf = float(np.max(np.abs(omega)))
     if omega_inf == 0.0:
         return 0.0
@@ -486,8 +490,7 @@ def construct_prescribed_equilibrium(
         raise DomainError("rho must lie in (0, 2]")
     if config.n < 2.0 / rho:
         raise DomainError(f"requires N >= 2/rho: N={config.n}, 2/rho={2.0 / rho}")
-    if config.kappa == 0.0:
-        raise DomainError("kappa must be nonzero")
+    _require_coupling(config)
     ratio = config.omega_max / abs(config.kappa)
     if ratio >= rho**1.5 / 16.0:
         raise DomainError(
@@ -565,8 +568,7 @@ def build_W_polynomial(config: SystemConfig, exact: bool = False) -> WPolynomial
     kappa to nearby rationals and returns the coefficients as Fractions in an
     object array.
     """
-    if config.kappa == 0.0:
-        raise DomainError("kappa must be nonzero")
+    _require_coupling(config)
     if _frequencies_vanish(config):
         raise DegenerateFrequenciesError("all frequencies vanish")
     n = config.n

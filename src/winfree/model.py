@@ -118,15 +118,16 @@ class InteractionSpec:
     sup_I: float = 2.0
 
     def __post_init__(self):
+        """The one check of each family parameter; a value outside its domain is a DomainError."""
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown interaction family: {self.family}")
-        if self.family == "power_cosine" and self.n < 1:
-            raise ConfigurationError("power_cosine exponent n must be >= 1")
+        if self.family == "power_cosine" and not 1 <= self.n <= 1023:  # sup I = 2^n must be a finite float
+            raise DomainError(f"power_cosine power n must lie in [1, 1023], got {self.n}")
         if self.family == "rectified_poisson" and not -1.0 < self.r_pk < 1.0:
-            raise ConfigurationError("rectified_poisson parameter must lie in (-1, 1)")
+            raise DomainError(f"rectified_poisson r_pk must lie in (-1, 1), got {self.r_pk}")
         if self.family == "custom":
             if self.i_table is None or self.s_table is None or len(self.i_table) == 0:
-                raise ConfigurationError("custom interaction requires non-empty I and S tables")
+                raise DomainError("custom interaction requires non-empty I and S tables")
 
 
 def sinusoidal() -> InteractionSpec:
@@ -136,54 +137,33 @@ def sinusoidal() -> InteractionSpec:
 
 def power_cosine(n: int) -> InteractionSpec:
     """S = -sin, I = (1 + cos)^n."""
-    return InteractionSpec(
-        family="power_cosine",
-        n=n,
-        c1=2.0 / np.pi,
-        c2=1.0,
-        c3=2.0 ** (-n),
-        c4=1.0 / n,
-        c5=(2.0 / np.pi**2) ** n,
-        p=1.0,
-        q=2.0 * n,
-        r_exp=2.0 * n,
-        alpha0=np.pi / 2.0,
-        I_star=1.0,
-        sup_I=2.0**n,
-    )
+    spec = InteractionSpec(family="power_cosine", n=n)
+    return replace(spec, c2=1.0, c3=2.0 ** (-n), c4=1.0 / n, c5=(2.0 / np.pi**2) ** n, q=2.0 * n,
+                   r_exp=2.0 * n, sup_I=2.0**n)
 
 
 def rectified_poisson(r_pk: float) -> InteractionSpec:
     """S = -sin, I = (1-r)(1+cos) / (1 - 2r cos + r^2)."""
-    if not -1.0 < r_pk < 1.0:
-        raise DomainError("rectified_poisson requires |r_pk| < 1")
+    spec = InteractionSpec(family="rectified_poisson", r_pk=r_pk)
     one_minus = 1.0 - r_pk
     denom_min = (1.0 - abs(r_pk)) ** 2
     denom_max = (1.0 + abs(r_pk)) ** 2
     i_star = one_minus / (1.0 + r_pk**2)  # I at alpha0 = pi/2
-    spec = InteractionSpec(
-        family="rectified_poisson",
-        r_pk=r_pk,
-        c1=2.0 / np.pi,
-        c2=one_minus / (2.0 * denom_min),
-        c3=one_minus**2 / (2.0 * (1.0 + r_pk**2)),
-        c4=1.0,  # placeholder, refined below
-        c5=2.0 * one_minus / (np.pi**2 * denom_max),
-        p=1.0,
-        q=2.0,
-        r_exp=2.0,
-        alpha0=np.pi / 2.0,
-        I_star=i_star,
-        sup_I=2.0 / one_minus,
-    )
     # c4 has no simple closed form here; take the grid infimum of
     # S'(theta) / (I_star - I(theta)) away from the sign-change point.
     gap = i_star - influence(spec, _GRID)
     sp = sensitivity_deriv(spec, _GRID)
     mask = np.abs(gap) > 1e-6
     ratios = sp[mask] / gap[mask]
-    c4 = max(float(np.min(ratios)), 0.0) * (1.0 - 1e-6)
-    return replace(spec, c4=c4)
+    return replace(
+        spec,
+        c2=one_minus / (2.0 * denom_min),
+        c3=one_minus**2 / (2.0 * (1.0 + r_pk**2)),
+        c4=max(float(np.min(ratios)), 0.0) * (1.0 - 1e-6),
+        c5=2.0 * one_minus / (np.pi**2 * denom_max),
+        I_star=i_star,
+        sup_I=2.0 / one_minus,
+    )
 
 
 def custom_interaction(i_table, s_table, **constants) -> InteractionSpec:
@@ -227,6 +207,14 @@ def _resample(values: np.ndarray) -> np.ndarray:
     return np.interp(_GRID, src, values)
 
 
+def frequencies(omega) -> np.ndarray:
+    """omega as a float vector; ConfigurationError unless it is finite, one-dimensional and non-empty."""
+    omega = np.asarray(omega, dtype=float)
+    if omega.ndim != 1 or omega.size == 0 or not np.all(np.isfinite(omega)):
+        raise ConfigurationError(f"omega must be a non-empty 1-D vector of finite numbers, got shape {omega.shape}")
+    return omega
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Oscillator count, intrinsic frequencies, and coupling strength."""
@@ -236,14 +224,14 @@ class SystemConfig:
     kappa: float
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        object.__setattr__(self, "omega", omega)
         if self.n < 1:
-            raise ConfigurationError("n must be >= 1")
+            raise ConfigurationError(f"n must be >= 1, got {self.n}")
+        omega = frequencies(self.omega)
+        object.__setattr__(self, "omega", omega)
         if omega.shape != (self.n,):
             raise ConfigurationError(f"omega must have length n={self.n}, got shape {omega.shape}")
-        if not (np.all(np.isfinite(omega)) and np.isfinite(self.kappa)):
-            raise ConfigurationError("omega and kappa must be finite")
+        if not np.isfinite(self.kappa):
+            raise ConfigurationError(f"kappa must be finite, got {self.kappa}")
 
     @property
     def omega_max(self) -> float:

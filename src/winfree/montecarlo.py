@@ -76,7 +76,9 @@ def _estimate(successes: int, count: int) -> EstimateCI:
 
 
 def _stream(seed: int, n: int, start: int) -> np.random.Generator:
-    """seed's stream positioned at sample start; each _rows call draws the samples that follow."""
+    """seed's stream positioned at sample start; each _rows call draws the samples that follow.  Checks n."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     bits = np.random.PCG64(np.random.SeedSequence(seed))
     bits.advance(start * n)  # one double per 64-bit output
     return np.random.Generator(bits)
@@ -97,8 +99,6 @@ def sample_uniform_initial(n: int, mc: McConfig) -> np.ndarray:
     Row k is sample k of every estimator run with the same seed and n: doubles
     k*n .. k*n+n-1 of the seed's one PCG64 stream (layout RNG_STREAM).
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
     return _draws(mc.seed, n, 0, mc.samples)
 
 
@@ -236,6 +236,9 @@ def _contraction_ball(
         return None, "kappa <= 0"
     if opts.method != "dormand_prince45":
         return None, f"method {opts.method}"
+    slack = _SLACK_TOLERANCES * math.sqrt(config.n) * opts.tolerance
+    if not slack < 0.5 * np.pi:  # no ball this wide is certified; an infinite tolerance stops here
+        return None, "no certified ball at e = 0"
     plus = np.ones(config.n, dtype=int)
     if equilibria._frequencies_vanish(config):
         root = 2.0, 0, -1.0  # f(r) = 2 - r
@@ -246,7 +249,6 @@ def _contraction_ball(
     r_star, steps, slope = root
     theta = equilibria._equilibrium_theta(config, plus, r_star)
     residual = float(np.max(np.abs(model.vector_field(config, spec, theta))))
-    slack = _SLACK_TOLERANCES * math.sqrt(config.n) * opts.tolerance
     ball = _Ball(theta, config.kappa, slack, residual)
     if not ball.certified(slack):  # the smallest ball any row can have
         return None, "no certified ball at e = 0"

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -601,3 +602,89 @@ def test_family_parameters_need_their_family(tmp_path, capsys, command, key, fam
     assert main([*command, "--config", str(path), "--output", "-"]) == 2
     err = capsys.readouterr().err
     assert key in err and family in err, err
+
+
+_POWER_COSINE = ["--family", "power_cosine", "--power", "2"]
+_RECTIFIED_POISSON = ["--family", "rectified_poisson", "--r-pk", "0.3"]
+# tiny valid runs (N <= 3, horizon 1, <= 4 samples): every subcommand, montecarlo kind and bounds kind (the
+# _BOUND_ARGS runs at --n 3), and the two families with a parameter
+_SWEEP_BASES = {
+    "simulate": ["simulate", "--n", "3", "--kappa", "1", "--horizon", "1"],
+    "simulate-power_cosine": ["simulate", "--n", "3", "--kappa", "1", "--horizon", "1", *_POWER_COSINE],
+    "simulate-rectified_poisson": ["simulate", "--n", "3", "--kappa", "1", "--horizon", "1", *_RECTIFIED_POISSON],
+    "sweep": ["sweep", "--n", "3", "--kappa-grid", "1", "--gamma-grid", "0.5", "--horizon", "1"],
+    "equilibria": ["equilibria", "--n", "3", "--kappa", "1"],
+    "critical-coupling": ["critical-coupling", "--n", "3"],
+    "verify": ["verify", "--omega", "0.02,-0.02,0.01", "--kappa", "3", "--horizon", "1"],
+    "kappa-pc": ["kappa-pc", "--n", "3", "--horizon", "1"],
+    "montecarlo-order-param-cdf": ["montecarlo", "--kind", "order-param-cdf", "--n", "3", "--samples", "4"],
+    "montecarlo-order-param-cdf-power_cosine": ["montecarlo", "--kind", "order-param-cdf", "--n", "3",
+                                                "--samples", "4", *_POWER_COSINE],
+    "montecarlo-order-param-cdf-rectified_poisson": ["montecarlo", "--kind", "order-param-cdf", "--n", "3",
+                                                     "--samples", "4", *_RECTIFIED_POISSON],
+    "montecarlo-death": ["montecarlo", "--kind", "death", "--n", "3", "--kappa", "3", "--samples", "4",
+                         "--horizon", "1"],
+    "montecarlo-escape": ["montecarlo", "--kind", "escape", "--n", "3", "--kappa", "1", "--samples", "4",
+                          "--t-horizon", "1"],
+    **{f"bounds-{kind}": ["bounds", "--kind", kind, *args[:1], "3", *args[2:]] for kind, args in _BOUND_ARGS.items()},
+    "bounds-QuantIS-power_cosine": ["bounds", "--kind", "QuantIS", "--n", "3", "--kappa", "1", "--t-horizon", "1",
+                                    "--delta", "0.1", *_POWER_COSINE],
+    "bounds-GeneralMaincor-rectified_poisson": ["bounds", "--kind", "GeneralMaincor", "--n", "3", "--r-star", "0.5",
+                                                *_RECTIFIED_POISSON],
+}
+_HOSTILE = {int: ["0", "-1"], float: ["0", "-1", "nan", "inf", "-inf"]}
+
+
+def _numeric_settings(argv):
+    """The int and float settings the run argv reads (its kind's row for montecarlo), seed among them."""
+    row = cli._COMMANDS[argv[0]]
+    if argv[0] == "montecarlo":
+        row = (*cli._MC_EVERY, *cli._MC_KINDS[argv[argv.index("--kind") + 1]])
+    family = argv[argv.index("--family") + 1] if "--family" in argv else "sinusoidal"
+    return [key for key in (*row, "seed") if cli._SETTINGS[key] in _HOSTILE
+            and cli._FAMILY_OF.get(key, family) == family]
+
+
+@pytest.mark.parametrize("base", _SWEEP_BASES)
+def test_hostile_values_exit_cleanly(tmp_path, monkeypatch, capsys, base):
+    # 0, -1 and the non-finite values for each numeric setting: main returns 0, 2 or 3 (2 with one
+    # "configuration error:" line), raises nothing and emits no RuntimeWarning
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("WINFREE_SEED", raising=False)
+    argv = _SWEEP_BASES[base]
+    assert main([*argv, "--output", "-"]) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    bad = []
+    for key in _numeric_settings(argv):
+        for value in _HOSTILE[cli._SETTINGS[key]]:
+            run = [*argv, f"--{key.replace('_', '-')}={value}", "--output", "-"]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = main(run)
+                except (Exception, SystemExit) as exc:  # every escape from main is a finding
+                    code = repr(exc)
+            err = capsys.readouterr().err
+            clean = code in (0, 3) or (code == 2 and err.startswith("configuration error: ") and err.count("\n") == 1)
+            warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+            if not clean or warned:
+                bad.append((run[1:], code, err, warned))
+    assert bad == []
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["simulate", "--n", "3", "--family", "power_cosine", "--power", "0"], "power"),
+    (["simulate", "--n", "3", "--family", "power_cosine", "--power", "1024"], "power"),
+    (["montecarlo", "--kind", "order-param-cdf", "--n", "0", "--samples", "4"], "n"),
+    (["montecarlo", "--kind", "order-param-cdf", "--n", "-1", "--samples", "4"], "n"),
+    (["simulate", "--n", "3", "--gamma", "inf"], "gamma"),
+    (["sweep", "--n", "3", "--kappa-grid", "1", "--gamma-grid", "0.5,-inf", "--horizon", "1"], "gamma"),
+], ids=["power_0", "power_1024", "n_0", "n_-1", "gamma_inf", "gamma_grid_inf"])
+def test_out_of_domain_inputs_exit_2_before_any_work(tmp_path, monkeypatch, capsys, argv, setting):
+    # these used to end in a traceback (exit 1), an estimate of 0.0, or a numpy warning before the error
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and list(tmp_path.iterdir()) == []
+    assert err.startswith(f"configuration error: {setting} ") or f" {setting} " in err, err
+    assert err.count("\n") == 1, err

@@ -97,6 +97,13 @@ def test_critical_coupling_zero_and_scaling():
     assert wf.critical_coupling(3.0 * omega) == pytest.approx(3.0 * wf.critical_coupling(omega), rel=1e-10)
 
 
+@pytest.mark.parametrize("omega", [[math.nan, 1.0], [math.inf], [], [[0.1, 0.2]]], ids=["nan", "inf", "empty", "2d"])
+def test_critical_coupling_refuses_frequencies_that_are_not_a_finite_vector(omega):
+    # nan and inf used to return nan, and [] to raise numpy's bare ValueError
+    with pytest.raises(wf.errors.InputError, match="omega"):
+        wf.critical_coupling(omega)
+
+
 def test_critical_coupling_bounds_random():
     rng = np.random.default_rng(1)
     for _ in range(100):

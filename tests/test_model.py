@@ -45,6 +45,24 @@ def test_rectified_poisson_shapes():
         wf.rectified_poisson(1.0)
 
 
+@pytest.mark.parametrize("build, value", [(wf.power_cosine, 0), (wf.power_cosine, 1024), (wf.power_cosine, -1),
+                                          (wf.rectified_poisson, -1.0), (wf.rectified_poisson, math.nan)])
+def test_family_parameters_outside_their_domain_raise_domain_error(build, value):
+    # power_cosine(0) used to divide by n (ZeroDivisionError) and power_cosine(1024) to overflow 2^n
+    with pytest.raises(DomainError, match="power" if build is wf.power_cosine else "r_pk"):
+        build(value)
+
+
+def test_power_cosine_takes_powers_up_to_1023():
+    spec = wf.power_cosine(1023)
+    assert spec.sup_I == 2.0**1023 and spec.c3 == 2.0**-1023 and spec.q == spec.r_exp == 2046.0
+
+
+def test_custom_interaction_needs_both_tables():
+    with pytest.raises(DomainError, match="tables"):
+        wf.InteractionSpec(family="custom", i_table=np.ones(4))
+
+
 def test_custom_interaction_tables():
     th = np.linspace(-np.pi, np.pi, 4096)
     spec = wf.custom_interaction(2.0 + np.cos(th), -np.sin(th))

@@ -96,6 +96,18 @@ def test_order_param_cdf_domain():
         wf.empirical_order_param_cdf(5, 0.0, wf.McConfig(samples=10, seed=0))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_order_param_cdf_refuses_n_below_one_before_any_draw(monkeypatch, n):
+    # n = 0 used to return estimate 0.0 after a RuntimeWarning, n = -1 numpy's ValueError
+    drawn = []
+    monkeypatch.setattr(montecarlo, "_rows", lambda *args: drawn.append(args))
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        wf.empirical_order_param_cdf(n, 0.5, wf.McConfig(samples=4, seed=0))
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        wf.sample_uniform_initial(n, wf.McConfig(samples=4, seed=0))
+    assert drawn == []
+
+
 def test_worker_count_invariance():
     mc1 = wf.McConfig(samples=60, seed=7, workers=1)
     mc3 = wf.McConfig(samples=60, seed=7, workers=3)
