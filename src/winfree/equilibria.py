@@ -23,15 +23,16 @@ import numpy as np
 from . import model
 from .errors import DegenerateFrequenciesError, DomainError, SizeLimitError
 from .model import SystemConfig
-from .thresholds import _bisect_walk, _golden_min
+from .thresholds import _bisect_walk
 
-SCAN_POINTS = 4096
+COARSE_CELLS = 16  # cells of the grid shared by every signature's root isolation
+MIN_WIDTH = 1e-12  # a cell this narrow that its bounds still leave undecided holds a tangent (double) root
+ROUNDING_ULPS = 8  # allowance of the cell bounds on f, in ulps of sum |terms of f| <= 2 + r
 ROOT_TOL = 1e-12
-TANGENT_TOL = 1e-10
 DEDUP_TOL = 1e-8
 R_UPPER = 2.0 + 1e-9
-BLOCK_SIGNATURES = 64  # rows per scan block and per Jacobian stack; bounds the (block x grid) and (block, N, N) arrays
-_COUNTS = ("brackets", "halvings", "split", "accepted", "rejected")  # _branch_roots' counts
+BLOCK_SIGNATURES = 64  # rows per isolation block and per Jacobian stack; bounds the cell and (block, N, N) arrays
+_COUNTS = ("levels", "cells", "tangent", "brackets", "halvings")  # _branch_roots' counts
 
 _log = logging.getLogger(__name__)
 
@@ -84,8 +85,9 @@ class WPolynomial:
         accuracy to cancellation), so roots are located factor by factor.  For
         r > 0 each signature's factor r - r^2 + (1/N) sum_j sigma_j
         sqrt(r^2 - w_j) is r times the branch function of the fixed-point
-        equation, so one call of the signature-batched branch solver finds
-        them all on [max(lo, branch point), hi].
+        equation, so one call of the signature-batched branch solver
+        (_branch_roots, by certified isolation) finds them all on
+        [max(lo, branch point), hi], a double root as one tangent cell.
         """
         w = self.branch_w
         a = max(lo, float(np.sqrt(np.max(w))))
@@ -170,16 +172,92 @@ def _bisect_brackets(omega2: np.ndarray, kappa2: float, sigma: np.ndarray, a: np
     return 0.5 * (a + b), halvings
 
 
-def _half_table(radicals: np.ndarray, sigmas: np.ndarray, cols: slice) -> tuple[np.ndarray, np.ndarray]:
-    """sum_j sigma_j radicals[:, j] over the columns cols, one row per distinct half of sigmas; each row's index.
+def _half_tables(values: np.ndarray, sigmas: np.ndarray,
+                 cols: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sums of values[:, j] over the columns cols with sigma_j = +1, and with sigma_j = -1; each row's index.
 
-    A half is keyed by its bits (bit j set where sigma_j = -1), and only the
-    halves that occur in sigmas get a table row.
+    One row per distinct half of sigmas: a half is keyed by its bits (bit j
+    set where sigma_j = -1), and only the halves that occur in sigmas get a
+    table row.
     """
     half = sigmas[:, cols]
     keys = (half < 0) @ (1 << np.arange(half.shape[1]))
     _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    return np.einsum("gn,sn->sg", radicals[:, cols], half[first]), index
+    part = values[:, cols]
+    return (np.einsum("gn,sn->sg", part, (half[first] > 0).astype(float)),
+            np.einsum("gn,sn->sg", part, (half[first] < 0).astype(float)), index)
+
+
+def _slopes(omega2: np.ndarray, kappa2: float, r: np.ndarray, radicals: np.ndarray) -> np.ndarray:
+    """d/dr sqrt(1 - x_j) = x_j / (r sqrt(1 - x_j)) for radicals = _radicals(.., r); inf at a branch point."""
+    x = omega2 / (kappa2 * np.square(r)[..., None])
+    with np.errstate(divide="ignore"):
+        return x / (r[..., None] * radicals)
+
+
+def _ends(omega2: np.ndarray, kappa2: float, sigma: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(f, G+, G-, G+', G-') of signature rows sigma (M, N) at r (M,), as one (5, M) stack.
+
+    f is _branch_values; G+ and G- sum sqrt(1 - x_j) over sigma_j = +1 and
+    sigma_j = -1, so f = 1 - r + (G+ - G-)/N.
+    """
+    g = _radicals(omega2, kappa2, r)
+    slope = _slopes(omega2, kappa2, r, g)
+    plus = sigma > 0
+    return np.stack([1.0 + np.sum(sigma * g, axis=-1) / omega2.size - r,
+                     np.sum(g, axis=-1, where=plus), np.sum(g, axis=-1, where=~plus),
+                     np.sum(slope, axis=-1, where=plus), np.sum(slope, axis=-1, where=~plus)])
+
+
+def _grid_ends(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """_ends of every signature row at every grid point, as one (5, M, points) stack, from half tables.
+
+    A row's sums over sigma_j = +1 and over sigma_j = -1 each add a row of
+    one table over the columns :N//2 and one over N//2: (_half_tables), for
+    sqrt(1 - x_j) and for its slope.  A slope that is infinite (at a branch
+    point) enters the tables as 0, and G+' or G-' is inf where a table of
+    those oscillators counts one.
+    """
+    n, points = omega2.size, grid.size
+    g = _radicals(omega2, kappa2, grid)
+    slope = _slopes(omega2, kappa2, grid, g)
+    branch = np.isinf(slope)
+    values = np.concatenate([g, np.where(branch, 0.0, slope), branch])  # (3 points, N)
+    low_plus, low_minus, low_index = _half_tables(values, sigmas, slice(None, n // 2))
+    high_plus, high_minus, high_index = _half_tables(values, sigmas, slice(n // 2, None))
+    plus = low_plus[low_index] + high_plus[high_index]
+    minus = low_minus[low_index] + high_minus[high_index]
+    f = 1.0 + (plus[:, :points] - minus[:, :points]) / n - grid
+    slope_plus = np.where(plus[:, 2 * points:] > 0.0, np.inf, plus[:, points:2 * points])
+    slope_minus = np.where(minus[:, 2 * points:] > 0.0, np.inf, minus[:, points:2 * points])
+    return np.stack([f, plus[:, :points], minus[:, :points], slope_plus, slope_minus])
+
+
+def _cell_bounds(n: int, a: np.ndarray, b: np.ndarray, left: np.ndarray,
+                 right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds (lower f, upper f, lower f', upper f') of f on each cell [a, b] from _ends at a (left) and b (right).
+
+    Each sqrt(1 - x_j) is concave, so G+ and G- are, and a concave G lies
+    between its chord and the chord plus min(h G'(a) - dG, dG - h G'(b))
+    (h = b - a, dG = G(b) - G(a); its tangents at a and b).  With
+    f = 1 - r + (G+ - G-)/N, f lies within max(f(a), f(b)) + gap(G+)/N and
+    min(f(a), f(b)) - gap(G-)/N.  G+' falls and G-' rises, so
+    f' lies in [-1 + (G+'(b) - G-'(a))/N, -1 + (G+'(a) - G-'(b))/N].  An
+    infinite slope at a branch point leaves only the tangent at b.
+    """
+    h = b - a
+
+    def gap(i):
+        rise = right[i] - left[i]
+        return np.maximum(np.minimum(h * left[i + 2] - rise, rise - h * right[i + 2]), 0.0)
+
+    return (np.minimum(left[0], right[0]) - gap(2) / n, np.maximum(left[0], right[0]) + gap(1) / n,
+            (right[3] - left[4]) / n - 1.0, (left[3] - right[4]) / n - 1.0)
+
+
+def _allowance(r: np.ndarray) -> np.ndarray:
+    """Rounding allowance of f and its cell bounds at r: ROUNDING_ULPS ulps of 2 + r >= sum |terms of f|."""
+    return ROUNDING_ULPS * np.finfo(float).eps * (2.0 + r)
 
 
 def _branch_roots(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, lo: float,
@@ -187,64 +265,72 @@ def _branch_roots(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, lo: flo
     """Roots on [lo, hi] of the branch function of every signature row in sigmas; and the solver's counts.
 
     The branch function f(r) = 1 + (1/N) sum_j sigma_j sqrt(1 - omega_j^2/(kappa r)^2) - r
-    is evaluated on SCAN_POINTS subintervals for BLOCK_SIGNATURES signatures at
-    a time, the sum as L[low half] + H[high half] from two tables
-    (_half_table) over the columns :N//2 and N//2:.  Its roots are the left
-    end point when |f| < ROOT_TOL there and the bisected cells where f goes
-    from strictly one sign to 0 or the other sign.  A grid minimum of |f|
-    below 1e-6 whose two neighbours share its sign s is refined by golden
-    section of s*f: a minimum below 0 splits its two cells into two brackets
-    (two simple roots closer than one cell), one below TANGENT_TOL is a
-    tangential (double) root.  The grid only picks brackets by sign; every
-    bracket of every block is bisected by one _bisect_brackets call.  Each
-    row's roots come unsorted.  The counts are the brackets bisected, their
-    halvings and the tangent candidates split, accepted and rejected.
+    is a concave part plus a convex part, so tangents and chords bound it on
+    a cell (_cell_bounds).  Its roots are isolated BLOCK_SIGNATURES rows at
+    a time, from the COARSE_CELLS cells of one grid on [lo, hi] whose end
+    values come from half tables (_grid_ends).  Every undecided cell of a
+    block is tested at once per level, and a halved cell's midpoint is
+    evaluated row by row (_ends).  A value within the rounding allowance
+    (_allowance) of 0 counts as 0.  A cell has no root when its bounds on f
+    leave out 0 by more than the allowance.  A cell whose slope bounds have
+    one sign has one root when f changes sign across it, and none when f
+    keeps its sign or is 0 at its left end (that root belongs to the cell on
+    its left, or is lo).  Every other cell, and a one-signed cell whose f is
+    0 only at its right end, is halved; once narrower than MIN_WIDTH it is a
+    tangent (double) root at its end of smaller |f|, logged at DEBUG as a
+    close call.  lo itself is a root when |f(lo)| < ROOT_TOL.  Every
+    one-root cell of every block is bisected by one _bisect_brackets call.
+    Each row's roots come unsorted.  The counts are the deepest level, the
+    cells tested, the tangent cells, the brackets bisected and their
+    halvings.
     """
-    grid = np.linspace(lo, hi, SCAN_POINTS + 1)
-    radicals = _radicals(omega2, kappa2, grid)
+    n = omega2.size
+    grid = np.linspace(lo, hi, COARSE_CELLS + 1)
     sigmas = np.asarray(sigmas, dtype=float)
-    low, low_index = _half_table(radicals, sigmas, slice(None, omega2.size // 2))
-    high, high_index = _half_table(radicals, sigmas, slice(omega2.size // 2, None))
     roots: list[list[float]] = [[] for _ in range(len(sigmas))]
     counts = dict.fromkeys(_COUNTS, 0)
     rows, a, b, fa = [], [], [], []  # the brackets to bisect
     for start in range(0, len(sigmas), BLOCK_SIGNATURES):
-        stop = start + BLOCK_SIGNATURES
-        vals = low[low_index[start:stop]]
-        vals += high[high_index[start:stop]]
-        vals /= omega2.size  # in place, 1 + sum/N - r as in _branch_values
-        vals += 1.0
-        vals -= grid
-        size, neg, pos = np.abs(vals), vals < 0, vals > 0
-        for s in np.flatnonzero(size[:, 0] < ROOT_TOL).tolist():
+        block = sigmas[start:start + BLOCK_SIGNATURES]
+        ends = _grid_ends(omega2, kappa2, block, grid)
+        at_lo = np.abs(ends[0, :, 0]) < ROOT_TOL
+        for s in np.flatnonzero(at_lo).tolist():
             roots[start + s].append(float(grid[0]))
-        s, k = np.divmod(np.flatnonzero((neg[:, :-1] & ~neg[:, 1:]) | (pos[:, :-1] & ~pos[:, 1:])), SCAN_POINTS)
-        rows.append(start + s)
-        a.append(grid[k])
-        b.append(grid[k + 1])
-        fa.append(vals[s, k])
-        s, k = np.divmod(np.flatnonzero(size[:, 1:-1] < 1e-6), SCAN_POINTS - 1)
-        k += 1
-        here, before, after = size[s, k], size[s, k - 1], size[s, k + 1]
-        same_side = (pos[s, k - 1] & pos[s, k] & pos[s, k + 1]) | (neg[s, k - 1] & neg[s, k] & neg[s, k + 1])
-        dip = (here <= before) & (here <= after) & same_side
-        for s, k in zip(s[dip].tolist(), k[dip].tolist()):
-            row, side = start + s, 1.0 if pos[s, k] else -1.0
-
-            def side_f(r, sigma=sigmas[row:row + 1], side=side):
-                return side * float(_branch_values(omega2, kappa2, sigma, np.array([r]))[0])
-
-            x, v = _golden_min(side_f, grid[k - 1], grid[k + 1])
-            verdict = "split" if v < 0.0 else "accepted" if v < TANGENT_TOL else "rejected"
-            _log.debug("tangent candidate r=%.17g min side*f=%.3g %s", x, v, verdict)
-            counts[verdict] += 1
-            if verdict == "split":
-                rows.append([row, row])
-                a.append([grid[k - 1], x])
-                b.append([x, grid[k + 1]])
-                fa.append([vals[s, k - 1], side * v])
-            elif verdict == "accepted":
-                roots[row].append(x)
+        row = np.repeat(np.arange(len(block)), COARSE_CELLS)
+        left, right = ends[:, :, :-1].reshape(5, -1), ends[:, :, 1:].reshape(5, -1)
+        cell_a, cell_b = np.tile(grid[:-1], len(block)), np.tile(grid[1:], len(block))
+        level = 0
+        while row.size:
+            level += 1
+            counts["cells"] += row.size
+            lower, upper, slope_lower, slope_upper = _cell_bounds(n, cell_a, cell_b, left, right)
+            allowance = _allowance(cell_b)
+            empty = (lower > allowance) | (upper < -allowance)
+            monotone = ~empty & ((slope_lower > 0.0) | (slope_upper < 0.0))
+            sign_a = np.where((np.abs(left[0]) <= _allowance(cell_a)) | ((cell_a == lo) & at_lo[row]), 0.0,
+                              np.sign(left[0]))
+            sign_b = np.where(np.abs(right[0]) <= allowance, 0.0, np.sign(right[0]))
+            one = monotone & (sign_a * sign_b < 0.0)
+            rows.append(start + row[one])
+            a.append(cell_a[one])
+            b.append(cell_b[one])
+            fa.append(left[0, one])
+            undecided = ~empty & (~monotone | ((sign_a != 0.0) & (sign_b == 0.0)))
+            narrow = undecided & (cell_b - cell_a < MIN_WIDTH)
+            for k in np.flatnonzero(narrow & (sign_a != 0.0)).tolist():
+                x = float(cell_a[k] if abs(left[0, k]) <= abs(right[0, k]) else cell_b[k])
+                _log.debug("tangent cell r=%.17g width %.3g: f in [%.3g, %.3g]", x, cell_b[k] - cell_a[k],
+                           lower[k], upper[k])
+                counts["tangent"] += 1
+                roots[start + row[k]].append(x)
+            split = undecided & ~narrow
+            row, cell_a, cell_b, left, right = row[split], cell_a[split], cell_b[split], left[:, split], right[:, split]
+            mid = 0.5 * (cell_a + cell_b)
+            at_mid = _ends(omega2, kappa2, block[row], mid)
+            row = np.concatenate([row, row])
+            cell_a, cell_b = np.concatenate([cell_a, mid]), np.concatenate([mid, cell_b])
+            left, right = np.concatenate([left, at_mid], axis=1), np.concatenate([at_mid, right], axis=1)
+        counts["levels"] = max(counts["levels"], level)
     rows = np.concatenate(rows)
     bisected, counts["halvings"] = _bisect_brackets(omega2, kappa2, sigmas[rows], np.concatenate(a),
                                                     np.concatenate(b), np.concatenate(fa))
@@ -281,6 +367,9 @@ def solve_R_equation(config: SystemConfig, signature: Signature) -> list[float]:
 
     The one-row case of the signature-batched branch solver (_branch_roots)
     on [max|omega|/|kappa|, 2 + 1e-9]; roots closer than 1e-10 are merged.
+    Its cell bounds isolate every simple root, so the two roots just above a
+    saddle-node come back as two however close they are, down to the
+    tangent-cell width 1e-12; a double root comes back once.
     """
     _require_coupling(config)
     if _frequencies_vanish(config):
@@ -413,7 +502,7 @@ def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
     scan, dedup (phases and dedup) and record phases go to the DEBUG log.
     """
     _require_coupling(config)
-    if config.n > 18:  # 2^18 records take about 18 s and 370 MB max RSS on a 2-vCPU machine
+    if config.n > 18:  # 2^18 records take about 14 s and 350 MB max RSS on a 2-vCPU machine
         raise SizeLimitError("signature enumeration limited to N <= 18")
     clock = time.perf_counter()
     sigmas = _signatures(config.n)
@@ -436,7 +525,7 @@ def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
     records = _records(config, rows, r, theta)
     record_s = time.perf_counter() - clock
     _log.debug("enumerate N=%d: %d signatures, %d roots, %d records; "
-               "%d brackets, %d halvings; tangent candidates %d split, %d accepted, %d rejected; "
+               "%d levels, %d cells tested, %d tangent cells, %d brackets, %d halvings; "
                "scan %.6f s, dedup %.6f s, records %.6f s",
                config.n, len(sigmas), found, len(records), *counts.values(), scan_s, dedup_s, record_s)
     return records

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
@@ -78,7 +79,10 @@ class SolverOptions:
     def tolerance(self) -> float:
         """Order-of-magnitude local accuracy, used for verification slack."""
         if self.method == "rk4_fixed":
-            return self.dt**4
+            try:
+                return self.dt**4
+            except OverflowError:  # dt beyond about 1e77: the fourth power exceeds the float range
+                return math.inf
         return max(self.abs_tol, self.rel_tol)
 
 

@@ -277,6 +277,19 @@ def test_rk4_ignores_the_dp45_settings(tmp_path, monkeypatch):
                  "--abs-tol", "0"]) == 0
 
 
+def test_rk4_step_whose_fourth_power_overflows(tmp_path, monkeypatch, capsys):
+    # the rk4 tolerance dt**4 is inf from dt ~ 1e77 up, not an OverflowError;
+    # finite values are the float power itself
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--n", "3", "--kappa", "1", "--horizon", "2", "--method", "rk4_fixed",
+                     "--dt", "1e300"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert wf.rk4_options(1e300, 2.0, 1.0).tolerance == float("inf")
+    assert wf.rk4_options(0.01, 2.0, 1.0).tolerance == 0.01**4
+
+
 def test_import_winfree_leaves_cli_unloaded():
     code = "import sys, winfree; print('argparse' in sys.modules, 'winfree.cli' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True, check=True)

@@ -376,7 +376,7 @@ def test_tangent_close_calls_logged_only_at_debug(caplog):
     cfg = wf.SystemConfig(n=2, omega=omega, kappa=wf.critical_coupling(omega))
     with caplog.at_level(logging.DEBUG, logger="winfree.equilibria"):
         wf.enumerate_equilibria(cfg)
-    assert any(m.startswith("tangent candidate") and m.endswith("accepted") for m in caplog.messages)
+    assert any(m.startswith("tangent cell") for m in caplog.messages)
     src = os.path.dirname(os.path.dirname(wf.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import winfree as wf; "
@@ -648,60 +648,92 @@ def test_enumeration_phase_times_logged_only_at_debug(caplog):
     # test_tangent_close_calls_logged_only_at_debug, which logs this line too
 
 
-def _reference_branch_roots(omega2, kappa2, sigmas, lo, hi):
-    """The branch solver's root rules, one signature row at a time, on _branch_values grid values.
+def _reference_ends(omega2, kappa2, sigma, r):
+    """(f, G+, G-, G+', G-') of one signature row at one point r, from that row's own terms."""
+    x = omega2 / (kappa2 * (r * r))
+    g = np.sqrt(np.clip(1.0 - x, 0.0, None))
+    with np.errstate(divide="ignore"):
+        slope = x / (r * g)
+    plus = sigma > 0
+    f = equilibria._branch_values(omega2, kappa2, sigma, np.array(r))
+    return np.array([f, np.sum(g, where=plus), np.sum(g, where=~plus), np.sum(slope, where=plus),
+                     np.sum(slope, where=~plus)])
 
-    Brackets are picked by the signs of those values (a cell from a strict
-    sign into 0 or the other sign), tangent candidates by their magnitudes,
-    and each row's brackets are bisected by their own _bisect_brackets call.
+
+def _reference_branch_roots(omega2, kappa2, sigmas, lo, hi):
+    """The isolation's rules one signature row and one cell at a time, depth first; also its counts.
+
+    Every end value comes from _reference_ends, so no half table and no
+    block is involved; each row's brackets are bisected by their own
+    _bisect_brackets call.  The counts are those _branch_roots logs.
     """
-    grid = np.linspace(lo, hi, equilibria.SCAN_POINTS + 1)
+    n = omega2.size
+    grid = np.linspace(lo, hi, equilibria.COARSE_CELLS + 1)
+    counts = dict.fromkeys(equilibria._COUNTS, 0)
     roots = []
     for sigma in np.asarray(sigmas, dtype=float):
-        f = equilibria._branch_values(omega2, kappa2, sigma, grid)
-        sign, size = np.sign(f), np.abs(f)
-        found = [float(grid[0])] if size[0] < equilibria.ROOT_TOL else []
-        k = np.flatnonzero((sign[:-1] != 0) & (sign[1:] != sign[:-1]))
-        a, b, fa = grid[k].tolist(), grid[k + 1].tolist(), f[k].tolist()
-        k = np.arange(1, grid.size - 1)
-        dips = k[(size[k] < 1e-6) & (size[k] <= size[k - 1]) & (size[k] <= size[k + 1]) & (sign[k] != 0)
-                 & (sign[k - 1] == sign[k]) & (sign[k + 1] == sign[k])]
-        for k in dips.tolist():
-            side = float(sign[k])
-
-            def side_f(r, side=side):
-                return side * float(equilibria._branch_values(omega2, kappa2, sigma, np.array([r]))[0])
-
-            x, v = equilibria._golden_min(side_f, grid[k - 1], grid[k + 1])
-            if v < 0.0:
-                a, b, fa = a + [grid[k - 1], x], b + [x, grid[k + 1]], fa + [f[k - 1], side * v]
-            elif v < equilibria.TANGENT_TOL:
-                found.append(x)
-        if a:
-            found += equilibria._bisect_brackets(omega2, kappa2, np.tile(sigma, (len(a), 1)), a, b, fa)[0].tolist()
+        ends = [_reference_ends(omega2, kappa2, sigma, r) for r in grid]
+        at_lo = abs(ends[0][0]) < equilibria.ROOT_TOL
+        found = [float(grid[0])] if at_lo else []
+        brackets = []
+        cells = [(1, grid[k], grid[k + 1], ends[k], ends[k + 1]) for k in range(equilibria.COARSE_CELLS)]
+        while cells:
+            level, a, b, left, right = cells.pop()
+            counts["levels"] = max(counts["levels"], level)
+            counts["cells"] += 1
+            bounds = equilibria._cell_bounds(n, np.array([a]), np.array([b]), left[:, None], right[:, None])
+            lower, upper, slope_lower, slope_upper = (float(v[0]) for v in bounds)
+            allowance_a, allowance_b = (float(equilibria._allowance(np.array(r))) for r in (a, b))
+            if lower > allowance_b or upper < -allowance_b:
+                continue
+            sign_a = 0.0 if abs(left[0]) <= allowance_a or (a == lo and at_lo) else np.sign(left[0])
+            sign_b = 0.0 if abs(right[0]) <= allowance_b else np.sign(right[0])
+            if slope_lower > 0.0 or slope_upper < 0.0:
+                if sign_a * sign_b < 0.0:
+                    brackets.append((a, b, left[0]))
+                    continue
+                if not (sign_a != 0.0 and sign_b == 0.0):
+                    continue
+            if b - a >= equilibria.MIN_WIDTH:
+                mid = 0.5 * (a + b)
+                at_mid = _reference_ends(omega2, kappa2, sigma, mid)
+                cells += [(level + 1, a, mid, left, at_mid), (level + 1, mid, b, at_mid, right)]
+            elif sign_a != 0.0:
+                counts["tangent"] += 1
+                found.append(a if abs(left[0]) <= abs(right[0]) else b)
+        if brackets:
+            a, b, fa = map(list, zip(*brackets))
+            bisected, halvings = equilibria._bisect_brackets(omega2, kappa2, np.tile(sigma, (len(a), 1)), a, b, fa)
+            found += bisected.tolist()
+            counts["brackets"] += len(a)
+            counts["halvings"] += halvings
         roots.append(found)
-    return roots, dict.fromkeys(equilibria._COUNTS, 0)
+    return roots, counts
 
 
-def _near_zero_system():
-    """N=5 system whose all-plus branch function is within 1e-14 of 0 at scan grid point 4000.
+def _grid_point_root_system():
+    """N=5 system whose signature (-1, 1, 1, 1, 1) has f within 1e-14 of 0 at coarse grid point 11.
 
-    omega = w * c with w bisected so that f(grid[4000]) changes sign; the grid
+    omega = w * c with w bisected so that f(grid[11]) changes sign; the grid
     starts at max|omega| = w, so it moves with w.
     """
     c = np.array([1.0, -0.9, 0.7, -0.4, 0.2])
+    sigma = np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
 
     def f_at_grid_point(w):
         cfg = wf.SystemConfig(n=5, omega=w * c, kappa=1.0)
-        grid = np.linspace(cfg.omega_max, equilibria.R_UPPER, equilibria.SCAN_POINTS + 1)
-        return equilibria._branch_values(*equilibria._scaled_squares(cfg), np.ones(5), grid[4000:4001])[0]
+        grid = np.linspace(cfg.omega_max, equilibria.R_UPPER, equilibria.COARSE_CELLS + 1)
+        return equilibria._branch_values(*equilibria._scaled_squares(cfg), sigma, grid[11:12])[0]
 
-    a, b = 0.5, 0.9  # f > 0 at a, f < 0 at b
+    a, b = 0.65, 0.7  # f > 0 at a, f < 0 at b
     while b - a > 1e-15:
         w = 0.5 * (a + b)
         a, b = (w, b) if f_at_grid_point(w) > 0 else (a, w)
     assert abs(f_at_grid_point(b)) < 1e-14
     return wf.SystemConfig(n=5, omega=b * c, kappa=1.0)
+
+
+_BOUNDARY7 = wf.SystemConfig(n=7, omega=0.3 * np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0]), kappa=0.3)
 
 
 def _oracle_systems():
@@ -710,7 +742,8 @@ def _oracle_systems():
         kc = wf.critical_coupling(omega)
         for kappa in (kc * (1 + 1e-9), 1.3 * kc, -2.0 * kc):
             yield wf.SystemConfig(n=n, omega=omega, kappa=kappa)
-    yield _near_zero_system()
+    yield _grid_point_root_system()
+    yield _BOUNDARY7
 
 
 def _record_bits(records):
@@ -720,22 +753,19 @@ def _record_bits(records):
 
 @pytest.mark.parametrize("cfg", list(_oracle_systems()), ids=lambda cfg: f"N={cfg.n},kappa={cfg.kappa:.6g}")
 def test_split_scan_matches_a_direct_scan(cfg):
-    # the half tables give each grid value to within 1e-14 of _branch_values,
-    # with its sign wherever it is not within rounding of 0; and the batched
-    # solver, with one bisection over every block, gives the records of a
-    # row-by-row scan, bisection and tangent search
+    # the half tables give f, G+, G- and their slopes at each coarse grid
+    # point to within 1e-14 of a direct evaluation (an infinite slope at the
+    # branch point exactly); and the batched isolation, with one bisection
+    # over every block, gives the records of a row-by-row isolation
     omega2, kappa2 = equilibria._scaled_squares(cfg)
-    grid = np.linspace(cfg.omega_max / abs(cfg.kappa), equilibria.R_UPPER, equilibria.SCAN_POINTS + 1)
-    radicals = equilibria._radicals(omega2, kappa2, grid)
+    grid = np.linspace(cfg.omega_max / abs(cfg.kappa), equilibria.R_UPPER, equilibria.COARSE_CELLS + 1)
     sigmas = equilibria._signatures(cfg.n).astype(float)
-    low, low_index = equilibria._half_table(radicals, sigmas, slice(None, cfg.n // 2))
-    high, high_index = equilibria._half_table(radicals, sigmas, slice(cfg.n // 2, None))
-    for sigma, i, j in zip(sigmas, low_index, high_index):
-        split = (low[i] + high[j]) / cfg.n + 1.0 - grid
-        direct = equilibria._branch_values(omega2, kappa2, sigma, grid)
-        assert np.max(np.abs(split - direct)) <= 1e-14
-        clear = np.abs(direct) > 1e-13
-        assert np.array_equal(np.sign(split[clear]), np.sign(direct[clear]))
+    split = equilibria._grid_ends(omega2, kappa2, sigmas, grid)
+    for k, sigma in enumerate(sigmas):
+        direct = np.array([_reference_ends(omega2, kappa2, sigma, r) for r in grid]).T
+        assert np.array_equal(np.isinf(split[:, k]), np.isinf(direct))
+        finite = np.isfinite(direct)
+        assert np.max(np.abs(split[:, k][finite] - direct[finite]) / np.maximum(1.0, np.abs(direct[finite]))) <= 1e-14
     records = wf.enumerate_equilibria(cfg)
     with mock.patch.object(equilibria, "_branch_roots", _reference_branch_roots):
         reference = wf.enumerate_equilibria(cfg)
@@ -745,8 +775,13 @@ def test_split_scan_matches_a_direct_scan(cfg):
 
 @pytest.mark.parametrize("ratio, verdict", [(1.0, "accepted"), (1 + 1e-9, "split")])
 def test_enumeration_logs_the_branch_solver_counts(caplog, monkeypatch, ratio, verdict):
+    # at kappa_c one tangent cell is accepted as the double root; just above
+    # it the pair of roots is split into two brackets
     omega = np.random.default_rng(2).uniform(-1.0, 1.0, 5)
     cfg = wf.SystemConfig(n=5, omega=omega, kappa=wf.critical_coupling(omega) * ratio)
+    lo = cfg.omega_max / abs(cfg.kappa)
+    _, want = _reference_branch_roots(*equilibria._scaled_squares(cfg), equilibria._signatures(5), lo,
+                                      equilibria.R_UPPER)
     calls, bisect = [], equilibria._bisect_brackets
 
     def spy(omega2, kappa2, sigma, a, b, fa):
@@ -758,17 +793,15 @@ def test_enumeration_logs_the_branch_solver_counts(caplog, monkeypatch, ratio, v
     with caplog.at_level(logging.DEBUG, logger="winfree.equilibria"):
         wf.enumerate_equilibria(cfg)
     (brackets, halvings), = calls  # one bisection per solve
-    verdicts = [m.rsplit(" ", 1)[1] for m in caplog.messages if m.startswith("tangent candidate")]
-    assert verdicts == [verdict]
-    omega2, kappa2 = equilibria._scaled_squares(cfg)
-    grid = np.linspace(cfg.omega_max / abs(cfg.kappa), equilibria.R_UPPER, equilibria.SCAN_POINTS + 1)
-    signs = np.sign([equilibria._branch_values(omega2, kappa2, sigma, grid) for sigma in equilibria._signatures(5)])
-    sign_changes = int(np.sum((signs[:, :-1] != 0) & (signs[:, 1:] != signs[:, :-1])))
-    assert brackets == sign_changes + 2 * verdicts.count("split")
+    assert (brackets, halvings) == (want["brackets"], want["halvings"])
     assert (halvings > 0) == (brackets > 0)
+    tangent = len([m for m in caplog.messages if m.startswith("tangent cell")])
+    assert tangent == want["tangent"] == (1 if verdict == "accepted" else 0)
+    assert verdict == "accepted" or brackets == 2
+    assert want["cells"] >= 32 * equilibria.COARSE_CELLS and want["levels"] > 1
     (line,) = [m for m in caplog.messages if m.startswith("enumerate N=5:")]
-    tangents = ", ".join(f"{verdicts.count(v)} {v}" for v in ("split", "accepted", "rejected"))
-    assert f" {brackets} brackets, {halvings} halvings; tangent candidates {tangents};" in line
+    assert (f" {want['levels']} levels, {want['cells']} cells tested, {tangent} tangent cells, "
+            f"{brackets} brackets, {halvings} halvings;") in line
 
 
 def _plus_slope(cfg, r):
@@ -808,9 +841,8 @@ def test_stable_root_is_the_largest_all_plus_root_of_the_grid_solver(n):
 @pytest.mark.parametrize("eps", [1e-9, 1e-6])
 def test_stable_root_next_to_the_fold(eps):
     # just above kappa_c the all-plus branch rises above 0 only between two
-    # roots that share one cell of the grid scan, whose tangent check then
-    # finds neither (solve_R_equation returns []); Newton from r = 2 still
-    # stops on the larger root, with f(R*) = 0 to rounding
+    # roots about 4e-5 apart (test_solve_R_equation_finds_both_roots_next_to_the_fold);
+    # Newton from r = 2 stops on the larger root, with f(R*) = 0 to rounding
     omega = np.random.default_rng([0, 200]).uniform(-1.0, 1.0, 200)
     cfg = wf.SystemConfig(n=200, omega=omega, kappa=(1.0 + eps) * wf.critical_coupling(omega))
     r, _, slope = equilibria._stable_root(cfg)
@@ -823,3 +855,74 @@ def test_stable_root_next_to_the_fold(eps):
     assert f(cfg.omega_max / cfg.kappa) < 0.0 < np.max(f(np.linspace(r - 1e-4, r, 2001)))  # a smaller root too
     assert f(r + 1e-9) < 0.0
     assert slope == pytest.approx(_plus_slope(cfg, r), rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_R_equation_finds_both_roots_next_to_the_fold(seed):
+    # at kappa_c (1 + 1e-6) the two all-plus roots are about 4e-5 apart and f
+    # rises about 2e-6 above 0 between them: the isolation brackets both, and
+    # the larger is the root Newton on the concave branch stops on
+    omega = np.random.default_rng([seed, 200]).uniform(-1.0, 1.0, 200)
+    cfg = wf.SystemConfig(n=200, omega=omega, kappa=(1.0 + 1e-6) * wf.critical_coupling(omega))
+    roots = solve_R_equation(cfg, Signature(np.ones(200, dtype=int)))
+    assert len(roots) == 2, roots
+    r = equilibria._stable_root(cfg)[0]
+    assert abs(roots[-1] - r) <= 2.0 * equilibria.ROOT_TOL / abs(_plus_slope(cfg, roots[-1]))
+    assert roots[-1] - roots[0] > 1e-6
+
+
+def _seeded_cell(seed):
+    """(omega2, kappa2, sigma, a, b) of a seeded system and cell: N in 1-9, kappa of either sign, a
+    at the branch point max|omega|/|kappa| for every third seed, widths from 2e-12 to 2 right of it."""
+    rng = np.random.default_rng([seed, 26])
+    n = 1 + seed % 9
+    omega = rng.uniform(-1.0, 1.0, n)
+    kappa = (-1.0) ** seed * wf.critical_coupling(omega) * rng.uniform(0.5, 4.0)
+    cfg = wf.SystemConfig(n=n, omega=omega, kappa=kappa)
+    omega2, kappa2 = equilibria._scaled_squares(cfg)
+    lo = cfg.omega_max / abs(kappa)
+    width = 2.0 * 10.0 ** rng.uniform(-12.0, 0.0)
+    a = lo if seed % 3 == 0 else rng.uniform(lo, lo + 2.0 - width)
+    return omega2, kappa2, rng.choice([-1.0, 1.0], n), a, a + width
+
+
+@pytest.mark.parametrize("seed", range(90))
+def test_cell_bounds_enclose_f_and_its_slope(seed):
+    # f sampled at 4001 points of the cell lies within the bounds widened by
+    # the rounding allowance, and f' within the slope bounds, for cell ends
+    # from the half tables (as the coarse grid's) and from direct sums (as a
+    # halved cell's); at the branch point the slope is infinite
+    omega2, kappa2, sigma, a, b = _seeded_cell(seed)
+    n = omega2.size
+    r = np.linspace(a, b, 4001)
+    f = equilibria._branch_values(omega2, kappa2, sigma, r)
+    x = omega2 / (kappa2 * np.square(r)[:, None])
+    inner = np.all(x < 1.0, axis=-1)
+    slope = np.sum(sigma * x[inner] / np.sqrt(1.0 - x[inner]), axis=-1) / (n * r[inner]) - 1.0
+    grid = equilibria._grid_ends(omega2, kappa2, sigma[None], np.array([a, b]))[:, 0]
+    ends = [grid]
+    if seed % 3:
+        ends.append(equilibria._ends(omega2, kappa2, np.tile(sigma, (2, 1)), np.array([a, b])))
+    allowance = float(equilibria._allowance(np.array(b)))
+    for left, right in (end.T for end in ends):
+        lower, upper, slope_lower, slope_upper = (float(v[0]) for v in equilibria._cell_bounds(
+            n, np.array([a]), np.array([b]), left[:, None], right[:, None]))
+        assert lower - allowance <= np.min(f) and np.max(f) <= upper + allowance, (lower, upper)
+        slack = 1e-12 * (1.0 + np.max(np.abs(slope)))
+        assert slope_lower <= np.min(slope) + slack and np.max(slope) - slack <= slope_upper
+
+
+def test_isolation_keeps_a_root_on_a_grid_point_and_one_at_the_branch_point(caplog):
+    # a root within rounding of a coarse grid point is found once, there; and
+    # the boundary system's root R = 1 at the branch point (f(lo) = 0, where
+    # the cells next to it never decide) is the one f(lo) root, not a tangent
+    cfg = _grid_point_root_system()
+    grid = np.linspace(cfg.omega_max, equilibria.R_UPPER, equilibria.COARSE_CELLS + 1)
+    roots = solve_R_equation(cfg, Signature(np.array([-1, 1, 1, 1, 1])))
+    near = [r for r in roots if abs(r - grid[11]) < 1e-6]
+    assert near == [grid[11]], (roots, grid[11])
+    with caplog.at_level(logging.DEBUG, logger="winfree.equilibria"):
+        records = wf.enumerate_equilibria(_BOUNDARY7)
+    assert len(records) == 65
+    assert [rec.R for rec in records].count(1.0) == 1
+    assert not any(m.startswith("tangent cell") for m in caplog.messages)
