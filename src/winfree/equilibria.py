@@ -32,7 +32,7 @@ ROOT_TOL = 1e-12
 DEDUP_TOL = 1e-8
 R_UPPER = 2.0 + 1e-9
 BLOCK_SIGNATURES = 64  # rows per isolation block and per Jacobian stack; bounds the cell and (block, N, N) arrays
-_COUNTS = ("levels", "cells", "tangent", "brackets", "halvings")  # _branch_roots' counts
+_COUNTS = ("levels", "cells", "tangent", "brackets", "steps")  # _branch_roots' counts
 
 _log = logging.getLogger(__name__)
 
@@ -86,8 +86,9 @@ class WPolynomial:
         r > 0 each signature's factor r - r^2 + (1/N) sum_j sigma_j
         sqrt(r^2 - w_j) is r times the branch function of the fixed-point
         equation, so one call of the signature-batched branch solver
-        (_branch_roots, by certified isolation) finds them all on
-        [max(lo, branch point), hi], a double root as one tangent cell.
+        (_branch_roots: certified isolation, then Newton steps inside each
+        one-root cell) finds them all on [max(lo, branch point), hi], each
+        simple root to |f| < ROOT_TOL and a double root as one tangent cell.
         """
         w = self.branch_w
         a = max(lo, float(np.sqrt(np.max(w))))
@@ -146,30 +147,40 @@ def _signatures(n: int) -> np.ndarray:
     return 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
 
 
-def _bisect_brackets(omega2: np.ndarray, kappa2: float, sigma: np.ndarray, a: np.ndarray,
+def _newton_brackets(omega2: np.ndarray, kappa2: float, sigma: np.ndarray, a: np.ndarray,
                      b: np.ndarray, fa: np.ndarray) -> tuple[np.ndarray, int]:
-    """Root of f for signature row sigma_k in each bracket [a_k, b_k], f(a_k) = fa_k; and the halvings made.
+    """Root of f for signature row sigma_k in each bracket [a_k, b_k], f(a_k) = fa_k; and the Newton steps made.
 
-    All brackets are halved together, each independently of the others.
-    Bracket k stops once |f(mid)| < ROOT_TOL or b_k - a_k < 1e-16, after at
-    most 200 halvings; its root is the midpoint.
+    Each bracket holds one sign change of f and a slope of one sign (certified
+    by _branch_roots); all are solved together, each independently of the
+    others.  Bracket k starts at its midpoint.  At each iterate r it takes f
+    and f' = -1 + (G+' - G-')/N from _ends and narrows [a_k, b_k] to the
+    side on which f changes sign.  It stops once |f(r)| < ROOT_TOL or
+    b_k - a_k < 1e-16, after at most 200 steps.  The Newton step r - f/f'
+    is kept only when it lies strictly inside the narrowed bracket: it is
+    the next iterate or, once the bracket stops, its root (that last step
+    needs no evaluation).  Otherwise the next iterate is the midpoint, and a
+    stopped bracket's root is r.  The steps counted are the iterates after
+    the midpoint.
     """
-    a, b, fa = np.array(a, dtype=float), np.array(b, dtype=float), np.array(fa, dtype=float)
-    live = np.arange(a.size)
-    halvings = 0
-    for _ in range(200):
-        if live.size == 0:
-            break
-        mid = 0.5 * (a[live] + b[live])
-        fm = _branch_values(omega2, kappa2, sigma[live], mid)
-        go = ~((np.abs(fm) < ROOT_TOL) | (b[live] - a[live] < 1e-16))
-        live, mid, fm = live[go], mid[go], fm[go]
-        halvings += live.size
-        left = fa[live] * fm < 0
-        b[live[left]] = mid[left]
-        a[live[~left]] = mid[~left]
-        fa[live[~left]] = fm[~left]
-    return 0.5 * (a + b), halvings
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    sign_a, r = np.sign(fa), 0.5 * (a + b)
+    roots, live = r.copy(), np.arange(a.size)  # live: the brackets not yet stopped, whose values the arrays hold
+    steps = 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # f' is inf or nan within rounding of a branch point
+        for _ in range(200):
+            if live.size == 0:
+                break
+            f, _, _, slope_plus, slope_minus = _ends(omega2, kappa2, sigma, r)
+            left = np.sign(f) == sign_a
+            a, b = np.where(left, r, a), np.where(left, b, r)
+            step = r - f / ((slope_plus - slope_minus) / omega2.size - 1.0)
+            go = (np.abs(f) >= ROOT_TOL) & (b - a >= 1e-16)
+            r = np.where((a < step) & (step < b), step, np.where(go, 0.5 * (a + b), r))
+            roots[live] = r
+            live, sigma, a, b, r, sign_a = live[go], sigma[go], a[go], b[go], r[go], sign_a[go]
+            steps += live.size
+    return roots, steps
 
 
 def _half_tables(values: np.ndarray, sigmas: np.ndarray,
@@ -279,17 +290,18 @@ def _branch_roots(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, lo: flo
     0 only at its right end, is halved; once narrower than MIN_WIDTH it is a
     tangent (double) root at its end of smaller |f|, logged at DEBUG as a
     close call.  lo itself is a root when |f(lo)| < ROOT_TOL.  Every
-    one-root cell of every block is bisected by one _bisect_brackets call.
+    one-root cell of every block is solved by one _newton_brackets call:
+    Newton steps kept inside the cell, 2 or 3 per cell on most systems.
     Each row's roots come unsorted.  The counts are the deepest level, the
-    cells tested, the tangent cells, the brackets bisected and their
-    halvings.
+    cells tested, the tangent cells, the brackets solved and their Newton
+    steps.
     """
     n = omega2.size
     grid = np.linspace(lo, hi, COARSE_CELLS + 1)
     sigmas = np.asarray(sigmas, dtype=float)
     roots: list[list[float]] = [[] for _ in range(len(sigmas))]
     counts = dict.fromkeys(_COUNTS, 0)
-    rows, a, b, fa = [], [], [], []  # the brackets to bisect
+    rows, a, b, fa = [], [], [], []  # the one-root brackets
     for start in range(0, len(sigmas), BLOCK_SIGNATURES):
         block = sigmas[start:start + BLOCK_SIGNATURES]
         ends = _grid_ends(omega2, kappa2, block, grid)
@@ -332,10 +344,10 @@ def _branch_roots(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, lo: flo
             left, right = np.concatenate([left, at_mid], axis=1), np.concatenate([at_mid, right], axis=1)
         counts["levels"] = max(counts["levels"], level)
     rows = np.concatenate(rows)
-    bisected, counts["halvings"] = _bisect_brackets(omega2, kappa2, sigmas[rows], np.concatenate(a),
-                                                    np.concatenate(b), np.concatenate(fa))
+    solved, counts["steps"] = _newton_brackets(omega2, kappa2, sigmas[rows], np.concatenate(a),
+                                               np.concatenate(b), np.concatenate(fa))
     counts["brackets"] = rows.size
-    for row, r in zip(rows.tolist(), bisected.tolist()):
+    for row, r in zip(rows.tolist(), solved.tolist()):
         roots[row].append(r)
     return roots, counts
 
@@ -369,7 +381,9 @@ def solve_R_equation(config: SystemConfig, signature: Signature) -> list[float]:
     on [max|omega|/|kappa|, 2 + 1e-9]; roots closer than 1e-10 are merged.
     Its cell bounds isolate every simple root, so the two roots just above a
     saddle-node come back as two however close they are, down to the
-    tangent-cell width 1e-12; a double root comes back once.
+    tangent-cell width 1e-12; a double root comes back once.  Each simple
+    root is refined by Newton steps inside its cell to |f| < ROOT_TOL, so it
+    lies within about ROOT_TOL/|f'| of the exact root.
     """
     _require_coupling(config)
     if _frequencies_vanish(config):
@@ -502,7 +516,7 @@ def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
     scan, dedup (phases and dedup) and record phases go to the DEBUG log.
     """
     _require_coupling(config)
-    if config.n > 18:  # 2^18 records take about 14 s and 350 MB max RSS on a 2-vCPU machine
+    if config.n > 18:  # 2^18 records take about 13 s and 360 MB max RSS on a 2-vCPU machine
         raise SizeLimitError("signature enumeration limited to N <= 18")
     clock = time.perf_counter()
     sigmas = _signatures(config.n)
@@ -525,7 +539,7 @@ def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
     records = _records(config, rows, r, theta)
     record_s = time.perf_counter() - clock
     _log.debug("enumerate N=%d: %d signatures, %d roots, %d records; "
-               "%d levels, %d cells tested, %d tangent cells, %d brackets, %d halvings; "
+               "%d levels, %d cells tested, %d tangent cells, %d brackets, %d Newton steps; "
                "scan %.6f s, dedup %.6f s, records %.6f s",
                config.n, len(sigmas), found, len(records), *counts.values(), scan_s, dedup_s, record_s)
     return records

@@ -356,9 +356,14 @@ def _quant_is(n: int, p: BoundParams, spec: Optional[InteractionSpec]) -> float:
     sup_i = p.sup_I if p.sup_I is not None else spec.sup_I
     _reject_if(not 0.0 <= delta < i_star, "QuantIS requires delta in [0, I_star)")
     _reject_if(not i_star <= sup_i, "QuantIS requires I_star <= sup_I")
+    c45 = spec.c4 * spec.c5  # power_cosine's (2/pi^2)^n / n underflows to 0 from n = 463
+    _reject_if(not c45 > 0.0, f"QuantIS requires c4 * c5 > 0, got c4 = {spec.c4:.3g}, c5 = {spec.c5:.3g}")
     r = spec.r_exp
     head = math.exp(r * (i_star / sup_i) ** 2 / 2.0)  # I_star / sup_I <= 1: no overflow
-    coef = spec.c4 * spec.c5 * np.pi**r * r ** (r - 1.0) / (math.gamma(1.0 / r) ** r * (1.0 + r / n))
+    # c4 c5 pi^r r^(r-1) / (Gamma(1/r)^r (1 + r/N)) in logarithms, with Gamma(1/r) = r Gamma(1 + 1/r);
+    # the direct product overflows from r = 138 (power_cosine power 69) on
+    coef = math.exp(math.log(c45) + r * math.log(math.pi) - math.log(r) - r * math.lgamma(1.0 + 1.0 / r)
+                    - math.log1p(r / n))
     return 1.0 - (head + coef * p.kappa * n * (i_star - delta) * p.T) ** (-n / r)
 
 

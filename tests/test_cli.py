@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -683,6 +684,41 @@ def test_hostile_values_exit_cleanly(tmp_path, monkeypatch, capsys, base):
             if not clean or warned:
                 bad.append((run[1:], code, err, warned))
     assert bad == []
+
+
+def test_quant_is_over_every_power_cosine_power(capsys):
+    # QuantIS's coefficient has pi^r r^(r-1) with r = 2 power: the product
+    # overflows from power 69 on and r^(r-1) alone from power 72; every power
+    # gives a value in [0, 1], or exit 2 once c4 * c5 underflows to 0, and
+    # never a traceback or a RuntimeWarning.  Below power 72 the value is the
+    # direct formula's, with r^(r-1) / Gamma(1/r)^r taken first so that no
+    # partial product overflows
+    base = ["bounds", "--kind", "QuantIS", "--n", "3", "--kappa", "1", "--t-horizon", "1", "--delta", "0.1",
+            "--family", "power_cosine", "--output", "-"]
+    values, refused = {}, []
+    for power in range(1, 1024):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*base, "--power", str(power)])
+        out, err = capsys.readouterr()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], power
+        if code == 2:
+            assert out == "" and err.startswith("configuration error: QuantIS requires c4 * c5 > 0"), err
+            assert err.count("\n") == 1, err
+            refused.append(power)
+            continue
+        assert code == 0, (power, err)
+        values[power] = json.loads(out)["value"]
+        assert 0.0 <= values[power] <= 1.0, power
+        spec = wf.power_cosine(power)
+        assert spec.c4 * spec.c5 > 0.0, power
+        if power < 72:
+            r = spec.r_exp
+            coef = spec.c4 * spec.c5 * np.pi**r * (r ** (r - 1.0) / math.gamma(1.0 / r) ** r) / (1.0 + r / 3)
+            head = math.exp(r * (spec.I_star / spec.sup_I) ** 2 / 2.0)
+            want = 1.0 - (head + coef * 3 * (spec.I_star - 0.1)) ** (-3 / r)
+            assert values[power] == pytest.approx(want, rel=1e-12, abs=0.0), power
+    assert refused == list(range(refused[0], 1024)) and 444 < refused[0] <= 467, refused[:3]
 
 
 @pytest.mark.parametrize("argv, setting", [

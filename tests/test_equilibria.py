@@ -664,8 +664,8 @@ def _reference_branch_roots(omega2, kappa2, sigmas, lo, hi):
     """The isolation's rules one signature row and one cell at a time, depth first; also its counts.
 
     Every end value comes from _reference_ends, so no half table and no
-    block is involved; each row's brackets are bisected by their own
-    _bisect_brackets call.  The counts are those _branch_roots logs.
+    block is involved; each row's brackets are solved by their own
+    _newton_brackets call.  The counts are those _branch_roots logs.
     """
     n = omega2.size
     grid = np.linspace(lo, hi, equilibria.COARSE_CELLS + 1)
@@ -703,10 +703,10 @@ def _reference_branch_roots(omega2, kappa2, sigmas, lo, hi):
                 found.append(a if abs(left[0]) <= abs(right[0]) else b)
         if brackets:
             a, b, fa = map(list, zip(*brackets))
-            bisected, halvings = equilibria._bisect_brackets(omega2, kappa2, np.tile(sigma, (len(a), 1)), a, b, fa)
-            found += bisected.tolist()
+            solved, steps = equilibria._newton_brackets(omega2, kappa2, np.tile(sigma, (len(a), 1)), a, b, fa)
+            found += solved.tolist()
             counts["brackets"] += len(a)
-            counts["halvings"] += halvings
+            counts["steps"] += steps
         roots.append(found)
     return roots, counts
 
@@ -755,8 +755,8 @@ def _record_bits(records):
 def test_split_scan_matches_a_direct_scan(cfg):
     # the half tables give f, G+, G- and their slopes at each coarse grid
     # point to within 1e-14 of a direct evaluation (an infinite slope at the
-    # branch point exactly); and the batched isolation, with one bisection
-    # over every block, gives the records of a row-by-row isolation
+    # branch point exactly); and the batched isolation, with one Newton
+    # solve over every block, gives the records of a row-by-row isolation
     omega2, kappa2 = equilibria._scaled_squares(cfg)
     grid = np.linspace(cfg.omega_max / abs(cfg.kappa), equilibria.R_UPPER, equilibria.COARSE_CELLS + 1)
     sigmas = equilibria._signatures(cfg.n).astype(float)
@@ -782,26 +782,26 @@ def test_enumeration_logs_the_branch_solver_counts(caplog, monkeypatch, ratio, v
     lo = cfg.omega_max / abs(cfg.kappa)
     _, want = _reference_branch_roots(*equilibria._scaled_squares(cfg), equilibria._signatures(5), lo,
                                       equilibria.R_UPPER)
-    calls, bisect = [], equilibria._bisect_brackets
+    calls, solve = [], equilibria._newton_brackets
 
     def spy(omega2, kappa2, sigma, a, b, fa):
-        roots, halvings = bisect(omega2, kappa2, sigma, a, b, fa)
-        calls.append((len(roots), halvings))
-        return roots, halvings
+        roots, steps = solve(omega2, kappa2, sigma, a, b, fa)
+        calls.append((len(roots), steps))
+        return roots, steps
 
-    monkeypatch.setattr(equilibria, "_bisect_brackets", spy)
+    monkeypatch.setattr(equilibria, "_newton_brackets", spy)
     with caplog.at_level(logging.DEBUG, logger="winfree.equilibria"):
         wf.enumerate_equilibria(cfg)
-    (brackets, halvings), = calls  # one bisection per solve
-    assert (brackets, halvings) == (want["brackets"], want["halvings"])
-    assert (halvings > 0) == (brackets > 0)
+    (brackets, steps), = calls  # one Newton solve per enumeration
+    assert (brackets, steps) == (want["brackets"], want["steps"])
+    assert (steps > 0) == (brackets > 0)
     tangent = len([m for m in caplog.messages if m.startswith("tangent cell")])
     assert tangent == want["tangent"] == (1 if verdict == "accepted" else 0)
     assert verdict == "accepted" or brackets == 2
     assert want["cells"] >= 32 * equilibria.COARSE_CELLS and want["levels"] > 1
     (line,) = [m for m in caplog.messages if m.startswith("enumerate N=5:")]
     assert (f" {want['levels']} levels, {want['cells']} cells tested, {tangent} tangent cells, "
-            f"{brackets} brackets, {halvings} halvings;") in line
+            f"{brackets} brackets, {steps} Newton steps;") in line
 
 
 def _plus_slope(cfg, r):
@@ -815,24 +815,70 @@ def _plus_residual(cfg, r):
     return float(np.max(np.abs(wf.vector_field(cfg, SPEC, theta))))
 
 
+def _reference_bisect(omega2, kappa2, sigma, a, b, fa):
+    """Bisection of each bracket [a_k, b_k], f(a_k) = fa_k, to |f(mid)| < ROOT_TOL; and the halvings made.
+
+    The branch solver's bisection before its Newton steps: all brackets are
+    halved together, each independently of the others; bracket k stops once
+    |f(mid)| < ROOT_TOL or b_k - a_k < 1e-16, after at most 200 halvings,
+    and its root is the midpoint.
+    """
+    a, b, fa = np.array(a, dtype=float), np.array(b, dtype=float), np.array(fa, dtype=float)
+    live = np.arange(a.size)
+    halvings = 0
+    for _ in range(200):
+        if live.size == 0:
+            break
+        mid = 0.5 * (a[live] + b[live])
+        fm = equilibria._branch_values(omega2, kappa2, sigma[live], mid)
+        go = ~((np.abs(fm) < equilibria.ROOT_TOL) | (b[live] - a[live] < 1e-16))
+        live, mid, fm = live[go], mid[go], fm[go]
+        halvings += live.size
+        left = fa[live] * fm < 0
+        b[live[left]] = mid[left]
+        a[live[~left]] = mid[~left]
+        fa[live[~left]] = fm[~left]
+    return 0.5 * (a + b), halvings
+
+
+def _solved_brackets(monkeypatch):
+    """Records (omega2, kappa2, sigma, a, b, fa, roots, steps) of every _newton_brackets call from here on."""
+    calls, solve = [], equilibria._newton_brackets
+
+    def spy(omega2, kappa2, sigma, a, b, fa):
+        roots, steps = solve(omega2, kappa2, sigma, a, b, fa)
+        calls.append((omega2, kappa2, np.array(sigma), np.array(a), np.array(b), np.array(fa), roots, steps))
+        return roots, steps
+
+    monkeypatch.setattr(equilibria, "_newton_brackets", spy)
+    return calls
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 50, 200])
-def test_stable_root_is_the_largest_all_plus_root_of_the_grid_solver(n):
-    # Newton on the concave all-plus branch against the grid scan: the scan's
-    # bisection stops at |f| < ROOT_TOL, so the two largest roots lie within
-    # 2 ROOT_TOL / |f'(R*)| of each other, and the Newton root's equilibrium
-    # is at least as accurate; below kappa_c there is no root
+def test_stable_root_is_the_largest_all_plus_root_of_the_grid_solver(monkeypatch, n):
+    # Newton on the concave all-plus branch against the branch solver: the
+    # solver's Newton steps stop at |f| < ROOT_TOL, so the two largest roots
+    # lie within 2 ROOT_TOL / |f'(R*)| of each other; and both roots'
+    # equilibria are at least as accurate as the root that bisection of the
+    # same certified bracket to |f| < ROOT_TOL gives; below kappa_c there is no root
     plus = Signature(np.ones(n, dtype=int))
+    calls = _solved_brackets(monkeypatch)
     for seed in range(12):
         omega = np.random.default_rng([seed, n]).uniform(-1.0, 1.0, n)
         kc = wf.critical_coupling(omega)
         for ratio in (1.001, 1.01, 1.05, 1.5, 3.0, 10.0):
             cfg = wf.SystemConfig(n=n, omega=omega, kappa=ratio * kc)
+            calls.clear()
             grid = solve_R_equation(cfg, plus)[-1]
+            (omega2, kappa2, sigma, a, b, fa, roots, _), = calls
+            k = int(np.flatnonzero(roots == grid)[0])
+            bisected = _reference_bisect(omega2, kappa2, sigma[k:k + 1], a[k:k + 1], b[k:k + 1], fa[k:k + 1])[0][0]
             root = equilibria._stable_root(cfg)
             assert root is not None, (n, seed, ratio)
             r = root[0]
             assert abs(r - grid) <= 2.0 * equilibria.ROOT_TOL / abs(_plus_slope(cfg, grid)), (n, seed, ratio)
-            assert _plus_residual(cfg, r) <= _plus_residual(cfg, grid), (n, seed, ratio)
+            assert _plus_residual(cfg, r) <= _plus_residual(cfg, bisected), (n, seed, ratio)
+            assert _plus_residual(cfg, grid) <= _plus_residual(cfg, bisected), (n, seed, ratio)
         for ratio in (0.999, 0.99999):
             cfg = wf.SystemConfig(n=n, omega=omega, kappa=ratio * kc)
             assert equilibria._stable_root(cfg) is None, (n, seed, ratio)
@@ -910,6 +956,58 @@ def test_cell_bounds_enclose_f_and_its_slope(seed):
         assert lower - allowance <= np.min(f) and np.max(f) <= upper + allowance, (lower, upper)
         slack = 1e-12 * (1.0 + np.max(np.abs(slope)))
         assert slope_lower <= np.min(slope) + slack and np.max(slope) - slack <= slope_upper
+
+
+def test_newton_roots_lie_in_their_brackets_next_to_the_bisection_root(monkeypatch):
+    # every one-root bracket that the isolation finds in a seeded cell (N 1-9,
+    # kappa of either sign, a third of the cells starting at the branch point),
+    # and for every signature from the cell's left end up to R_UPPER, gets a
+    # root inside it with |f| < ROOT_TOL, within 2 ROOT_TOL / |f'| of the
+    # root that bisection of the same bracket to |f| < ROOT_TOL gives
+    calls = _solved_brackets(monkeypatch)
+    at_branch = brackets = 0
+    for seed in range(90):
+        omega2, kappa2, sigma, a, b = _seeded_cell(seed)
+        equilibria._branch_roots(omega2, kappa2, sigma[None], a, b)
+        if a < equilibria.R_UPPER:
+            equilibria._branch_roots(omega2, kappa2, equilibria._signatures(omega2.size), a, equilibria.R_UPPER)
+    for omega2, kappa2, sigma, a, b, fa, roots, _ in calls:
+        bisected, _ = _reference_bisect(omega2, kappa2, sigma, a, b, fa)
+        f, _, _, slope_plus, slope_minus = equilibria._ends(omega2, kappa2, sigma, roots)
+        slope = (slope_plus - slope_minus) / omega2.size - 1.0
+        assert np.all((a <= roots) & (roots <= b))
+        assert np.all(np.abs(f) < equilibria.ROOT_TOL)
+        assert np.all(np.abs(roots - bisected) <= 2.0 * equilibria.ROOT_TOL / np.abs(slope))
+        at_branch += int(np.sum(np.isinf(equilibria._ends(omega2, kappa2, sigma, a)[3:]).any(axis=0)))
+        brackets += a.size
+    assert brackets >= 1000 and at_branch >= 40, (brackets, at_branch)
+
+
+def test_newton_step_budget(monkeypatch):
+    # deterministic step counts: at most 4 steps per bracket over the
+    # equilibria benchmark's systems (N 6-8, omega ~ U(-0.2, 0.2), kappa = 1,
+    # one simple root per signature), and at most 12 for every bracket of the
+    # all-plus branch next to the fold and far above it, at N up to 200
+    for n in (6, 7, 8):
+        for seed in range(3):
+            cfg = wf.SystemConfig(n=n, omega=np.random.default_rng([seed, n]).uniform(-0.2, 0.2, n), kappa=1.0)
+            _, counts = equilibria._fixed_point_roots(cfg, equilibria._signatures(n), 0.0, equilibria.R_UPPER)
+            assert counts["brackets"] == 2**n and counts["steps"] <= 4 * counts["brackets"], (n, seed, counts)
+    solve, calls = equilibria._newton_brackets, _solved_brackets(monkeypatch)
+    for n in (2, 3, 5, 8, 20, 200):
+        for seed in range(12):
+            omega = np.random.default_rng([seed, n]).uniform(-1.0, 1.0, n)
+            kc = wf.critical_coupling(omega)
+            for ratio in (1 + 1e-9, 1 + 1e-6, 1 + 1e-5, 1.01, 1.5, 4.0):
+                for sign in (1.0, -1.0):
+                    solve_R_equation(wf.SystemConfig(n=n, omega=omega, kappa=sign * ratio * kc),
+                                     Signature(np.ones(n, dtype=int)))
+    assert sum(call[3].size for call in calls) >= 800
+    for omega2, kappa2, sigma, a, b, fa, _, _ in calls:
+        for k in range(a.size):
+            one = slice(k, k + 1)
+            _, steps = solve(omega2, kappa2, sigma[one], a[one], b[one], fa[one])
+            assert steps <= 12, (omega2, kappa2, a[k], b[k], steps)
 
 
 def test_isolation_keeps_a_root_on_a_grid_point_and_one_at_the_branch_point(caplog):

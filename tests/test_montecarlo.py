@@ -11,6 +11,8 @@ import winfree as wf
 from winfree import equilibria, integrate, montecarlo
 from winfree.errors import ConfigurationError, DomainError, IntegrationFailure
 
+from test_equilibria import _reference_bisect, _solved_brackets
+
 
 SPEC = wf.sinusoidal()
 
@@ -264,10 +266,12 @@ def test_death_samples_end_at_the_stable_equilibrium(monkeypatch, n):
     opts = wf.dp45_options(horizon=500.0, sample_stride=5.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
     plus = wf.Signature(np.ones(n, dtype=int))
     draws = montecarlo._draws(502, n, 0, 16)
+    brackets = _solved_brackets(monkeypatch)
     stopped = 0
     for kappa in (1.01 * kc, 1.05 * kc, 1.5 * kc, 3.0 * np.max(np.abs(omega))):
         cfg = wf.SystemConfig(n=n, omega=omega, kappa=kappa)
         stable = []
+        brackets.clear()
         roots = wf.solve_R_equation(cfg, plus)
         for r in roots:
             theta = equilibria._equilibrium_theta(cfg, plus.sigma, r)
@@ -282,13 +286,18 @@ def test_death_samples_end_at_the_stable_equilibrium(monkeypatch, n):
                 assert np.max(np.abs(wf.wrap_to_pi(traj.states[-1] - stable[0]))) < 1e-9, (n, kappa)
         ball, _ = montecarlo._contraction_ball(cfg, SPEC, opts)
         if ball is not None:
-            # theta* from the Newton root, within the grid solver's ROOT_TOL of its
-            # root (d theta_i / dR = -tan theta_i / R) and at least as accurate
+            # theta* from the Newton root, within the branch solver's ROOT_TOL of its
+            # root (d theta_i / dR = -tan theta_i / R), and at least as accurate as
+            # the root that bisection of the same certified bracket to ROOT_TOL gives
             r_star, _, slope = equilibria._stable_root(cfg)
             assert np.array_equal(ball.theta, equilibria._equilibrium_theta(cfg, plus.sigma, r_star))
             near = np.abs(np.tan(stable[0])) / r_star * 2.0 * equilibria.ROOT_TOL / abs(slope)
             assert np.all(np.abs(wf.wrap_to_pi(ball.theta - stable[0])) <= near * (1.0 + 1e-6)), (n, kappa)
-            assert ball.residual <= np.max(np.abs(wf.vector_field(cfg, SPEC, stable[0]))), (n, kappa)
+            (omega2, kappa2, sigma, a, b, fa, solved, _), = brackets
+            k = int(np.flatnonzero(solved == max(roots))[0])
+            bisected = _reference_bisect(omega2, kappa2, sigma[k:k + 1], a[k:k + 1], b[k:k + 1], fa[k:k + 1])[0][0]
+            theta = equilibria._equilibrium_theta(cfg, plus.sigma, bisected)
+            assert ball.residual <= np.max(np.abs(wf.vector_field(cfg, SPEC, theta))), (n, kappa)
         for r_floor in (0.0, max(roots) - 1e-3):
             runs.clear()
             hits = montecarlo._death_block(cfg, SPEC, opts, r_floor, draws)
