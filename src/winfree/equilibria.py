@@ -32,6 +32,7 @@ ROOT_TOL = 1e-12
 DEDUP_TOL = 1e-8
 R_UPPER = 2.0 + 1e-9
 BLOCK_SIGNATURES = 64  # rows per isolation block and per Jacobian stack; bounds the cell and (block, N, N) arrays
+NEWTON_BRACKETS = 16384  # brackets per _newton_brackets call; bounds its (brackets, N) arrays, one call up to N = 8
 _COUNTS = ("levels", "cells", "tangent", "brackets", "steps")  # _branch_roots' counts
 
 _log = logging.getLogger(__name__)
@@ -78,7 +79,7 @@ class WPolynomial:
     branch_w: np.ndarray
 
     def roots_in(self, lo: float, hi: float) -> np.ndarray:
-        """Real roots in [lo, hi], sorted, with roots closer than DEDUP_TOL merged.
+        """Real roots in [lo, hi], sorted, with roots that the branch solver cannot tell apart merged.
 
         Expanded coefficients of the high-degree polynomial are hopeless for
         root finding (the companion matrix and Horner evaluation both lose all
@@ -89,13 +90,31 @@ class WPolynomial:
         (_branch_roots: certified isolation, then Newton steps inside each
         one-root cell) finds them all on [max(lo, branch point), hi], each
         simple root to |f| < ROOT_TOL and a double root as one tangent cell.
+        A simple root lies within ROOT_TOL/|f'| of the exact one, so a root is
+        dropped when it lies within that radius plus the radius of the last
+        root kept.  Each radius is at most DEDUP_TOL/2, which a tangent root,
+        or one at the branch point where f' is undefined, gets: roots that
+        signatures share, as equal frequencies make them, come back once, and
+        distinct roots of different signatures stay apart down to about
+        2 ROOT_TOL.
         """
         w = self.branch_w
         a = max(lo, float(np.sqrt(np.max(w))))
         if hi <= a:
             return np.asarray([])
-        roots, _ = _branch_roots(w, 1.0, _signatures(w.size), a, hi)  # w_j = (omega_j/kappa)^2
-        return np.asarray(_merge_close(itertools.chain.from_iterable(roots), DEDUP_TOL))
+        sigmas = _signatures(w.size)
+        roots, _ = _branch_roots(w, 1.0, sigmas, a, hi)  # w_j = (omega_j/kappa)^2
+        rows = np.repeat(np.arange(sigmas.shape[0]), [len(r) for r in roots])
+        r = np.array(list(itertools.chain.from_iterable(roots)), dtype=float)
+        _, _, _, slope_plus, slope_minus = _ends(w, 1.0, sigmas[rows].astype(float), r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            radius = np.fmin(ROOT_TOL / np.abs((slope_plus - slope_minus) / w.size - 1.0), 0.5 * DEDUP_TOL)
+        order = np.argsort(r, kind="stable")
+        keep = [order[0]] if order.size else []
+        for k in order[1:].tolist():
+            if r[k] - r[keep[-1]] > radius[k] + radius[keep[-1]]:
+                keep.append(k)
+        return r[keep]
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -289,9 +308,10 @@ def _branch_roots(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, lo: flo
     its left, or is lo).  Every other cell, and a one-signed cell whose f is
     0 only at its right end, is halved; once narrower than MIN_WIDTH it is a
     tangent (double) root at its end of smaller |f|, logged at DEBUG as a
-    close call.  lo itself is a root when |f(lo)| < ROOT_TOL.  Every
-    one-root cell of every block is solved by one _newton_brackets call:
-    Newton steps kept inside the cell, 2 or 3 per cell on most systems.
+    close call.  lo itself is a root when |f(lo)| < ROOT_TOL.  The one-root
+    cells of all blocks are solved NEWTON_BRACKETS at a time by
+    _newton_brackets: Newton steps kept inside the cell, 2 or 3 per cell on
+    most systems; each cell is solved independently of the others.
     Each row's roots come unsorted.  The counts are the deepest level, the
     cells tested, the tangent cells, the brackets solved and their Newton
     steps.
@@ -343,9 +363,12 @@ def _branch_roots(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, lo: flo
             cell_a, cell_b = np.concatenate([cell_a, mid]), np.concatenate([mid, cell_b])
             left, right = np.concatenate([left, at_mid], axis=1), np.concatenate([at_mid, right], axis=1)
         counts["levels"] = max(counts["levels"], level)
-    rows = np.concatenate(rows)
-    solved, counts["steps"] = _newton_brackets(omega2, kappa2, sigmas[rows], np.concatenate(a),
-                                               np.concatenate(b), np.concatenate(fa))
+    rows, a, b, fa = (np.concatenate(x) for x in (rows, a, b, fa))
+    solved = np.empty(rows.size)
+    for start in range(0, max(rows.size, 1), NEWTON_BRACKETS):  # one call, empty or not, up to NEWTON_BRACKETS
+        part = slice(start, start + NEWTON_BRACKETS)
+        solved[part], steps = _newton_brackets(omega2, kappa2, sigmas[rows[part]], a[part], b[part], fa[part])
+        counts["steps"] += steps
     counts["brackets"] = rows.size
     for row, r in zip(rows.tolist(), solved.tolist()):
         roots[row].append(r)
@@ -516,7 +539,7 @@ def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
     scan, dedup (phases and dedup) and record phases go to the DEBUG log.
     """
     _require_coupling(config)
-    if config.n > 18:  # 2^18 records take about 13 s and 360 MB max RSS on a 2-vCPU machine
+    if config.n > 18:  # 2^18 records take about 16 s and 340 MB max RSS on a 2-vCPU machine
         raise SizeLimitError("signature enumeration limited to N <= 18")
     clock = time.perf_counter()
     sigmas = _signatures(config.n)
@@ -545,16 +568,66 @@ def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
     return records
 
 
+def _critical_level(omega2: np.ndarray, a: float, b: float) -> tuple[float, int]:
+    """Predicted root in [a, b] of the balance function h of critical_coupling; and the Newton steps made.
+
+    h(b) <= 0 must hold.  In z = sqrt(1 - 1/u^2) the root is that of
+    H(z) = z h = -z - (2/N) z sum_j s_j + (1/N) sum_j z/s_j with
+    s_j = sqrt(1 - c_j + c_j z^2), c_j = omega2_j (max 1), so the singular
+    1/s term of a c_j = 1 oscillator is the constant 1.  Each term is concave
+    in z and H(0+) > 0, so H is concave with one root on (0, 1/2], and
+    Newton's method from a point right of the root moves left without
+    passing it (as in _stable_root).  It starts at the zero of H's tangent
+    at 0+ when that zero lies below z(b) (the tangent lies above H, so its
+    zero lies right of the root), else at z(b); either is raised to z(a).
+    It stops at H >= 0, once a step no longer moves z left, or after a step
+    shorter than 1e-8 z, which leaves an error of order 1e-16 z; a step that
+    reaches z(a) predicts a.  With no step taken from z(b) (N = 1 or equal
+    frequencies put the root at b within rounding) the prediction is b
+    itself.
+    """
+    n = omega2.size
+    floor = 1.0 - omega2
+    inner = floor > 0.0
+    q = np.sqrt(floor[inner])
+    slope = -1.0 - 2.0 / n * float(np.sum(q)) + float(np.sum(1.0 / q)) / n  # H'(0+); H(0+) = (N - inner)/N
+    za, zb = math.sqrt(1.0 - 1.0 / (a * a)), math.sqrt(1.0 - 1.0 / (b * b))
+    z = max(za, min(zb, (n - np.count_nonzero(inner)) / n / -slope)) if slope < 0.0 else zb
+    for steps in range(1, 101):
+        s = np.sqrt(floor + omega2 * (z * z))
+        ratio = z / s
+        value = -z - 2.0 / n * z * float(np.sum(s)) + float(np.sum(ratio)) / n
+        slope = (-1.0 - 2.0 / n * (float(np.sum(s)) + z * float(np.sum(omega2 * ratio)))
+                 + float(np.sum(floor / s**3)) / n)
+        if value >= 0.0 or not slope < 0.0:
+            break
+        z_next = z - value / slope
+        if z_next >= z:
+            break
+        if z_next <= za:
+            return a, steps
+        close, z = z - z_next <= 1e-8 * z, z_next
+        if close:
+            break
+    return (b if z == zb else 1.0 / math.sqrt(1.0 - z * z)), steps
+
+
 def critical_coupling(omega) -> float:
     """Smallest coupling strength admitting an equilibrium.
 
-    Solves the scalar balance equation for the auxiliary level u in
+    Solves the scalar balance equation h(u) = 0 for the auxiliary level u in
     [1, 2/sqrt(3)] for omega/max|omega| by bisection and scales the result by
     max|omega|, so tiny frequencies cannot underflow; returns 0 for omega = 0
-    (degenerate: every positive coupling admits equilibria).  Each round
-    evaluates the balance function at the 7 midpoints of the next three
-    bisection steps as one array (thresholds._bisect_walk), which gives the
-    one-step-at-a-time bisection's answer.  omega must pass model.frequencies.
+    (degenerate: every positive coupling admits equilibria).  Newton's method
+    predicts the root first (_critical_level); each round of the bisection
+    (thresholds._bisect_walk) evaluates h at the midpoints that halving takes
+    toward the prediction, about 37 of them, as one (points, n) array, and
+    walks them by their actual verdicts, predicting again inside the bracket
+    at the first verdict that leaves the path.  The answer is that of the
+    one-step-at-a-time bisection whatever the prediction, which only chooses
+    the points of a batch; one path batch after the h(b) check is the rule.
+    Its Newton steps, path batches and mismatched verdicts go to the DEBUG
+    log.  omega must pass model.frequencies.
     """
     omega = model.frequencies(omega)
     omega_inf = float(np.max(np.abs(omega)))
@@ -562,19 +635,34 @@ def critical_coupling(omega) -> float:
         return 0.0
     n = omega.size
     omega2 = (omega / omega_inf) ** 2
+    counts = {"steps": 0, "batches": 0, "mismatches": 0}
+    predicted = 0.0
 
     def h(us):  # at the points us, as one (len(us), n) array; each u**2 a Python float
         u2 = np.array([u**2 for u in us])
         s = np.sqrt(np.maximum(1.0 - omega2 / u2[:, None], 1e-300))
         return -1.0 - 2.0 / n * s.sum(axis=-1) + 1.0 / n * (1.0 / s).sum(axis=-1)
 
+    def above(us):
+        verdict = (h(us) > 0.0).tolist()
+        counts["batches"] += 1
+        counts["mismatches"] += any(v != (predicted > u) for u, v in zip(us, verdict))
+        return verdict
+
+    def guess(a, b):
+        nonlocal predicted
+        predicted, steps = _critical_level(omega2, a, b)
+        counts["steps"] += steps
+        return predicted
+
     a = 1.0 + 1e-12
     b = 2.0 / math.sqrt(3.0)
     if h([b])[0] >= 0.0:
         u_star = b
     else:
-        a, b = _bisect_walk(lambda us: (h(us) > 0.0).tolist(), a, b, 200, lambda a, b: (b - a) <= 1e-12 * b)
+        a, b = _bisect_walk(above, a, b, 200, lambda a, b: (b - a) <= 1e-12 * b, guess)
         u_star = 0.5 * (a + b)
+    _log.debug("critical_coupling n=%d: %d Newton steps, %d path batches, %d mismatches", n, *counts.values())
     s = np.sqrt(np.clip(1.0 - omega2 / u_star**2, 0.0, None))
     return float(n * u_star / (n + np.sum(s))) * omega_inf
 

@@ -91,39 +91,80 @@ def _golden_min(f, a: float, b: float) -> tuple[float, float]:
     return x, f(x)
 
 
-# Halvings per _bisect_walk round: three levels (7 midpoints) was the fastest
-# depth for critical_coupling over 100 vectors (28 ms against 49 ms at depth 2
-# and 34 ms at depth 4).
+# Halvings per _bisect_walk subtree round, 7 rows per batch.  Its one user is
+# estimate_pathwise_critical_coupling.  On `winfree kappa-pc` (N = 5, horizon
+# 20, six seeded systems per run; medians of 10 runs on a 2-vCPU x86-64 VM)
+# depth 2 took 2.47 s, depth 3 2.05 s and depth 4 1.81 s, all with the same
+# output.  Depth 4 integrates 108 rows where depth 3 integrates 70.  Depth 3
+# stays until a benchmarked change moves kappa-pc's batches.
 _WALK_DEPTH = 3
 
 
+def _subtree(a: float, b: float, levels: int) -> tuple[list[float], list[tuple[int, int]]]:
+    """Midpoints that `levels` halvings of [a, b] can reach, in level order; each one's (lower, upper) child."""
+    points: list[float] = []
+    spans = [(a, b)]
+    for _ in range(levels):
+        mids = [0.5 * (lo + hi) for lo, hi in spans]
+        points += mids
+        spans = [half for (lo, hi), mid in zip(spans, mids) for half in ((lo, mid), (mid, hi))]
+    return points, [(2 * i + 1, 2 * i + 2) for i in range(len(points))]
+
+
+def _path(a: float, b: float, target: float, steps: int,
+          done: Callable[[float, float], bool]) -> tuple[list[float], list[tuple[int, int]]]:
+    """Midpoints that halving [a, b] toward target visits, until done(a, b) or `steps`; each one's children.
+
+    A midpoint's child on target's side is the next midpoint; the other is
+    -1, which ends the round.
+    """
+    points: list[float] = []
+    children: list[tuple[int, int]] = []
+    while len(points) < steps:
+        mid = 0.5 * (a + b)
+        points.append(mid)
+        if target > mid:
+            a = mid
+            children.append((-1, len(points)))
+        else:
+            b = mid
+            children.append((len(points), -1))
+        if done(a, b):
+            break
+    return points, children
+
+
 def _bisect_walk(above: Callable[[list[float]], Sequence[bool]], a: float, b: float, steps: int,
-                 done: Callable[[float, float], bool] = lambda a, b: False) -> tuple[float, float]:
-    """Bisection of [a, b] that tests the midpoints of three halvings per round as one batch.
+                 done: Callable[[float, float], bool] = lambda a, b: False,
+                 guess: Optional[Callable[[float, float], float]] = None) -> tuple[float, float]:
+    """Bisection of [a, b] that tests the midpoints of several halvings per round as one batch.
 
     above(points) says for each point whether the sought value lies above it
-    (a moves up to it) or not (b moves down to it).  A round lists the seven
-    midpoints 0.5*(a + b) that its three halvings can reach, in level
-    order, makes one above() call and walks down them, so the bracket is
+    (a moves up to it) or not (b moves down to it).  Without a guess, a
+    round lists the seven midpoints that its three halvings can reach, in
+    level order (_subtree).  With guess(a, b), a point of [a, b] predicted
+    to lie next to the sought value, a round lists the midpoints that
+    halving takes toward that point until done or `steps` (_path), and it
+    ends at the first verdict that leaves them; the next round asks guess
+    again inside the narrowed bracket.  Either way a round makes one above()
+    call and walks down its points by their verdicts, so the bracket is
     bitwise that of halving one midpoint at a time.  Stops after `steps`
     halvings or once done(a, b) holds after one, which can be mid-round.
     """
     taken = 0
     while taken < steps:
-        levels = min(_WALK_DEPTH, steps - taken)
-        points: list[float] = []  # children of points[i]: points[2i + 1] (lower), points[2i + 2]
-        spans = [(a, b)]
-        for _ in range(levels):
-            mids = [0.5 * (lo + hi) for lo, hi in spans]
-            points += mids
-            spans = [half for (lo, hi), mid in zip(spans, mids) for half in ((lo, mid), (mid, hi))]
+        if guess is None:
+            points, children = _subtree(a, b, min(_WALK_DEPTH, steps - taken))
+        else:
+            points, children = _path(a, b, guess(a, b), steps - taken, done)
         verdict = above(points)
         i = 0
-        for _ in range(levels):
+        while 0 <= i < len(points):
             if verdict[i]:
-                a, i = points[i], 2 * i + 2
+                a = points[i]
             else:
-                b, i = points[i], 2 * i + 1
+                b = points[i]
+            i = children[i][verdict[i]]
             taken += 1
             if done(a, b):
                 return a, b

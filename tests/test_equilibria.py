@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -426,6 +427,12 @@ def _sturm_root_count(coeffs, lo, hi):
     ((0.25, -0.125, 0.5, 0.0625), 2.0),  # float-rounded coefficients give 12 roots here
     ((0.25, -0.125, 0.5, 0.0625), 0.3125),
     ((0.75, -0.5, 0.25, 0.125), 1.0),
+    # equal frequencies: signatures that swap their signs share roots, which
+    # W has as repeated roots and Sturm counts once
+    ((0.25, 0.25, -0.25, 0.125), 1.0),
+    ((0.5, -0.5, 0.5), 1.0),
+    ((0.375, 0.375, -0.375, 0.375), 0.75),
+    ((0.25, -0.25), 0.625),
 ])
 def test_w_polynomial_sturm_count_matches_roots_in(omega, kappa):
     # dyadic omega and kappa: the exact build's rational coefficients are those of this system
@@ -435,6 +442,21 @@ def test_w_polynomial_sturm_count_matches_roots_in(omega, kappa):
     lo, hi = Fraction(max(map(abs, omega))) / Fraction(kappa), Fraction(21, 10)
     assert all(sum(c * x**i for i, c in enumerate(poly.coeffs)) != 0 for x in (lo, hi))
     assert _sturm_root_count(poly.coeffs, lo, hi) == len(poly.roots_in(0.0, 2.1))
+
+
+def test_w_roots_of_two_signatures_3e_9_apart_stay_two():
+    # the N = 8 system of the equilibria benchmark at seed 2868: two signatures
+    # have roots 3.2e-9 apart, far more than the 2e-12 the solver can blur
+    rng = np.random.default_rng([2868, 3])
+    for n in (6, 6, 7, 7, 8):
+        omega = rng.uniform(-0.2, 0.2, n)
+    cfg = wf.SystemConfig(n=8, omega=omega, kappa=1.0)
+    roots = wf.build_W_polynomial(cfg).roots_in(0.0, 2.1)
+    records = wf.enumerate_equilibria(cfg)
+    assert len(roots) == len(records) == 256
+    gap = np.diff(roots)
+    assert 3e-9 < gap.min() < 3.5e-9 and roots[np.argmin(gap)] == pytest.approx(1.0021370628, abs=1e-10)
+    assert np.max(np.abs(np.sort([rec.R for rec in records]) - roots)) < 1e-10
 
 
 def test_w_polynomial_json_writes_float_coefficients(tmp_path):
@@ -606,7 +628,8 @@ def _scalar_critical_coupling(omega):
 
 @pytest.mark.parametrize("n", list(range(1, 17)) + [105, 200, 800])
 def test_critical_coupling_equals_scalar_bisection(monkeypatch, n):
-    # each round evaluates the 7 midpoints of the next three steps as one array;
+    # a round evaluates the midpoints on the path toward the Newton prediction
+    # as one array, and at most 2 rounds follow the h(b) check;
     # n = 105 equal frequencies has h(b) = 0, so no step is taken
     batches, walk = [], equilibria._bisect_walk
 
@@ -624,9 +647,50 @@ def test_critical_coupling_equals_scalar_bisection(monkeypatch, n):
         batches.clear()
         want, steps = _scalar_critical_coupling(omega)
         assert wf.critical_coupling(omega) == want
-        assert batches == [7] * -(-steps // 3)
+        assert len(batches) <= 2
     if n == 105:
         assert _scalar_critical_coupling(vectors[-1])[1] == 0
+
+
+def _workload_vectors(count, seed=0):
+    """Frequency vectors as the equilibria benchmark draws them: N in 1..16, omega ~ U(-2, 2)."""
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-2.0, 2.0, int(rng.integers(1, 17))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("omega", [
+    [1.0, math.sqrt(1.0 - 1e-12)],  # c_2 = 1 - 1e-12: the z/s_2 term bends within 1e-6 of z = 0
+    [1.0, -math.sqrt(1.0 - 1e-12), 0.3, -0.05],
+    [-1.0, 1.0 - 1e-12, 1e-3, 0.5, 0.5, 0.999],
+    [0.7],  # N = 1: the root is b within rounding, so h(b) is read on either side of 0
+    [-3.0],
+    [2.0**-560 * 0.3, -2.0**-560],
+    [2.0**-560, 2.0**-560 * 0.999999, 2.0**-600],
+    list(np.linspace(-1.0, 1.0, 401)),
+])
+def test_critical_coupling_equals_scalar_bisection_on_adversarial_vectors(omega):
+    assert wf.critical_coupling(omega) == _scalar_critical_coupling(omega)[0]
+
+
+def test_critical_coupling_equals_scalar_bisection_on_the_benchmark_distribution():
+    for omega in _workload_vectors(2000, seed=29):
+        assert wf.critical_coupling(omega) == _scalar_critical_coupling(omega)[0], omega.tolist()
+
+
+def test_critical_coupling_newton_step_budget(caplog):
+    # deterministic counts, from the DEBUG line: at most 8 Newton steps and
+    # 2 path batches per vector over the benchmark's distribution, and one
+    # batch (no mismatched verdict) for nearly all of them
+    vectors = _workload_vectors(2000, seed=30)
+    with caplog.at_level(logging.DEBUG, logger="winfree.equilibria"):
+        for omega in vectors:
+            wf.critical_coupling(omega)
+    lines = [m for m in caplog.messages if m.startswith("critical_coupling n=")]
+    assert len(lines) == len(vectors)
+    counts = np.array([[int(w) for w in re.findall(r"(\d+) (?:Newton|path|mismatch)", m)] for m in lines])
+    steps, batches, mismatches = counts.T
+    assert steps.max() <= 8 and batches.max() <= 2, (steps.max(), batches.max())
+    assert np.sum(batches == 1) >= 0.99 * len(vectors) and mismatches.sum() <= 0.01 * len(vectors)
 
 
 def test_enumeration_size_cut():
@@ -1008,6 +1072,18 @@ def test_newton_step_budget(monkeypatch):
             one = slice(k, k + 1)
             _, steps = solve(omega2, kappa2, sigma[one], a[one], b[one], fa[one])
             assert steps <= 12, (omega2, kappa2, a[k], b[k], steps)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_newton_chunks_give_the_roots_of_one_solve(monkeypatch, chunk):
+    # each bracket is solved independently, so solving them NEWTON_BRACKETS
+    # at a time changes no root and no count
+    cfg = wf.SystemConfig(n=9, omega=np.random.default_rng(9).uniform(-0.3, 0.3, 9), kappa=1.0)
+    sigmas = equilibria._signatures(9)
+    want = equilibria._fixed_point_roots(cfg, sigmas, 0.0, equilibria.R_UPPER)
+    assert want[1]["brackets"] > 4 * chunk
+    monkeypatch.setattr(equilibria, "NEWTON_BRACKETS", chunk)
+    assert equilibria._fixed_point_roots(cfg, sigmas, 0.0, equilibria.R_UPPER) == want
 
 
 def test_isolation_keeps_a_root_on_a_grid_point_and_one_at_the_branch_point(caplog):

@@ -326,3 +326,55 @@ def test_bisect_walk_equals_one_midpoint_at_a_time(steps, stop_width):
 
     assert thresholds._bisect_walk(batch_above, 0.25, 3.0, steps, done) == (a, b)
     assert batches == [2 ** min(3, steps - 3 * k) - 1 for k in range(-(-taken // 3))]
+
+
+@pytest.mark.parametrize("steps, stop_width", [(30, 0.0), (200, 1e-12), (200, 1e-11), (1, 0.0)])
+@pytest.mark.parametrize("guess", [
+    lambda a, b: a, lambda a, b: b, lambda a, b: 0.5 * (a + b), lambda a, b: a + 0.3 * (b - a),
+    lambda a, b: 1.7, lambda a, b: -5.0,  # also outside the bracket
+])
+def test_guessed_bisect_walk_equals_one_midpoint_at_a_time(steps, stop_width, guess):
+    # whatever the guess, the walk follows the one-at-a-time bisection over
+    # non-monotone verdicts; a round is the path toward the guess, and the
+    # next round starts where a verdict left it
+    def above(x):
+        return math.sin(1e3 * x) > -0.2
+
+    def done(a, b):
+        return (b - a) <= stop_width * b
+
+    a, b, taken = 0.25, 3.0, 0
+    visited = [(a, b)]
+    while taken < steps:
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if above(mid) else (a, mid)
+        visited.append((a, b))
+        taken += 1
+        if done(a, b):
+            break
+    batches, brackets = [], []
+
+    def batch_above(points):
+        batches.append(len(points))
+        return [above(x) for x in points]
+
+    def recorded_guess(a, b):
+        brackets.append((a, b))
+        return guess(a, b)
+
+    assert thresholds._bisect_walk(batch_above, 0.25, 3.0, steps, done, recorded_guess) == (a, b)
+    assert len(brackets) == len(batches) and sum(batches) >= taken
+    assert brackets[0] == (0.25, 3.0) and set(brackets) <= set(visited)
+
+
+def test_guessed_bisect_walk_takes_one_batch_when_the_guess_is_right():
+    target = 1.0 / 3.0
+    batches = []
+
+    def above(points):
+        batches.append(len(points))
+        return [x < target for x in points]
+
+    a, b = thresholds._bisect_walk(above, 0.0, 1.0, 200, lambda a, b: (b - a) <= 1e-12 * b, lambda a, b: target)
+    assert a < target < b and b - a <= 1e-12 * b
+    assert batches == [42]
