@@ -10,7 +10,6 @@ bound the possible equilibrium order parameters.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
@@ -92,7 +91,8 @@ class WPolynomial:
         simple root to |f| < ROOT_TOL and a double root as one tangent cell.
         A simple root lies within ROOT_TOL/|f'| of the exact one, so a root is
         dropped when it lies within that radius plus the radius of the last
-        root kept.  Each radius is at most DEDUP_TOL/2, which a tangent root,
+        root kept (_merge_roots: one group, sorted by r, ties by signature
+        row).  Each radius is at most DEDUP_TOL/2, which a tangent root,
         or one at the branch point where f' is undefined, gets: roots that
         signatures share, as equal frequencies make them, come back once, and
         distinct roots of different signatures stay apart down to about
@@ -103,18 +103,11 @@ class WPolynomial:
         if hi <= a:
             return np.asarray([])
         sigmas = _signatures(w.size)
-        roots, _ = _branch_roots(w, 1.0, sigmas, a, hi)  # w_j = (omega_j/kappa)^2
-        rows = np.repeat(np.arange(sigmas.shape[0]), [len(r) for r in roots])
-        r = np.array(list(itertools.chain.from_iterable(roots)), dtype=float)
+        rows, r, _ = _branch_roots(w, 1.0, sigmas, a, hi)  # w_j = (omega_j/kappa)^2
         _, _, _, slope_plus, slope_minus = _ends(w, 1.0, sigmas[rows].astype(float), r)
         with np.errstate(divide="ignore", invalid="ignore"):
             radius = np.fmin(ROOT_TOL / np.abs((slope_plus - slope_minus) / w.size - 1.0), 0.5 * DEDUP_TOL)
-        order = np.argsort(r, kind="stable")
-        keep = [order[0]] if order.size else []
-        for k in order[1:].tolist():
-            if r[k] - r[keep[-1]] > radius[k] + radius[keep[-1]]:
-                keep.append(k)
-        return r[keep]
+        return r[_merge_roots(np.lexsort((rows, r)), np.zeros_like(rows), r, radius)]
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -291,8 +284,8 @@ def _allowance(r: np.ndarray) -> np.ndarray:
 
 
 def _branch_roots(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, lo: float,
-                  hi: float) -> tuple[list[list[float]], dict[str, int]]:
-    """Roots on [lo, hi] of the branch function of every signature row in sigmas; and the solver's counts.
+                  hi: float) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
+    """Roots on [lo, hi] of the branch function of every signature row in sigmas, as columns; the solver's counts.
 
     The branch function f(r) = 1 + (1/N) sum_j sigma_j sqrt(1 - omega_j^2/(kappa r)^2) - r
     is a concave part plus a convex part, so tangents and chords bound it on
@@ -312,22 +305,22 @@ def _branch_roots(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, lo: flo
     cells of all blocks are solved NEWTON_BRACKETS at a time by
     _newton_brackets: Newton steps kept inside the cell, 2 or 3 per cell on
     most systems; each cell is solved independently of the others.
-    Each row's roots come unsorted.  The counts are the deepest level, the
-    cells tested, the tangent cells, the brackets solved and their Newton
-    steps.
+    The roots come unsorted as two columns, the signature row (an index into
+    sigmas) and r.  The counts are the deepest level, the cells tested, the
+    tangent cells, the brackets solved and their Newton steps.
     """
     n = omega2.size
     grid = np.linspace(lo, hi, COARSE_CELLS + 1)
     sigmas = np.asarray(sigmas, dtype=float)
-    roots: list[list[float]] = [[] for _ in range(len(sigmas))]
+    found_rows, found = [], []  # the roots at lo and the tangent roots
     counts = dict.fromkeys(_COUNTS, 0)
     rows, a, b, fa = [], [], [], []  # the one-root brackets
     for start in range(0, len(sigmas), BLOCK_SIGNATURES):
         block = sigmas[start:start + BLOCK_SIGNATURES]
         ends = _grid_ends(omega2, kappa2, block, grid)
         at_lo = np.abs(ends[0, :, 0]) < ROOT_TOL
-        for s in np.flatnonzero(at_lo).tolist():
-            roots[start + s].append(float(grid[0]))
+        found_rows += (start + np.flatnonzero(at_lo)).tolist()
+        found += [float(grid[0])] * int(np.count_nonzero(at_lo))
         row = np.repeat(np.arange(len(block)), COARSE_CELLS)
         left, right = ends[:, :, :-1].reshape(5, -1), ends[:, :, 1:].reshape(5, -1)
         cell_a, cell_b = np.tile(grid[:-1], len(block)), np.tile(grid[1:], len(block))
@@ -354,7 +347,8 @@ def _branch_roots(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, lo: flo
                 _log.debug("tangent cell r=%.17g width %.3g: f in [%.3g, %.3g]", x, cell_b[k] - cell_a[k],
                            lower[k], upper[k])
                 counts["tangent"] += 1
-                roots[start + row[k]].append(x)
+                found_rows.append(start + int(row[k]))
+                found.append(x)
             split = undecided & ~narrow
             row, cell_a, cell_b, left, right = row[split], cell_a[split], cell_b[split], left[:, split], right[:, split]
             mid = 0.5 * (cell_a + cell_b)
@@ -370,31 +364,35 @@ def _branch_roots(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, lo: flo
         solved[part], steps = _newton_brackets(omega2, kappa2, sigmas[rows[part]], a[part], b[part], fa[part])
         counts["steps"] += steps
     counts["brackets"] = rows.size
-    for row, r in zip(rows.tolist(), solved.tolist()):
-        roots[row].append(r)
-    return roots, counts
+    return (np.concatenate([np.array(found_rows, dtype=int), rows]),
+            np.concatenate([np.array(found, dtype=float), solved]), counts)
 
 
-def _merge_close(roots, tol: float) -> list[float]:
-    """Sorted roots, dropping each one within tol of the last one kept."""
-    keep: list[float] = []
-    for r in sorted(roots):
-        if not keep or r - keep[-1] > tol:
-            keep.append(r)
+def _merge_roots(order: np.ndarray, group: np.ndarray, r: np.ndarray, radius: np.ndarray) -> list[int]:
+    """The indices of the roots kept, walked in order, which sorts them by group, then r.
+
+    A root is dropped when it lies within its own radius plus that of the last root kept in its group.
+    """
+    group, r, radius = group.tolist(), r.tolist(), radius.tolist()
+    keep: list[int] = []
+    for k in order.tolist():
+        if not keep or group[k] != group[keep[-1]] or r[k] - r[keep[-1]] > radius[k] + radius[keep[-1]]:
+            keep.append(k)
     return keep
 
 
 def _fixed_point_roots(config: SystemConfig, sigmas: np.ndarray, lo: float,
-                       hi: float) -> tuple[list[list[float]], dict[str, int]]:
-    """Per signature row, the sorted roots of the fixed-point equation on [max(lo, max|omega|/|kappa|), hi].
+                       hi: float) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
+    """(row, r) columns of the fixed-point roots on [max(lo, max|omega|/|kappa|), hi]; the counts of _branch_roots.
 
-    Also the counts of _branch_roots (all 0 when the interval is empty).
+    Sorted by row, then r; a row's roots within 1e-10 are merged (_merge_roots).  The counts are 0 on an empty interval.
     """
     lo = max(lo, config.omega_max / abs(config.kappa))
     if lo > hi:
-        return [[] for _ in range(len(sigmas))], dict.fromkeys(_COUNTS, 0)
-    roots, counts = _branch_roots(*_scaled_squares(config), sigmas, lo, hi)
-    return [_merge_close(r, 1e-10) for r in roots], counts
+        return np.empty(0, dtype=int), np.empty(0), dict.fromkeys(_COUNTS, 0)
+    rows, r, counts = _branch_roots(*_scaled_squares(config), sigmas, lo, hi)
+    keep = _merge_roots(np.lexsort((r, rows)), rows, r, np.full(r.size, 0.5e-10))
+    return rows[keep], r[keep], counts
 
 
 def solve_R_equation(config: SystemConfig, signature: Signature) -> list[float]:
@@ -414,8 +412,8 @@ def solve_R_equation(config: SystemConfig, signature: Signature) -> list[float]:
     sigma = signature.sigma
     if sigma.shape != (config.n,):
         raise DomainError("signature length must equal N")
-    (roots,), _ = _fixed_point_roots(config, sigma[None], 0.0, R_UPPER)
-    return roots
+    _, roots, _ = _fixed_point_roots(config, sigma[None], 0.0, R_UPPER)
+    return roots.tolist()
 
 
 def _stable_root(config: SystemConfig) -> tuple[float, int, float] | None:
@@ -478,13 +476,17 @@ def _stability(config: SystemConfig, r: np.ndarray, theta: np.ndarray) -> tuple[
     boundary |kappa|*R = max|omega| is Indeterminate with nan, and its
     eigenvalues are not computed.  The other rows go BLOCK_SIGNATURES at a
     time into one Jacobian stack and one eigvalsh call, so memory stays
-    bounded in M.
+    bounded in M; a stack beyond the float range (|kappa| R near 1e308) raises DomainError.
     """
     max_eig = np.full(r.shape, np.nan)
-    inner = np.flatnonzero(~(np.abs(abs(config.kappa) * r - config.omega_max) < 1e-12))
-    for start in range(0, inner.size, BLOCK_SIGNATURES):
-        rows = inner[start:start + BLOCK_SIGNATURES]
-        max_eig[rows] = np.linalg.eigvalsh(model.jacobian(config, theta[rows]))[..., -1]
+    with np.errstate(over="ignore", invalid="ignore"):  # kappa * R beyond the float range is refused below
+        inner = np.flatnonzero(~(np.abs(abs(config.kappa) * r - config.omega_max) < 1e-12))
+        for start in range(0, inner.size, BLOCK_SIGNATURES):
+            rows = inner[start:start + BLOCK_SIGNATURES]
+            jac = model.jacobian(config, theta[rows])
+            if not np.isfinite(jac).all():
+                raise DomainError(f"the Jacobian overflows the float range at kappa={config.kappa:g}")
+            max_eig[rows] = np.linalg.eigvalsh(jac)[..., -1]
     labels = np.where(max_eig > 1e-8, "Unstable", np.where(max_eig < -1e-8, "Stable", "Indeterminate"))
     return labels.tolist(), max_eig
 
@@ -532,39 +534,34 @@ def _bipolar(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
     """All equilibria (mod 2*pi), via signature enumeration; at most 2^(N+1).
 
-    One pass: the branch solve of every signature (_branch_roots), the
-    phases of every root as one stack, one _dedup call over them, and one
-    _records call over the rows kept (_stability bounds its Jacobian
-    stacks).  Counts, the branch solver's among them, and the times of the
+    One pass: the (row, r) columns of every signature's roots
+    (_fixed_point_roots), their phases as one stack, one _dedup call over
+    them, and one _records call over the rows kept (_stability bounds its
+    Jacobian stacks).  Counts (the branch solver's too) and the times of the
     scan, dedup (phases and dedup) and record phases go to the DEBUG log.
     """
     _require_coupling(config)
-    if config.n > 18:  # 2^18 records take about 16 s and 340 MB max RSS on a 2-vCPU machine
+    if config.n > 18:  # 2^18 records take about 16 s and 310 MB max RSS on a 2-vCPU machine
         raise SizeLimitError("signature enumeration limited to N <= 18")
     clock = time.perf_counter()
     sigmas = _signatures(config.n)
     bipolar = _frequencies_vanish(config)
-    roots, counts = None, dict.fromkeys(_COUNTS, 0)
-    if not bipolar:
-        roots, counts = _fixed_point_roots(config, sigmas, 0.0, R_UPPER)
-    scan_s, clock = time.perf_counter() - clock, time.perf_counter()
     if bipolar:  # all distinct
-        (theta, r), rows, found = _bipolar(sigmas), sigmas, len(sigmas)
+        (theta, r), rows, counts = _bipolar(sigmas), np.arange(len(sigmas)), dict.fromkeys(_COUNTS, 0)
     else:
-        rows = np.repeat(sigmas, [len(x) for x in roots], axis=0)
-        r = np.array(list(itertools.chain.from_iterable(roots)), dtype=float)
-        del roots  # 2^N lists: kept while the records are built, they add about 30 MB to the N = 18 peak
-        found = r.size
-        theta = _equilibrium_theta(config, rows, r)
+        rows, r, counts = _fixed_point_roots(config, sigmas, 0.0, R_UPPER)
+    scan_s, clock = time.perf_counter() - clock, time.perf_counter()
+    if not bipolar:
+        theta = _equilibrium_theta(config, sigmas[rows], r)
         new = _dedup(theta)
-        rows, r, theta = rows[new], r[new], theta[new]
+        sigmas, r, theta = sigmas[rows[new]], r[new], theta[new]  # frees the 2^N table before the records
     dedup_s, clock = time.perf_counter() - clock, time.perf_counter()
-    records = _records(config, rows, r, theta)
+    records = _records(config, sigmas, r, theta)
     record_s = time.perf_counter() - clock
     _log.debug("enumerate N=%d: %d signatures, %d roots, %d records; "
                "%d levels, %d cells tested, %d tangent cells, %d brackets, %d Newton steps; "
                "scan %.6f s, dedup %.6f s, records %.6f s",
-               config.n, len(sigmas), found, len(records), *counts.values(), scan_s, dedup_s, record_s)
+               config.n, 2**config.n, rows.size, len(records), *counts.values(), scan_s, dedup_s, record_s)
     return records
 
 
@@ -694,10 +691,10 @@ def construct_prescribed_equilibrium(
     if _frequencies_vanish(config):
         theta, r = _bipolar(sigma)
         return _records(config, sigma, r, theta)[0], m
-    (roots,), _ = _fixed_point_roots(config, sigma, 0.5 * rho0, 1.5 * rho0)
-    if not roots:
+    _, roots, _ = _fixed_point_roots(config, sigma, 0.5 * rho0, 1.5 * rho0)
+    if not roots.size:
         raise DomainError("no fixed-point root in the prescribed interval")
-    r = np.array([min(roots, key=lambda x: abs(x - rho0))])
+    r = roots[[np.argmin(np.abs(roots - rho0))]]
     theta = _equilibrium_theta(config, sigma, r)
     record = _records(config, sigma, r, theta)[0]
     # per-oscillator bracket bounds around the branch centers

@@ -188,6 +188,7 @@ def _sample_times(opts: SolverOptions) -> np.ndarray:
     return times
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a row that overflows ends as non-finite or underflowing, or runs on
 def _integrate_rows(
     config: SystemConfig,
     spec: InteractionSpec,

@@ -215,6 +215,7 @@ class _Ball:
         return inside & (self.log_norm_bound(rho) * rho + self.residual < 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # kappa * R can overflow near 1e308: a nan bound certifies no ball
 def _contraction_ball(
     config: SystemConfig, spec: InteractionSpec, opts: SolverOptions
 ) -> tuple[Optional[_Ball], str]:

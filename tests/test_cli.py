@@ -646,7 +646,7 @@ _SWEEP_BASES = {
     "bounds-GeneralMaincor-rectified_poisson": ["bounds", "--kind", "GeneralMaincor", "--n", "3", "--r-star", "0.5",
                                                 *_RECTIFIED_POISSON],
 }
-_HOSTILE = {int: ["0", "-1"], float: ["0", "-1", "nan", "inf", "-inf"]}
+_HOSTILE = {int: ["0", "-1"], float: ["0", "-1", "nan", "inf", "-inf", "1e308", "-1e308"]}
 
 
 def _numeric_settings(argv):
@@ -737,3 +737,15 @@ def test_out_of_domain_inputs_exit_2_before_any_work(tmp_path, monkeypatch, caps
     assert out == "" and list(tmp_path.iterdir()) == []
     assert err.startswith(f"configuration error: {setting} ") or f" {setting} " in err, err
     assert err.count("\n") == 1, err
+
+
+def test_power_cosine_at_the_top_power_fails_without_a_warning(tmp_path, monkeypatch, capsys):
+    # power 1023 overflows the right-hand side at t=0: the run ends as an integration failure (exit 3), and the
+    # overflow inside the step loop prints no numpy RuntimeWarning
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--n", "3", "--family", "power_cosine", "--power", "1023", "--output", "-"])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("integration failure: "), err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []

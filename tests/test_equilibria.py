@@ -729,13 +729,14 @@ def _reference_branch_roots(omega2, kappa2, sigmas, lo, hi):
 
     Every end value comes from _reference_ends, so no half table and no
     block is involved; each row's brackets are solved by their own
-    _newton_brackets call.  The counts are those _branch_roots logs.
+    _newton_brackets call.  The roots come as _branch_roots' (row, r)
+    columns, and the counts are those _branch_roots logs.
     """
     n = omega2.size
     grid = np.linspace(lo, hi, equilibria.COARSE_CELLS + 1)
     counts = dict.fromkeys(equilibria._COUNTS, 0)
-    roots = []
-    for sigma in np.asarray(sigmas, dtype=float):
+    rows, roots = [], []
+    for row, sigma in enumerate(np.asarray(sigmas, dtype=float)):
         ends = [_reference_ends(omega2, kappa2, sigma, r) for r in grid]
         at_lo = abs(ends[0][0]) < equilibria.ROOT_TOL
         found = [float(grid[0])] if at_lo else []
@@ -771,8 +772,9 @@ def _reference_branch_roots(omega2, kappa2, sigmas, lo, hi):
             found += solved.tolist()
             counts["brackets"] += len(a)
             counts["steps"] += steps
-        roots.append(found)
-    return roots, counts
+        rows += [row] * len(found)
+        roots += found
+    return np.array(rows, dtype=int), np.array(roots, dtype=float), counts
 
 
 def _grid_point_root_system():
@@ -844,8 +846,8 @@ def test_enumeration_logs_the_branch_solver_counts(caplog, monkeypatch, ratio, v
     omega = np.random.default_rng(2).uniform(-1.0, 1.0, 5)
     cfg = wf.SystemConfig(n=5, omega=omega, kappa=wf.critical_coupling(omega) * ratio)
     lo = cfg.omega_max / abs(cfg.kappa)
-    _, want = _reference_branch_roots(*equilibria._scaled_squares(cfg), equilibria._signatures(5), lo,
-                                      equilibria.R_UPPER)
+    *_, want = _reference_branch_roots(*equilibria._scaled_squares(cfg), equilibria._signatures(5), lo,
+                                       equilibria.R_UPPER)
     calls, solve = [], equilibria._newton_brackets
 
     def spy(omega2, kappa2, sigma, a, b, fa):
@@ -1055,7 +1057,7 @@ def test_newton_step_budget(monkeypatch):
     for n in (6, 7, 8):
         for seed in range(3):
             cfg = wf.SystemConfig(n=n, omega=np.random.default_rng([seed, n]).uniform(-0.2, 0.2, n), kappa=1.0)
-            _, counts = equilibria._fixed_point_roots(cfg, equilibria._signatures(n), 0.0, equilibria.R_UPPER)
+            *_, counts = equilibria._fixed_point_roots(cfg, equilibria._signatures(n), 0.0, equilibria.R_UPPER)
             assert counts["brackets"] == 2**n and counts["steps"] <= 4 * counts["brackets"], (n, seed, counts)
     solve, calls = equilibria._newton_brackets, _solved_brackets(monkeypatch)
     for n in (2, 3, 5, 8, 20, 200):
@@ -1080,10 +1082,11 @@ def test_newton_chunks_give_the_roots_of_one_solve(monkeypatch, chunk):
     # at a time changes no root and no count
     cfg = wf.SystemConfig(n=9, omega=np.random.default_rng(9).uniform(-0.3, 0.3, 9), kappa=1.0)
     sigmas = equilibria._signatures(9)
-    want = equilibria._fixed_point_roots(cfg, sigmas, 0.0, equilibria.R_UPPER)
-    assert want[1]["brackets"] > 4 * chunk
+    *want, counts = equilibria._fixed_point_roots(cfg, sigmas, 0.0, equilibria.R_UPPER)
+    assert counts["brackets"] > 4 * chunk
     monkeypatch.setattr(equilibria, "NEWTON_BRACKETS", chunk)
-    assert equilibria._fixed_point_roots(cfg, sigmas, 0.0, equilibria.R_UPPER) == want
+    *got, got_counts = equilibria._fixed_point_roots(cfg, sigmas, 0.0, equilibria.R_UPPER)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want)) and got_counts == counts
 
 
 def test_isolation_keeps_a_root_on_a_grid_point_and_one_at_the_branch_point(caplog):

@@ -26,6 +26,23 @@ def test_module_level_imports_are_used(path):
     assert {name: line for name, line in imported.items() if name not in used} == {}
 
 
+def test_module_level_private_functions_are_referenced():
+    # a private helper that nothing names any more (one a refactor left behind) is dead code
+    root = pathlib.Path(__file__).resolve().parents[1]
+    private = {(path.name, node.name) for path in pathlib.Path(winfree.__file__).parent.glob("*.py")
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    named = set()
+    for path in (p for d in ("src", "tests") for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert len(private) > 50
+    assert sorted(f"{module}:{name}" for module, name in private if name not in named) == []
+
+
 EXPORTED_FUNCTIONS = sorted(name for name, obj in vars(winfree).items() if inspect.isfunction(obj))
 
 

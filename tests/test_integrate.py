@@ -460,6 +460,22 @@ def test_pathwise_critical_coupling_walks_any_verdicts(monkeypatch, seed):
     assert estimate(lambda kappa: False) == upper
 
 
+def test_pathwise_critical_coupling_lies_below_the_order_parameter_bound():
+    # the proof's first step, across modules: above K_c(R0) max|omega| every
+    # phase converges without a 2 pi slip, so the bisection moves its lower
+    # end only to couplings below that bound and kappa_pc(theta0) <= K_c(R0)
+    # max|omega| (thresholds.kc_coefficient at R0 = model.order_parameter)
+    opts = wf.dp45_options(horizon=20.0, sample_stride=0.5, abs_tol=1e-8, rel_tol=1e-8)
+    for seed in range(6):
+        n = (3, 5)[seed % 2]
+        rng = np.random.default_rng([seed, 31])
+        cfg = wf.SystemConfig(n=n, omega=rng.uniform(-1.0, 1.0, n), kappa=1.0)
+        theta0 = rng.uniform(-np.pi, np.pi, n)
+        bound = wf.kc_coefficient(wf.order_parameter(SPEC, theta0)) * cfg.omega_max
+        kappa_pc = wf.estimate_pathwise_critical_coupling(cfg, SPEC, theta0, opts)
+        assert 0.0 < kappa_pc <= bound, (seed, kappa_pc, bound)
+
+
 def test_no_complete_death_below_critical_coupling():
     # sharpness, flow side: below kappa_c there is no equilibrium, so no cell
     # may end in CompleteDeath (slow oscillators may still stop: PartialDeath);
