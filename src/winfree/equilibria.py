@@ -44,7 +44,7 @@ class Signature:
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=int)
         object.__setattr__(self, "sigma", sigma)
-        if not np.all(np.abs(sigma) == 1):
+        if not set(sigma.ravel().tolist()) <= {-1, 1}:
             raise DomainError("signature entries must be -1 or +1")
 
 
@@ -155,8 +155,11 @@ def _branch_values(omega2: np.ndarray, kappa2: float, sigma: np.ndarray, r: np.n
 
 
 def _signatures(n: int) -> np.ndarray:
-    """All 2^n signatures as rows; in row `bits`, sigma_j = -1 where bit j is set."""
-    return 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+    """All 2^n signatures as int8 rows; in row `bits`, sigma_j = -1 where bit j is set."""
+    sigmas = np.ones((2**n, n), dtype=np.int8)
+    for j in range(n):  # row = (high bits, bit j, low bits)
+        sigmas.reshape(-1, 2, 2**j, n)[:, 1, :, j] = -1
+    return sigmas
 
 
 def _newton_brackets(omega2: np.ndarray, kappa2: float, sigma: np.ndarray, a: np.ndarray,
@@ -311,12 +314,11 @@ def _branch_roots(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, lo: flo
     """
     n = omega2.size
     grid = np.linspace(lo, hi, COARSE_CELLS + 1)
-    sigmas = np.asarray(sigmas, dtype=float)
     found_rows, found = [], []  # the roots at lo and the tangent roots
     counts = dict.fromkeys(_COUNTS, 0)
     rows, a, b, fa = [], [], [], []  # the one-root brackets
     for start in range(0, len(sigmas), BLOCK_SIGNATURES):
-        block = sigmas[start:start + BLOCK_SIGNATURES]
+        block = sigmas[start:start + BLOCK_SIGNATURES].astype(float)
         ends = _grid_ends(omega2, kappa2, block, grid)
         at_lo = np.abs(ends[0, :, 0]) < ROOT_TOL
         found_rows += (start + np.flatnonzero(at_lo)).tolist()
@@ -361,7 +363,8 @@ def _branch_roots(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, lo: flo
     solved = np.empty(rows.size)
     for start in range(0, max(rows.size, 1), NEWTON_BRACKETS):  # one call, empty or not, up to NEWTON_BRACKETS
         part = slice(start, start + NEWTON_BRACKETS)
-        solved[part], steps = _newton_brackets(omega2, kappa2, sigmas[rows[part]], a[part], b[part], fa[part])
+        solved[part], steps = _newton_brackets(omega2, kappa2, sigmas[rows[part]].astype(float), a[part], b[part],
+                                                  fa[part])
         counts["steps"] += steps
     counts["brackets"] = rows.size
     return (np.concatenate([np.array(found_rows, dtype=int), rows]),
@@ -494,6 +497,7 @@ def _stability(config: SystemConfig, r: np.ndarray, theta: np.ndarray) -> tuple[
 def _records(config: SystemConfig, sigmas: np.ndarray, r: np.ndarray,
              theta: np.ndarray) -> list[EquilibriumRecord]:
     """Records of the rows sigmas (M, N), r (M,), theta (M, N), built as one stack."""
+    sigmas = np.asarray(sigmas, dtype=int)  # each Signature then keeps its row as is
     labels, max_eig = _stability(config, r, theta)
     divergence = model.divergence(config, model.sinusoidal(), theta)
     return [
@@ -504,25 +508,32 @@ def _records(config: SystemConfig, sigmas: np.ndarray, r: np.ndarray,
     ]
 
 
-def _dedup(theta: np.ndarray) -> list[int]:
-    """Rows of theta (M, N) not within DEDUP_TOL of an earlier kept row, in order.
+def _dedup(theta: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rows of theta (M, N) not within DEDUP_TOL of an earlier kept row, in order; and the rows compared.
 
-    Greedy, first row wins.  Kept rows are filed under their key cell
+    Greedy, first row wins.  Each row has the key cell
     floor(mean(cos theta) / (2 DEDUP_TOL)).  |cos a - cos b| <= |wrap(a - b)|,
-    so a theta within DEDUP_TOL of a kept one has its key within DEDUP_TOL of
-    that one's: only the kept thetas in the row's cell and its two neighbours
-    (a key window of at least +-2 DEDUP_TOL) are compared.
+    so a theta within DEDUP_TOL of another has its key within DEDUP_TOL of
+    that one's: a row is compared only with the kept rows in its cell and its
+    two neighbours (a key window of at least +-2 DEDUP_TOL).  A pre-pass over
+    the sorted cells finds the rows with no other row in those three cells;
+    such a row can neither be dropped nor drop another, so it is kept without
+    a comparison.  The rest are compared in order, and are the count returned.
     """
+    cells = np.floor(np.mean(np.cos(theta), axis=-1) / (2 * DEDUP_TOL)).astype(np.int64)
+    ordered = np.sort(cells)
+    near = np.searchsorted(ordered, cells + 2) - np.searchsorted(ordered, cells - 1) > 1
+    keep = ~near  # the rows kept unseen, then those the loop keeps
     kept: dict[int, list[np.ndarray]] = {}
-    new = []
-    cells = np.floor(np.mean(np.cos(theta), axis=-1) / (2 * DEDUP_TOL)).astype(np.int64).tolist()
-    for i, (row, cell) in enumerate(zip(theta, cells)):
+    compared = np.flatnonzero(near)
+    for i, cell in zip(compared.tolist(), cells[compared].tolist()):
+        row = theta[i]
         if any(np.max(np.abs(model.wrap_to_pi(row - prev))) < DEDUP_TOL
-               for near in (cell - 1, cell, cell + 1) for prev in kept.get(near, ())):
+               for near_cell in (cell - 1, cell, cell + 1) for prev in kept.get(near_cell, ())):
             continue
         kept.setdefault(cell, []).append(row)
-        new.append(i)
-    return new
+        keep[i] = True
+    return np.flatnonzero(keep), compared.size
 
 
 def _bipolar(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -537,31 +548,34 @@ def enumerate_equilibria(config: SystemConfig) -> list[EquilibriumRecord]:
     One pass: the (row, r) columns of every signature's roots
     (_fixed_point_roots), their phases as one stack, one _dedup call over
     them, and one _records call over the rows kept (_stability bounds its
-    Jacobian stacks).  Counts (the branch solver's too) and the times of the
-    scan, dedup (phases and dedup) and record phases go to the DEBUG log.
+    Jacobian stacks).  Counts (the branch solver's, and the rows _dedup
+    compared) and the times of the scan, dedup (phases and dedup) and record
+    phases go to the DEBUG log.
     """
     _require_coupling(config)
-    if config.n > 18:  # 2^18 records take about 16 s and 310 MB max RSS on a 2-vCPU machine
+    if config.n > 18:  # 2^18 records take about 10 s and 300 MB max RSS on a 2-vCPU machine
         raise SizeLimitError("signature enumeration limited to N <= 18")
     clock = time.perf_counter()
     sigmas = _signatures(config.n)
     bipolar = _frequencies_vanish(config)
     if bipolar:  # all distinct
         (theta, r), rows, counts = _bipolar(sigmas), np.arange(len(sigmas)), dict.fromkeys(_COUNTS, 0)
+        compared = 0
     else:
         rows, r, counts = _fixed_point_roots(config, sigmas, 0.0, R_UPPER)
     scan_s, clock = time.perf_counter() - clock, time.perf_counter()
     if not bipolar:
         theta = _equilibrium_theta(config, sigmas[rows], r)
-        new = _dedup(theta)
+        new, compared = _dedup(theta)
         sigmas, r, theta = sigmas[rows[new]], r[new], theta[new]  # frees the 2^N table before the records
     dedup_s, clock = time.perf_counter() - clock, time.perf_counter()
     records = _records(config, sigmas, r, theta)
     record_s = time.perf_counter() - clock
     _log.debug("enumerate N=%d: %d signatures, %d roots, %d records; "
                "%d levels, %d cells tested, %d tangent cells, %d brackets, %d Newton steps; "
-               "scan %.6f s, dedup %.6f s, records %.6f s",
-               config.n, 2**config.n, rows.size, len(records), *counts.values(), scan_s, dedup_s, record_s)
+               "%d rows compared in dedup; scan %.6f s, dedup %.6f s, records %.6f s",
+               config.n, 2**config.n, rows.size, len(records), *counts.values(), compared, scan_s, dedup_s,
+               record_s)
     return records
 
 
@@ -581,7 +595,9 @@ def _critical_level(omega2: np.ndarray, a: float, b: float) -> tuple[float, int]
     shorter than 1e-8 z, which leaves an error of order 1e-16 z; a step that
     reaches z(a) predicts a.  With no step taken from z(b) (N = 1 or equal
     frequencies put the root at b within rounding) the prediction is b
-    itself.
+    itself.  A step's four sums (of s_j, z/s_j, c_j z/s_j and
+    (1 - c_j)/s_j^3, for H and H') are the rows of one (4, N) array, taken
+    by one np.add.reduce.
     """
     n = omega2.size
     floor = 1.0 - omega2
@@ -590,12 +606,16 @@ def _critical_level(omega2: np.ndarray, a: float, b: float) -> tuple[float, int]
     slope = -1.0 - 2.0 / n * float(np.sum(q)) + float(np.sum(1.0 / q)) / n  # H'(0+); H(0+) = (N - inner)/N
     za, zb = math.sqrt(1.0 - 1.0 / (a * a)), math.sqrt(1.0 - 1.0 / (b * b))
     z = max(za, min(zb, (n - np.count_nonzero(inner)) / n / -slope)) if slope < 0.0 else zb
+    terms = np.empty((4, n))
+    s, ratio, weighted, curve = terms
     for steps in range(1, 101):
-        s = np.sqrt(floor + omega2 * (z * z))
-        ratio = z / s
-        value = -z - 2.0 / n * z * float(np.sum(s)) + float(np.sum(ratio)) / n
-        slope = (-1.0 - 2.0 / n * (float(np.sum(s)) + z * float(np.sum(omega2 * ratio)))
-                 + float(np.sum(floor / s**3)) / n)
+        np.sqrt(np.add(floor, np.multiply(omega2, z * z, out=s), out=s), out=s)
+        np.divide(z, s, out=ratio)
+        np.multiply(omega2, ratio, out=weighted)
+        np.divide(floor, np.power(s, 3, out=curve), out=curve)
+        sum_s, sum_ratio, sum_weighted, sum_curve = np.add.reduce(terms, axis=1).tolist()
+        value = -z - 2.0 / n * z * sum_s + sum_ratio / n
+        slope = -1.0 - 2.0 / n * (sum_s + z * sum_weighted) + sum_curve / n
         if value >= 0.0 or not slope < 0.0:
             break
         z_next = z - value / slope

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -1103,3 +1104,118 @@ def test_isolation_keeps_a_root_on_a_grid_point_and_one_at_the_branch_point(capl
     assert len(records) == 65
     assert [rec.R for rec in records].count(1.0) == 1
     assert not any(m.startswith("tangent cell") for m in caplog.messages)
+
+
+def _greedy_dedup(theta):
+    """Rows of theta not within DEDUP_TOL of an earlier kept row, comparing each row with every kept row."""
+    kept = []
+    for i, row in enumerate(theta):
+        if all(np.max(np.abs(model.wrap_to_pi(row - theta[k]))) >= equilibria.DEDUP_TOL for k in kept):
+            kept.append(i)
+    return kept
+
+
+def _key_cells(theta):
+    return np.floor(np.mean(np.cos(theta), axis=-1) / (2 * equilibria.DEDUP_TOL)).astype(np.int64)
+
+
+def _check_dedup(theta):
+    """_dedup gives the greedy rows, and compares exactly the rows with another row at most one key cell away."""
+    kept, compared = equilibria._dedup(theta)
+    assert kept.tolist() == _greedy_dedup(theta)
+    gap = np.abs(_key_cells(theta)[:, None] - _key_cells(theta)[None, :])
+    assert compared == int(np.sum(np.sum(gap <= 1, axis=1) > 1))
+    return gap
+
+
+def _planted_stack(rng, n, bases, copies):
+    """Random rows in (-pi, pi], a third of them within DEDUP_TOL/2 of pi, with copies, all in a shuffled order.
+
+    A copy moves its row by 0.5 to 6 DEDUP_TOL in one entry, in every entry
+    with random signs, or in every entry along -sign(sin theta), which moves
+    its key cell most; so pairs lie just under and just over the threshold,
+    across the wrap at +-pi, and zero to a few key cells apart.
+    """
+    tol = equilibria.DEDUP_TOL
+    base = rng.uniform(-np.pi, np.pi, (bases, n))
+    base[::3, 0] = np.pi - rng.uniform(0.0, 0.5 * tol, base[::3].shape[0])
+    rows = [base]
+    for _ in range(copies):
+        scale = rng.choice([0.5, 0.999, 0.9999, 1.001, 1.5, 3.0, 6.0], (bases, 1)) * tol
+        kind = rng.integers(0, 3, (bases, 1))
+        direction = np.where(kind == 2, -np.sign(np.sin(base)), rng.choice([-1.0, 1.0], (bases, n)))
+        direction[(kind[:, 0] == 0), 1:] = 0.0
+        rows.append(equilibria._canonical(base + scale * direction))
+    theta = np.concatenate(rows)
+    return theta[rng.permutation(len(theta))]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dedup_prepass_equals_greedy_comparison_of_every_pair(seed):
+    # the pre-pass keeps a row unseen only when no other row lies within one
+    # key cell; planted copies just under and just over DEDUP_TOL, across the
+    # wrap at +-pi and in the next key cell must still go through the loop
+    rng = np.random.default_rng([seed, 31])
+    theta = _planted_stack(rng, int(rng.integers(1, 5)), 60, 3)
+    gap = _check_dedup(theta)
+    tol = equilibria.DEDUP_TOL
+    close = np.max(np.abs(model.wrap_to_pi(theta[:, None] - theta[None, :])), axis=-1) < tol
+    np.fill_diagonal(close, False)
+    wrapped = np.any(np.abs(theta[:, None] - theta[None, :]) > np.pi, axis=-1)
+    assert np.any(close & (gap == 1)) and np.any(close & (gap == 0)) and np.any(close & wrapped)
+    assert np.any(gap == 2) and np.any(~close & (gap <= 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    bases=st.integers(1, 12),
+    copies=st.integers(0, 3),
+)
+def test_dedup_prepass_equals_greedy_comparison_on_random_stacks(n, seed, bases, copies):
+    _check_dedup(_planted_stack(np.random.default_rng(seed), n, bases, copies))
+
+
+def test_dedup_compares_rows_one_and_two_key_cells_apart_as_the_window_says():
+    # rows whose keys are one cell apart are both compared (and the later one
+    # dropped when within DEDUP_TOL); two cells apart neither is compared
+    tol = equilibria.DEDUP_TOL
+    edge = math.acos(2 * tol * 12345)  # cos(edge) on a key cell boundary
+    theta = np.array([[edge - 0.25 * tol], [edge + 0.25 * tol], [edge + 3.0 * tol]])
+    cells = _key_cells(theta).tolist()
+    assert cells[0] - cells[1] == 1 and cells[0] - cells[2] == 2
+    assert _check_dedup(theta)[1, 2] == 1
+    kept, compared = equilibria._dedup(theta[[0, 2]])
+    assert kept.tolist() == [0, 1] and compared == 0
+
+
+@pytest.mark.parametrize("entries", [
+    [1, -1, 1], [1.0, -1.0], np.array([-1, 1], dtype=np.int8), [0, 1], [2, -1], [-2], [0.5, 1], [1.5, -1.0],
+    [-1.5], np.array([]), np.array([[1, -1], [-1, 1]]), np.array([[1, -1], [0, 1]]), [1.0, 0.999],
+])
+def test_signature_accepts_exactly_the_rows_of_unit_integers(entries):
+    # the set test accepts and refuses what np.all(|int entries| == 1) did
+    accepted = bool(np.all(np.abs(np.asarray(entries, dtype=int)) == 1))
+    if accepted:
+        sigma = Signature(entries).sigma
+        assert sigma.dtype == np.dtype(int) and np.array_equal(sigma, np.asarray(entries, dtype=int))
+    else:
+        with pytest.raises(DomainError):
+            Signature(entries)
+
+
+def test_signature_table_is_int8_without_wide_temporaries():
+    for n in range(6):
+        want = 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+        assert np.array_equal(equilibria._signatures(n), want)
+    tracemalloc.start()
+    try:
+        table = equilibria._signatures(18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int8 and table.shape == (2**18, 18)
+    assert peak <= 10 * 2**20, peak  # the table is 4.5 MB; int64 rows would be 36 MB
+    records = wf.enumerate_equilibria(wf.SystemConfig(n=3, omega=np.array([0.1, -0.2, 0.15]), kappa=1.0))
+    assert {rec.signature.sigma.dtype for rec in records} == {np.dtype(int)}
