@@ -743,6 +743,13 @@ def _accumulate(element: dict, mask: int, poly: np.ndarray) -> None:
     element[mask] = prev
 
 
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.convolve(a, b) of two non-empty 1-D arrays, bit for bit, without its wrapper's per-call checks."""
+    if len(a) < len(b):
+        a, b = b, a
+    return np.correlate(a, b[::-1], "full")
+
+
 def _group_multiply(e1: dict, e2: dict, poly_w: list) -> dict:
     """Multiply two elements of the radical group algebra.
 
@@ -752,12 +759,12 @@ def _group_multiply(e1: dict, e2: dict, poly_w: list) -> dict:
     out: dict = {}
     for m1, c1 in e1.items():
         for m2, c2 in e2.items():
-            poly = np.convolve(c1, c2)
+            poly = _convolve(c1, c2)
             both = m1 & m2
             j = 0
             while both:
                 if both & 1:
-                    poly = np.convolve(poly, poly_w[j])
+                    poly = _convolve(poly, poly_w[j])
                 both >>= 1
                 j += 1
             _accumulate(out, m1 ^ m2, poly)
@@ -801,7 +808,7 @@ def build_W_polynomial(config: SystemConfig, exact: bool = False) -> WPolynomial
         b_part = {m ^ bit: c for m, c in element.items() if m & bit}
         element = _group_multiply(a_part, a_part, poly_w)
         for m, c in _group_multiply(b_part, b_part, poly_w).items():
-            _accumulate(element, m, -np.convolve(c, poly_w[j]))  # minus (r^2 - w_j) * B^2
+            _accumulate(element, m, -_convolve(c, poly_w[j]))  # minus (r^2 - w_j) * B^2
     (mask, coeffs), = element.items()
     assert mask == 0
     return WPolynomial(coeffs=coeffs, degree=2 ** (n + 1), branch_w=branch_w)

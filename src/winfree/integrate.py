@@ -351,25 +351,68 @@ def estimate_pathwise_critical_coupling(
     """Bisection estimate of the smallest coupling whose trajectory dies.
 
     Horizon-dependent by construction; bracketed above by the elementary
-    threshold, 30 bisection iterations.  The end points run as one batch, and
-    each round integrates the 7 midpoints of the next 3 iterations as one batch
-    before walking them (thresholds._bisect_walk), so the result is that of the
-    one-at-a-time bisection.
+    threshold, 30 bisection iterations, each midpoint's verdict that of its
+    own trajectory (detect_death over the whole run, False when the row
+    fails).  The first batch integrates the end points together with the
+    midpoints of the first _WALK_DEPTH halvings, which are then walked from
+    their stored verdicts.  The remaining halvings are rounds of
+    thresholds._bisect_walk guided by the margin m = max_i (max_t theta_i -
+    min_t theta_i) - 2 pi of each run, continuous in the coupling and
+    negative exactly where the run dies: a round integrates, as one batch,
+    the midpoints that halving takes toward the zero of the inverse cubic
+    through the four couplings of smallest |m|, or, when that point does not
+    lie inside the bracket, the midpoints of the next _WALK_DEPTH halvings.
+    A coupling is integrated at most once.  The guess only chooses which
+    points share a batch, so the result is bitwise that of the one-at-a-time
+    bisection.  Each call logs its batches, rows integrated, guided rounds
+    and guided rounds a verdict left at DEBUG level.
     """
     upper, _ = thresholds.toy_thresholds(spec, config, list(range(config.n)))
     theta = model._phases(initial)
+    seen: dict[float, tuple[bool, Optional[float]]] = {}  # coupling -> (dies, margin or None on failure)
+    counts = {"batches": 0, "rows": 0, "guided": 0, "mismatches": 0}
+    predicted: Optional[float] = None
 
-    def dies(kappas: list[float]) -> list[bool]:
-        runs = _integrate_rows(config, spec, np.repeat(theta[None], len(kappas), axis=0), opts, kappa=kappas)
-        return [failure is None and bool(np.all(detect_death(traj, 0.0))) for traj, failure in runs]
+    def lives(kappas: list[float]) -> list[bool]:
+        new = list(dict.fromkeys(k for k in kappas if k not in seen))
+        if new:
+            runs = _integrate_rows(config, spec, np.repeat(theta[None], len(new), axis=0), opts, kappa=new)
+            counts["batches"] += 1
+            counts["rows"] += len(new)
+            for k, (traj, failure) in zip(new, runs):
+                if failure is None:
+                    span = float((traj.states.max(axis=0) - traj.states.min(axis=0)).max())
+                    seen[k] = bool(np.all(detect_death(traj, 0.0))), span - 2.0 * np.pi
+                else:
+                    seen[k] = False, None
+        verdict = [not seen[k][0] for k in kappas]
+        if predicted is not None:
+            counts["mismatches"] += any(v != (predicted > k) for k, v in zip(kappas, verdict))
+        return verdict
 
-    dies_at_zero, dies_at_upper = dies([0.0, upper])
-    if dies_at_zero:
-        return 0.0
-    if not dies_at_upper:
-        return upper
-    lo, hi = thresholds._bisect_walk(lambda kappas: [not d for d in dies(kappas)], 0.0, upper, 30)
-    return 0.5 * (lo + hi)
+    def guess(a: float, b: float) -> Optional[float]:
+        nonlocal predicted
+        near = sorted((abs(m), m, k) for k, (_, m) in seen.items() if m is not None)[:4]
+        ms = [m for _, m, _ in near]
+        predicted = None
+        if len(set(ms)) == len(ms) >= 2:  # Lagrange interpolation of the coupling in m, at m = 0
+            x = sum(k * math.prod(mj / (mj - mi) for mj in ms if mj != mi) for _, mi, k in near)
+            if a < x < b:
+                predicted = x
+                counts["guided"] += 1
+        return predicted
+
+    ends = lives([0.0, upper, *thresholds._subtree(0.0, upper, thresholds._WALK_DEPTH)[0]])
+    if not ends[0]:
+        value = 0.0
+    elif ends[1]:
+        value = upper
+    else:
+        a, b = thresholds._bisect_walk(lives, 0.0, upper, thresholds._WALK_DEPTH)
+        a, b = thresholds._bisect_walk(lives, a, b, 30 - thresholds._WALK_DEPTH, guess=guess)
+        value = 0.5 * (a + b)
+    _log.debug("kappa_pc n=%d: %d batches, %d rows, %d guided rounds, %d mismatches", config.n, *counts.values())
+    return value
 
 
 def rotation_numbers(traj: Trajectory) -> np.ndarray:

@@ -91,12 +91,15 @@ def _golden_min(f, a: float, b: float) -> tuple[float, float]:
     return x, f(x)
 
 
-# Halvings per _bisect_walk subtree round, 7 rows per batch.  Its one user is
-# estimate_pathwise_critical_coupling.  On `winfree kappa-pc` (N = 5, horizon
-# 20, six seeded systems per run; medians of 10 runs on a 2-vCPU x86-64 VM)
-# depth 2 took 2.47 s, depth 3 2.05 s and depth 4 1.81 s, all with the same
-# output.  Depth 4 integrates 108 rows where depth 3 integrates 70.  Depth 3
-# stays until a benchmarked change moves kappa-pc's batches.
+# Halvings per _bisect_walk subtree round (7 rows at depth 3).  Its one user is
+# estimate_pathwise_critical_coupling, whose first batch holds the end points
+# and the midpoints of the first _WALK_DEPTH halvings; later rounds follow a
+# predicted path, and a subtree round runs only where no prediction lies
+# inside the bracket.  On 20 seeded kappa-pc systems (N = 5, horizon 20,
+# stride 0.5, tol 1e-9; 2-vCPU x86-64 VM) the median call took 8 batches at
+# depth 2, 6 at depth 3 and 5 at depth 4, with the same output.  Depth 4
+# integrates 27% more rows, and it was 3% and 18% faster in two runs, no
+# more than the runs' own spread.
 _WALK_DEPTH = 3
 
 
@@ -136,27 +139,29 @@ def _path(a: float, b: float, target: float, steps: int,
 
 def _bisect_walk(above: Callable[[list[float]], Sequence[bool]], a: float, b: float, steps: int,
                  done: Callable[[float, float], bool] = lambda a, b: False,
-                 guess: Optional[Callable[[float, float], float]] = None) -> tuple[float, float]:
+                 guess: Optional[Callable[[float, float], Optional[float]]] = None) -> tuple[float, float]:
     """Bisection of [a, b] that tests the midpoints of several halvings per round as one batch.
 
     above(points) says for each point whether the sought value lies above it
     (a moves up to it) or not (b moves down to it).  Without a guess, a
-    round lists the seven midpoints that its three halvings can reach, in
+    round lists the midpoints that its _WALK_DEPTH halvings can reach, in
     level order (_subtree).  With guess(a, b), a point of [a, b] predicted
     to lie next to the sought value, a round lists the midpoints that
     halving takes toward that point until done or `steps` (_path), and it
     ends at the first verdict that leaves them; the next round asks guess
-    again inside the narrowed bracket.  Either way a round makes one above()
+    again inside the narrowed bracket.  A guess of None (no prediction)
+    makes that round a _subtree round.  Either way a round makes one above()
     call and walks down its points by their verdicts, so the bracket is
     bitwise that of halving one midpoint at a time.  Stops after `steps`
     halvings or once done(a, b) holds after one, which can be mid-round.
     """
     taken = 0
     while taken < steps:
-        if guess is None:
+        target = None if guess is None else guess(a, b)
+        if target is None:
             points, children = _subtree(a, b, min(_WALK_DEPTH, steps - taken))
         else:
-            points, children = _path(a, b, guess(a, b), steps - taken, done)
+            points, children = _path(a, b, target, steps - taken, done)
         verdict = above(points)
         i = 0
         while 0 <= i < len(points):

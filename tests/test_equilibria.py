@@ -151,6 +151,21 @@ def test_equilibrium_R_values_are_w_roots():
             assert np.min(np.abs(roots - rec.R)) < 1e-6
 
 
+def test_w_build_products_are_numpy_convolve_bytes():
+    # the W build's products skip np.convolve's wrapper; every product must
+    # keep its bytes, float and Fraction, whichever factor is longer
+    rng = np.random.default_rng(32)
+    for _ in range(400):
+        a, b = rng.standard_normal(rng.integers(1, 40)), rng.standard_normal(rng.integers(1, 40))
+        assert equilibria._convolve(a, b).tobytes() == np.convolve(a, b).tobytes()
+        assert equilibria._convolve(b, a).tobytes() == np.convolve(b, a).tobytes()
+    a = np.array([Fraction(1, 3), Fraction(-2, 7), Fraction(5)])
+    b = np.array([Fraction(3, 11), Fraction(1)])
+    for x, y in ((a, b), (b, a), (a, a[:1])):
+        got = equilibria._convolve(x, y)
+        assert got.dtype == object and list(got) == list(np.convolve(x, y))
+
+
 def test_w_polynomial_size_limit():
     cfg = wf.SystemConfig(n=9, omega=np.full(9, 0.1), kappa=1.0)
     with pytest.raises(SizeLimitError):

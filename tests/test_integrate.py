@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -458,6 +459,63 @@ def test_pathwise_critical_coupling_walks_any_verdicts(monkeypatch, seed):
     assert got == _scalar_bisection(dies, upper)
     assert estimate(lambda kappa: True) == 0.0
     assert estimate(lambda kappa: False) == upper
+
+
+def _counted_rows(monkeypatch):
+    batches, rows = [], integrate._integrate_rows
+
+    def counted(*args, **kwargs):
+        batches.append(len(kwargs["kappa"]))
+        return rows(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "_integrate_rows", counted)
+    return batches
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_guided_pathwise_critical_coupling_keeps_the_bisection_bits(monkeypatch, caplog, seed):
+    # the margin-guided rounds choose only which couplings share a batch: on
+    # benchmark-shaped systems (N = 5, T = 20, stride 0.5, tol 1e-9) kappa_pc
+    # is the one-at-a-time bisection's, in at most 7 batches where the end
+    # points and ten seven-midpoint rounds took 11, and the DEBUG line counts
+    # those batches
+    rng = np.random.default_rng([seed, 32])
+    cfg = wf.SystemConfig(n=5, omega=rng.uniform(-1, 1, 5), kappa=1.0)
+    theta0 = rng.uniform(-np.pi, np.pi, 5)
+    opts = wf.dp45_options(horizon=20.0, sample_stride=0.5, abs_tol=1e-9, rel_tol=1e-9)
+
+    def dies(kappa):
+        c = wf.SystemConfig(n=5, omega=cfg.omega, kappa=kappa)
+        try:
+            return bool(np.all(wf.detect_death(wf.simulate(c, SPEC, theta0, opts), 0.0)))
+        except IntegrationFailure:
+            return False
+
+    upper, _ = wf.toy_thresholds(SPEC, cfg, range(5))
+    expected = _scalar_bisection(dies, upper)
+    batches = _counted_rows(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="winfree.integrate"):
+        got = wf.estimate_pathwise_critical_coupling(cfg, SPEC, theta0, opts)
+    assert got.hex() == expected.hex() and 0.0 < got < upper
+    assert len(batches) <= 7, batches
+    assert batches[0] == 2 + 7  # the end points and the first three halvings' midpoints
+    line, = caplog.messages
+    counts = re.fullmatch(r"kappa_pc n=5: (\d+) batches, (\d+) rows, (\d+) guided rounds, (\d+) mismatches", line)
+    logged, rows, guided, mismatches = map(int, counts.groups())
+    assert (logged, rows) == (len(batches), sum(batches))
+    assert 1 <= guided <= len(batches) - 1 and mismatches <= guided
+
+
+def test_pathwise_critical_coupling_logs_each_call(monkeypatch, caplog):
+    # one DEBUG line per call, early returns included: at omega = 0 both end
+    # points and every first-batch midpoint are kappa = 0, integrated once
+    cfg = wf.SystemConfig(n=3, omega=np.zeros(3), kappa=1.0)
+    opts = wf.dp45_options(horizon=5.0, sample_stride=0.5)
+    batches = _counted_rows(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="winfree.integrate"):
+        assert wf.estimate_pathwise_critical_coupling(cfg, SPEC, np.array([0.1, -0.2, 0.3]), opts) == 0.0
+    assert batches == [1]
+    assert caplog.messages == ["kappa_pc n=3: 1 batches, 1 rows, 0 guided rounds, 0 mismatches"]
 
 
 def test_pathwise_critical_coupling_lies_below_the_order_parameter_bound():

@@ -367,6 +367,36 @@ def test_guessed_bisect_walk_equals_one_midpoint_at_a_time(steps, stop_width, gu
     assert brackets[0] == (0.25, 3.0) and set(brackets) <= set(visited)
 
 
+def test_bisect_walk_without_a_prediction_takes_subtree_rounds():
+    # a guess of None makes that round the seven-midpoint subtree round, so a
+    # guess that never predicts gives the guess-less batches, and one that
+    # predicts in some rounds only still ends on the one-at-a-time bracket
+    def above(x):
+        return math.sin(1e3 * x) > -0.2
+
+    a, b = 0.25, 3.0
+    for _ in range(30):
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if above(mid) else (a, mid)
+    batches = []
+
+    def batch_above(points):
+        batches.append(len(points))
+        return [above(x) for x in points]
+
+    assert thresholds._bisect_walk(batch_above, 0.25, 3.0, 30, guess=lambda a, b: None) == (a, b)
+    assert batches == [7] * 10
+    rounds = []
+
+    def sometimes(lo, hi):
+        rounds.append((lo, hi))
+        return None if len(rounds) % 2 else lo + 0.3 * (hi - lo)
+
+    batches.clear()
+    assert thresholds._bisect_walk(batch_above, 0.25, 3.0, 30, guess=sometimes) == (a, b)
+    assert batches[::2] == [7] * len(batches[::2]) and len(rounds) == len(batches) >= 3
+
+
 def test_guessed_bisect_walk_takes_one_batch_when_the_guess_is_right():
     target = 1.0 / 3.0
     batches = []
