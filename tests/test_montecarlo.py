@@ -243,6 +243,52 @@ def test_block_estimators_match_one_sample_at_a_time(monkeypatch, block):
     assert est.estimate == sum(want) / 40
 
 
+def _block_sizes(monkeypatch, block_fn):
+    """Patch montecarlo.block_fn to return no hits and record each block's row count."""
+    sizes = []
+
+    def sized(*args):
+        sizes.append(len(args[-1]))
+        return [False] * len(args[-1])
+
+    monkeypatch.setattr(montecarlo, block_fn, sized)
+    return sizes
+
+
+def test_block_rows_follow_the_recorded_phase_budget(monkeypatch):
+    # a block records rows x N x sample times phases: the N=800, T=500,
+    # stride-5 death block gets at most 64 rows, the criterion-9 escape
+    # system takes 2000 samples in one block, and a row whose own samples
+    # exceed the budget integrates alone
+    death = _block_sizes(monkeypatch, "_death_block")
+    wide = wf.SystemConfig(n=800, omega=np.zeros(800), kappa=1.0)
+    opts = wf.dp45_options(horizon=500.0, sample_stride=5.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
+    wf.empirical_death_probability(wide, SPEC, opts, wf.McConfig(samples=200, seed=1))
+    assert sum(death) == 200 and 1 < max(death) <= 64
+    assert montecarlo._block_rows(800 * len(integrate._sample_times(opts))) == death[0]
+    escape = _block_sizes(monkeypatch, "_escape_block")
+    cfg = wf.SystemConfig(n=10, omega=np.zeros(10), kappa=2.0)
+    esc_opts = wf.dp45_options(horizon=10.0, sample_stride=0.25, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
+    wf.estimate_escape_measure(cfg, SPEC, 0.5, 10.0, esc_opts, wf.McConfig(samples=2000, seed=1))
+    assert escape == [2000]
+    death.clear()
+    long = wf.dp45_options(horizon=1e6, sample_stride=1.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
+    assert 50 * len(integrate._sample_times(long)) > montecarlo.BLOCK_PHASES
+    wf.empirical_death_probability(wf.SystemConfig(n=50, omega=np.zeros(50), kappa=1.0), SPEC, long,
+                                   wf.McConfig(samples=3, seed=1))
+    assert death == [1, 1, 1]
+
+
+def test_cdf_hits_do_not_depend_on_block_size(monkeypatch):
+    mc = wf.McConfig(samples=3000, seed=7)
+    default = montecarlo._map_samples(montecarlo._cdf_block, (SPEC, 0.5), 5, 1, mc)
+    assert 0 < sum(default) < 3000
+    est = wf.empirical_order_param_cdf(5, 0.5, mc)
+    monkeypatch.setattr(montecarlo, "BLOCK_SAMPLES", 1)
+    assert montecarlo._map_samples(montecarlo._cdf_block, (SPEC, 0.5), 5, 1, mc) == default
+    assert wf.empirical_order_param_cdf(5, 0.5, mc) == est
+
+
 def _full_horizon_hits(runs, r_floor):
     return [failure is None and bool(np.all(wf.detect_death(traj, 0.0))) and traj.r_series[-1] >= r_floor
             for traj, failure in runs]
@@ -373,7 +419,8 @@ def test_death_estimate_without_early_exit_or_at_its_edges(case):
         assert montecarlo._contraction_ball(cfg, spec, opts)[0] is None
 
 
-def test_death_block_logs_its_early_exit_only_at_debug(caplog):
+def test_death_block_logs_its_early_exit_only_at_debug(monkeypatch, caplog):
+    monkeypatch.setattr(montecarlo, "BLOCK_SAMPLES", 64)
     omega = np.random.default_rng(77).uniform(-1, 1, 6)
     opts = wf.dp45_options(horizon=40.0, sample_stride=2.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
     strong = wf.SystemConfig(n=6, omega=omega, kappa=1.5 * wf.critical_coupling(omega))
@@ -390,7 +437,11 @@ def test_death_block_logs_its_early_exit_only_at_debug(caplog):
         est = wf.empirical_death_probability(strong, SPEC, opts, mc)
         wf.empirical_death_probability(strong, SPEC, opts, wf.McConfig(samples=3, seed=5), r_floor=1.95)
         wf.empirical_death_probability(negative, SPEC, opts, wf.McConfig(samples=3, seed=5))
-    first, second, above_r_star, fallback = lines()
+    sized, first, second, sized_few, above_r_star, sized_fallback, fallback = lines()
+    assert sized == ("_death_block: 70 samples, 70 per chunk, 64 rows per block, 2 blocks per chunk, "
+                     "126 recorded phases per row")
+    assert sized_few == sized_fallback == ("_death_block: 3 samples, 3 per chunk, 64 rows per block, "
+                                           "1 blocks per chunk, 126 recorded phases per row")
     assert first.startswith("death block: 64 rows, 64 stopped with a hit, 0 without, 0 to the horizon; stops at t=")
     assert second.startswith("death block: 6 rows, 6 stopped with a hit")
     for field in ("max e ", "min margins 2pi-band ", ", R_min-r_floor ", "; R* 1.", " Newton steps, f'(R*) -"):

@@ -303,8 +303,9 @@ def test_appendix_mu_closed_form():
 @pytest.mark.parametrize("steps, stop_width", [(30, 0.0), (200, 1e-12), (200, 1e-11), (1, 0.0), (7, 0.0)])
 def test_bisect_walk_equals_one_midpoint_at_a_time(steps, stop_width):
     # verdicts that are not monotone: the walk must still follow the
-    # one-at-a-time bisection, asking about seven midpoints per round (fewer
-    # only when fewer steps remain); 1e-11 stops after 38 steps, mid-round
+    # one-at-a-time bisection, asking about 2**_WALK_DEPTH - 1 midpoints per
+    # round (fewer only when fewer steps remain); 1e-11 stops after 38 steps,
+    # mid-round unless _WALK_DEPTH divides 38
     def above(x):
         return math.sin(1e3 * x) > -0.2
 
@@ -325,7 +326,8 @@ def test_bisect_walk_equals_one_midpoint_at_a_time(steps, stop_width):
         return [above(x) for x in points]
 
     assert thresholds._bisect_walk(batch_above, 0.25, 3.0, steps, done) == (a, b)
-    assert batches == [2 ** min(3, steps - 3 * k) - 1 for k in range(-(-taken // 3))]
+    depth = thresholds._WALK_DEPTH
+    assert batches == [2 ** min(depth, steps - depth * k) - 1 for k in range(-(-taken // depth))]
 
 
 @pytest.mark.parametrize("steps, stop_width", [(30, 0.0), (200, 1e-12), (200, 1e-11), (1, 0.0)])
