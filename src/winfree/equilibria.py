@@ -198,22 +198,6 @@ def _newton_brackets(omega2: np.ndarray, kappa2: float, sigma: np.ndarray, a: np
     return roots, steps
 
 
-def _half_tables(values: np.ndarray, sigmas: np.ndarray,
-                 cols: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sums of values[:, j] over the columns cols with sigma_j = +1, and with sigma_j = -1; each row's index.
-
-    One row per distinct half of sigmas: a half is keyed by its bits (bit j
-    set where sigma_j = -1), and only the halves that occur in sigmas get a
-    table row.
-    """
-    half = sigmas[:, cols]
-    keys = (half < 0) @ (1 << np.arange(half.shape[1]))
-    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    part = values[:, cols]
-    return (np.einsum("gn,sn->sg", part, (half[first] > 0).astype(float)),
-            np.einsum("gn,sn->sg", part, (half[first] < 0).astype(float)), index)
-
-
 def _slopes(omega2: np.ndarray, kappa2: float, r: np.ndarray, radicals: np.ndarray) -> np.ndarray:
     """d/dr sqrt(1 - x_j) = x_j / (r sqrt(1 - x_j)) for radicals = _radicals(.., r); inf at a branch point."""
     x = omega2 / (kappa2 * np.square(r)[..., None])
@@ -236,23 +220,21 @@ def _ends(omega2: np.ndarray, kappa2: float, sigma: np.ndarray, r: np.ndarray) -
 
 
 def _grid_ends(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """_ends of every signature row at every grid point, as one (5, M, points) stack, from half tables.
+    """_ends of every signature row at every grid point, as one (5, M, points) stack, from two matrix products.
 
-    A row's sums over sigma_j = +1 and over sigma_j = -1 each add a row of
-    one table over the columns :N//2 and one over N//2: (_half_tables), for
-    sqrt(1 - x_j) and for its slope.  A slope that is infinite (at a branch
-    point) enters the tables as 0, and G+' or G-' is inf where a table of
-    those oscillators counts one.
+    values holds sqrt(1 - x_j), its finite slopes and the branch-point flags
+    as one (N, 3 points) matrix, so (sigmas > 0) @ values and
+    (sigmas < 0) @ values give each row's sums over sigma_j = +1 and over
+    sigma_j = -1 of all three.  A slope that is infinite (at a branch point)
+    enters the products as 0, and G+' or G-' is inf where the flags of those
+    oscillators count one.
     """
     n, points = omega2.size, grid.size
     g = _radicals(omega2, kappa2, grid)
     slope = _slopes(omega2, kappa2, grid, g)
     branch = np.isinf(slope)
-    values = np.concatenate([g, np.where(branch, 0.0, slope), branch])  # (3 points, N)
-    low_plus, low_minus, low_index = _half_tables(values, sigmas, slice(None, n // 2))
-    high_plus, high_minus, high_index = _half_tables(values, sigmas, slice(n // 2, None))
-    plus = low_plus[low_index] + high_plus[high_index]
-    minus = low_minus[low_index] + high_minus[high_index]
+    values = np.concatenate([g, np.where(branch, 0.0, slope), branch]).T  # (N, 3 points)
+    plus, minus = (sigmas > 0) @ values, (sigmas < 0) @ values
     f = 1.0 + (plus[:, :points] - minus[:, :points]) / n - grid
     slope_plus = np.where(plus[:, 2 * points:] > 0.0, np.inf, plus[:, points:2 * points])
     slope_minus = np.where(minus[:, 2 * points:] > 0.0, np.inf, minus[:, points:2 * points])
@@ -294,7 +276,7 @@ def _branch_roots(omega2: np.ndarray, kappa2: float, sigmas: np.ndarray, lo: flo
     is a concave part plus a convex part, so tangents and chords bound it on
     a cell (_cell_bounds).  Its roots are isolated BLOCK_SIGNATURES rows at
     a time, from the COARSE_CELLS cells of one grid on [lo, hi] whose end
-    values come from half tables (_grid_ends).  Every undecided cell of a
+    values come from matrix products (_grid_ends).  Every undecided cell of a
     block is tested at once per level, and a halved cell's midpoint is
     evaluated row by row (_ends).  A value within the rounding allowance
     (_allowance) of 0 counts as 0.  A cell has no root when its bounds on f

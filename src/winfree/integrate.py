@@ -352,8 +352,9 @@ def estimate_pathwise_critical_coupling(
 
     Horizon-dependent by construction; bracketed above by the elementary
     threshold, 30 bisection iterations, each midpoint's verdict that of its
-    own trajectory (detect_death over the whole run, False when the row
-    fails).  The first batch integrates the end points together with the
+    own trajectory: detect_death's band rule over the whole run, read from
+    the batch's columns (every phase's max - min below 2 pi), False when the
+    row fails.  The first batch integrates the end points together with the
     midpoints of the first _WALK_DEPTH halvings, which are then walked from
     their stored verdicts.  The remaining halvings are rounds of
     thresholds._bisect_walk guided by the margin m = max_i (max_t theta_i -
@@ -379,12 +380,10 @@ def estimate_pathwise_critical_coupling(
             runs = _integrate_rows(config, spec, np.repeat(theta[None], len(new), axis=0), opts, kappa=new)
             counts["batches"] += 1
             counts["rows"] += len(new)
-            for k, (traj, failure) in zip(new, runs):
-                if failure is None:
-                    span = float((traj.states.max(axis=0) - traj.states.min(axis=0)).max())
-                    seen[k] = bool(np.all(detect_death(traj, 0.0))), span - 2.0 * np.pi
-                else:
-                    seen[k] = False, None
+            starts = np.concatenate([[0], runs.ends[:-1]])
+            band = np.maximum.reduceat(runs.states, starts) - np.minimum.reduceat(runs.states, starts)
+            for k, m, failure in zip(new, (band.max(axis=1) - 2.0 * np.pi).tolist(), runs.failures):
+                seen[k] = (m < 0.0, m) if failure is None else (False, None)
         verdict = [not seen[k][0] for k in kappas]
         if predicted is not None:
             counts["mismatches"] += any(v != (predicted > k) for k, v in zip(kappas, verdict))

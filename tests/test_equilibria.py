@@ -743,7 +743,7 @@ def _reference_ends(omega2, kappa2, sigma, r):
 def _reference_branch_roots(omega2, kappa2, sigmas, lo, hi):
     """The isolation's rules one signature row and one cell at a time, depth first; also its counts.
 
-    Every end value comes from _reference_ends, so no half table and no
+    Every end value comes from _reference_ends, so no matrix product and no
     block is involved; each row's brackets are solved by their own
     _newton_brackets call.  The roots come as _branch_roots' (row, r)
     columns, and the counts are those _branch_roots logs.
@@ -835,7 +835,7 @@ def _record_bits(records):
 
 @pytest.mark.parametrize("cfg", list(_oracle_systems()), ids=lambda cfg: f"N={cfg.n},kappa={cfg.kappa:.6g}")
 def test_split_scan_matches_a_direct_scan(cfg):
-    # the half tables give f, G+, G- and their slopes at each coarse grid
+    # the matrix products give f, G+, G- and their slopes at each coarse grid
     # point to within 1e-14 of a direct evaluation (an infinite slope at the
     # branch point exactly); and the batched isolation, with one Newton
     # solve over every block, gives the records of a row-by-row isolation
@@ -853,6 +853,33 @@ def test_split_scan_matches_a_direct_scan(cfg):
         reference = wf.enumerate_equilibria(cfg)
     assert len(reference) > 0
     assert _record_bits(records) == _record_bits(reference)
+
+
+def test_records_do_not_depend_on_the_blas_thread_count():
+    # the coarse grid's sums are BLAS matrix products: a process with every
+    # BLAS library held to one thread gives the records and W roots of this
+    # one, bit for bit, next to a fold (kappa within 1e-6 of kappa_c) too
+    systems = []
+    for n in (7, 8, 9):
+        omega = np.random.default_rng([n, 34]).uniform(-1.0, 1.0, n)
+        kc = wf.critical_coupling(omega)
+        systems += [(omega.tolist(), kappa) for kappa in (kc * (1 + 1e-7), 1.5 * kc, -3.0 * kc)]
+    configs = [wf.SystemConfig(n=len(omega), omega=np.array(omega), kappa=kappa) for omega, kappa in systems]
+    want = [[[x.hex() if isinstance(x, bytes) else x for x in bits]
+             for bits in _record_bits(wf.enumerate_equilibria(cfg))] for cfg in configs]
+    code = ("import json, numpy as np, winfree as wf\n"
+            f"configs = [wf.SystemConfig(n=len(w), omega=np.array(w), kappa=k) for w, k in {systems!r}]\n"
+            "print(json.dumps([[[r.R.hex(), r.theta.tobytes().hex(), r.signature.sigma.tolist(), r.divergence.hex(),"
+            " r.stability, r.max_eig_real.hex()] for r in wf.enumerate_equilibria(cfg)] for cfg in configs]))\n"
+            "print(wf.build_W_polynomial(configs[3]).roots_in(0.0, 2.1).tobytes().hex())\n")
+    src = os.path.dirname(os.path.dirname(wf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               **dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"], "1"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    records, w_roots = out.stdout.splitlines()
+    assert all(want)
+    assert json.loads(records) == want
+    assert w_roots == wf.build_W_polynomial(configs[3]).roots_in(0.0, 2.1).tobytes().hex()
 
 
 @pytest.mark.parametrize("ratio, verdict", [(1.0, "accepted"), (1 + 1e-9, "split")])
@@ -1018,7 +1045,7 @@ def _seeded_cell(seed):
 def test_cell_bounds_enclose_f_and_its_slope(seed):
     # f sampled at 4001 points of the cell lies within the bounds widened by
     # the rounding allowance, and f' within the slope bounds, for cell ends
-    # from the half tables (as the coarse grid's) and from direct sums (as a
+    # from the matrix products (as the coarse grid's) and from direct sums (as a
     # halved cell's); at the branch point the slope is infinite
     omega2, kappa2, sigma, a, b = _seeded_cell(seed)
     n = omega2.size

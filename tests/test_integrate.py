@@ -439,14 +439,16 @@ def test_pathwise_critical_coupling_walks_any_verdicts(monkeypatch, seed):
     # not monotone in kappa
     cfg = wf.SystemConfig(n=2, omega=np.array([0.3, -0.3]), kappa=1.0)
     opts = wf.dp45_options(horizon=2.0, sample_stride=1.0)
-    still = wf.Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 2)), r_series=np.full(2, 2.0),
-                          accepted_steps=1, rejected_steps=0, solver_tol=1e-9)
-
     upper, _ = wf.toy_thresholds(SPEC, cfg, range(2))
 
     def estimate(dies):
         def fake_rows(config, spec, initial, opts, kappa=None, stop=None):
-            return [(still, None if dies(k) else "lives") for k in kappa]
+            # every row still at 0 for two samples, failed where it lives
+            b = len(kappa)
+            return integrate._Rows(times=np.tile([0.0, 1.0], b), states=np.zeros((2 * b, 2)),
+                                   r_series=np.full(2 * b, 2.0), ends=2 * np.arange(1, b + 1), accepted=(1,) * b,
+                                   rejected=(0,) * b, failures=tuple(None if dies(k) else "lives" for k in kappa),
+                                   solver_tol=1e-9)
 
         monkeypatch.setattr(integrate, "_integrate_rows", fake_rows)
         return wf.estimate_pathwise_critical_coupling(cfg, SPEC, np.zeros(2), opts)

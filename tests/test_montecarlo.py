@@ -457,7 +457,7 @@ def test_death_block_logs_its_early_exit_only_at_debug(monkeypatch, caplog):
 
 def test_contraction_ball_memory_stays_linear_in_n():
     # theta* comes from O(N) Newton steps, not from a branch solve, whose
-    # coarse grid, half tables and cell arrays would all grow with N
+    # coarse grid, matrix products and cell arrays would all grow with N
     omega = np.random.default_rng([501, 200]).uniform(-1.0, 1.0, 200)
     cfg = wf.SystemConfig(n=200, omega=omega, kappa=1.5 * wf.critical_coupling(omega))
     opts = wf.dp45_options(horizon=10.0, sample_stride=1.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
