@@ -213,11 +213,7 @@ def _integrate_rows(
     Returns those columns as a _Rows, whose items are, per row, its
     trajectory and failure message (None when it reached the horizon or stopped).
     """
-    theta = np.array(initial, dtype=float)
-    if theta.ndim != 2 or theta.shape[1] != config.n:
-        raise ConfigurationError("initial state length must equal config.n")
-    if not np.isfinite(theta).all():
-        raise ConfigurationError("initial state must be finite")
+    theta = model._finite_phases(initial, config.n, ndim=2)
     b, n = theta.shape
     kap = None if kappa is None else np.array(kappa, dtype=float)
     targets = _sample_times(opts).tolist()
@@ -501,70 +497,58 @@ def verify_theorem_conclusions(traj: Trajectory, config: SystemConfig, mu: float
     frequency-ordered gap bounds with exponential envelopes, for co-trapped
     pairs, checked at sample times.  Slack is 10x the solver tolerance.  The
     domain of mu, the threshold kappa must exceed and the trapping rate come
-    from thresholds (sinusoidal_threshold, _trapping_rate).
+    from thresholds (sinusoidal_threshold, _trapping_rate), and kappa*rate -
+    omega_max must stay positive after rounding.  Each check is one masked
+    array reduction, (e) one per trapped oscillator over its later trapped
+    partners; times outside a mask reach exp as 0, so none overflows.
     """
     r0 = float(traj.r_series[0])
     omega_inf = config.omega_max
     kappa = config.kappa
     threshold = thresholds.sinusoidal_threshold(r0, mu, omega_inf)
-    if kappa <= threshold:
-        raise PreconditionError(
-            f"hypothesis kappa > omega_max/((R0-mu)*sqrt(mu*(2-mu))) fails: "
-            f"kappa={kappa} <= {threshold}"
-        )
+    rate = thresholds._trapping_rate(r0, mu)  # conclusion (c)'s rate, the threshold's denominator
+    speed = kappa * rate - omega_inf
+    if kappa <= threshold or speed <= 0.0:
+        why = f"kappa={kappa} <= {threshold}" if kappa <= threshold else \
+            f"kappa={kappa} > {threshold}, but kappa*rate - omega_max rounds to {speed}"
+        raise PreconditionError(f"hypothesis kappa > omega_max/((R0-mu)*sqrt(mu*(2-mu))) fails: {why}")
     slack = 10.0 * traj.solver_tol
     times = traj.times
+    column = times[:, None]
     cos_states = np.cos(traj.states)
-    rate = thresholds._trapping_rate(r0, mu)  # conclusion (c)'s rate, the threshold's denominator
-    tau = np.pi / (kappa * rate - omega_inf)
+    tau = np.pi / speed
     decay = kappa * (r0 - mu) * (1.0 - mu)
 
     r_floor_ok = bool(np.min(traj.r_series) >= r0 - mu - slack)
 
-    trapping_ok = True
-    entrance_ok = True
-    first_trapped = np.full(config.n, -1, dtype=int)
-    for i in range(config.n):
-        hits = np.nonzero(cos_states[:, i] >= -1.0 + mu)[0]
-        if hits.size == 0:
-            continue
-        k0 = int(hits[0])
-        first_trapped[i] = k0
-        if np.any(cos_states[k0:, i] < -1.0 + mu - slack):
-            trapping_ok = False
-        deadline = times[k0] + tau
-        late = times >= deadline
-        if np.any(cos_states[late, i] < 1.0 - mu - slack):
-            entrance_ok = False
+    in_band = cos_states >= -1.0 + mu
+    trapped = in_band.any(axis=0)
+    first = in_band.argmax(axis=0)  # each trapped oscillator's first sample in the band
+    since = np.arange(len(times))[:, None] >= first
+    trapping_ok = not np.any(trapped & since & (cos_states < -1.0 + mu - slack))
+    entrance_ok = not np.any(trapped & (column >= times[first] + tau) & (cos_states < 1.0 - mu - slack))
 
+    # gaps of phases unwrapped to the 2*pi turn of their last sample
+    unwrapped = traj.states - 2.0 * np.pi * np.round(traj.states[-1] / (2.0 * np.pi))
     ordering_ok = True
-    pair_count = 0
-    for i in range(config.n):
-        for j in range(i + 1, config.n):
-            if first_trapped[i] < 0 or first_trapped[j] < 0:
-                continue
-            hi, lo = (i, j) if config.omega[i] >= config.omega[j] else (j, i)
-            d_omega = config.omega[hi] - config.omega[lo]
-            k0 = max(first_trapped[i], first_trapped[j])
-            t0 = times[k0]
-            shift_hi = 2.0 * np.pi * np.round(traj.states[-1, hi] / (2.0 * np.pi))
-            shift_lo = 2.0 * np.pi * np.round(traj.states[-1, lo] / (2.0 * np.pi))
-            gap = (traj.states[:, hi] - shift_hi) - (traj.states[:, lo] - shift_lo)
-            pair_count += 1
-            late = times >= t0 + tau
-            if d_omega < 1e-15:
-                env = np.pi * np.exp(-decay * (times[late] - t0 - tau))
-                if np.any(np.abs(gap[late]) > env + slack):
-                    ordering_ok = False
-                continue
-            env_hi = d_omega / decay + np.pi * np.exp(-decay * (times[late] - t0 - tau))
-            if np.any(gap[late] > env_hi + slack):
-                ordering_ok = False
-            t_low = t0 + tau + np.pi / d_omega
-            very_late = times >= t_low
-            env_lo = (d_omega / (2.0 * kappa)) * (1.0 - np.exp(-2.0 * kappa * (times[very_late] - t_low)))
-            if np.any(gap[very_late] < env_lo - slack):
-                ordering_ok = False
+    order = np.flatnonzero(trapped)
+    for a, i in enumerate(order):
+        js = order[a + 1:]
+        d_omega = np.abs(config.omega[i] - config.omega[js])  # omega_hi - omega_lo, bit for bit
+        gap = np.where(config.omega[i] >= config.omega[js], 1.0, -1.0) * (unwrapped[:, i, None] - unwrapped[:, js])
+        t0 = times[np.maximum(first[i], first[js])]
+        late = column >= t0 + tau
+        wave = np.pi * np.exp(-decay * np.where(late, column - t0 - tau, 0.0))
+        equal = d_omega < 1e-15
+        lift = np.divide(d_omega, decay, out=np.zeros_like(d_omega), where=~equal)
+        above = np.where(equal, np.abs(gap) > wave + slack, gap > lift + wave + slack)
+        t_low = t0 + tau + np.pi / np.where(equal, np.inf, d_omega)
+        very_late = ~equal & (column >= t_low)
+        env_lo = (d_omega / (2.0 * kappa)) * (1.0 - np.exp(-2.0 * kappa * np.where(very_late, column - t_low, 0.0)))
+        if np.any(late & above) or np.any(very_late & (gap < env_lo - slack)):
+            ordering_ok = False
+            break
+    pair_count = len(order) * (len(order) - 1) // 2
 
     return ConclusionReport(
         r_floor_ok=r_floor_ok,

@@ -260,6 +260,16 @@ def _phases(state) -> np.ndarray:
     return np.asarray(state, dtype=float)
 
 
+def _finite_phases(state, n: int, ndim: int = 1) -> np.ndarray:
+    """A float copy of state with ndim axes, the last of length n; ConfigurationError otherwise or if not finite."""
+    theta = np.array(_phases(state), dtype=float)
+    if theta.ndim != ndim or theta.shape[-1] != n:
+        raise ConfigurationError("initial state length must equal config.n")
+    if not np.isfinite(theta).all():
+        raise ConfigurationError("initial state must be finite")
+    return theta
+
+
 def influence(spec: InteractionSpec, theta):
     """Evaluate I(theta); 2*pi periodic, vectorized."""
     return FAMILIES[spec.family].influence(spec, theta)

@@ -191,6 +191,15 @@ def _grid_extrema(f) -> tuple[float, float]:
     return extrema[0], extrema[1]
 
 
+def _index_set(name: str, indices, n: int) -> list[int]:
+    """The sorted distinct entries of indices; DomainError unless they are integers in 0..n-1, at least one."""
+    indices = list(indices)
+    valid = all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < n for i in indices)
+    if not indices or not valid:
+        raise DomainError(f"{name} must be a non-empty set of oscillator indices 0..{n - 1}, got {indices}")
+    return sorted(set(int(i) for i in indices))
+
+
 def toy_thresholds(
     spec: InteractionSpec, config: SystemConfig, subset: Sequence[int]
 ) -> tuple[float, Optional[float]]:
@@ -199,9 +208,7 @@ def toy_thresholds(
     Returns (kappa_verytrivial, kappa_trivial); the second is None unless
     min I > 0 over the circle.
     """
-    subset = list(subset)
-    if not subset:
-        raise DomainError("subset must be non-empty")
+    subset = _index_set("subset", subset, config.n)
     omega_b = float(np.max(np.abs(config.omega[subset])))
     min_is, max_is = _grid_extrema(lambda th: model.influence(spec, th) * model.sensitivity(spec, th))
     min_s, max_s = _grid_extrema(lambda th: model.sensitivity(spec, th))
@@ -231,16 +238,13 @@ def check_partial_death_criterion(
     A indexes the oscillators whose initial influence seeds the bound; all
     sub-criteria must hold with positive margin.
     """
-    a_set, b_set = set(a_set), set(b_set)
-    if not a_set <= b_set:
+    a_idx, b_idx = _index_set("A", a_set, config.n), _index_set("B", b_set, config.n)
+    if not set(a_idx) <= set(b_idx):
         raise DomainError("A must be a subset of B")
-    if not b_set <= set(range(config.n)):
-        raise DomainError("B must index oscillators 0..N-1")
     if not 0.0 < rho <= spec.sup_I:
         raise DomainError(f"need 0 < rho <= sup I = {spec.sup_I}")
-    theta0 = model._phases(initial)
-    a_idx = sorted(a_set)
-    omega_b = float(np.max(np.abs(config.omega[sorted(b_set)])))
+    theta0 = model._finite_phases(initial, config.n)
+    omega_b = float(np.max(np.abs(config.omega[b_idx])))
     kappa = config.kappa
     n = config.n
     margins = []

@@ -106,6 +106,18 @@ def test_verify_command(capsys):
     assert data["all_ok"] is True
 
 
+def test_verify_exits_2_where_kappa_rounds_onto_its_threshold(capsys):
+    # kappa is the next float above the threshold, where the entrance time's
+    # denominator kappa*rate - omega_max rounds to 0.0
+    code = main(["verify", "--omega=-0.180290733619072,0.2652678663038987,-0.08093389905310286",
+                 "--initial=-0.789009440859541,0.25821630307941845,0.8543091061357349",
+                 "--kappa", "0.24004241589510336", "--mu", "0.5", "--horizon", "2", "--sample-stride", "0.5"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("configuration error: hypothesis kappa > omega_max/((R0-mu)*sqrt(mu*(2-mu))) fails")
+
+
 def test_kappa_pc_command(capsys):
     code = main(["kappa-pc", "--omega", "0.3,-0.3",
                  "--horizon", "120", "--seed", "5"])

@@ -8,7 +8,7 @@ import pytest
 
 import winfree as wf
 from winfree import thresholds
-from winfree.errors import CriterionInapplicableError, DomainError
+from winfree.errors import ConfigurationError, CriterionInapplicableError, DomainError
 from winfree.thresholds import BoundParams
 
 
@@ -113,6 +113,47 @@ def test_partial_death_requires_subset():
     cfg = wf.SystemConfig(n=4, omega=np.zeros(4), kappa=1.0)
     with pytest.raises(DomainError):
         wf.check_partial_death_criterion(cfg, SPEC, np.zeros(4), [0, 1], [1, 2], 0.5)
+
+
+@pytest.mark.parametrize("a_set, b_set", [
+    ([], [0, 1]),  # an empty A once reached np.min of nothing
+    ([], []),
+    ([0], [0, 3]),
+    ([-1], [0, -1]),
+    ([1.0], [0, 1]),
+    ([True], [0, 1]),
+], ids=["empty_A", "empty_B", "past_N", "negative", "float", "bool"])
+def test_partial_death_index_sets_must_be_oscillator_indices(a_set, b_set):
+    cfg = wf.SystemConfig(n=3, omega=np.array([0.5, -0.5, 0.2]), kappa=10.0)
+    with pytest.raises(DomainError, match="non-empty set of oscillator indices 0..2"):
+        wf.check_partial_death_criterion(cfg, SPEC, np.zeros(3), a_set, b_set, 0.9)
+
+
+@pytest.mark.parametrize("initial, message", [
+    (np.zeros(2), "length"),  # once read as two of the three phases and reported satisfied
+    (np.zeros(4), "length"),
+    (np.array([0.0, math.nan, 0.0]), "finite"),
+])
+def test_partial_death_initial_state_is_checked_like_the_step_loop(initial, message):
+    cfg = wf.SystemConfig(n=3, omega=np.array([0.5, -0.5, 0.2]), kappa=10.0)
+    with pytest.raises(ConfigurationError, match=message):
+        wf.check_partial_death_criterion(cfg, SPEC, initial, [0], [0, 1, 2], 0.9)
+
+
+@pytest.mark.parametrize("subset", [[], [5], [-1], [0, 3], [0.0]],
+                         ids=["empty", "past_N", "negative", "one_past_N", "float"])
+def test_toy_thresholds_subset_must_be_oscillator_indices(subset):
+    # [5] once raised IndexError and [-1] took the last oscillator
+    cfg = wf.SystemConfig(n=3, omega=np.array([0.5, -0.5, 0.2]), kappa=1.0)
+    with pytest.raises(DomainError, match="subset must be a non-empty set of oscillator indices 0..2"):
+        wf.toy_thresholds(SPEC, cfg, subset)
+
+
+def test_index_sets_take_numpy_integers_and_repeats():
+    cfg = wf.SystemConfig(n=3, omega=np.array([0.5, -0.5, 0.2]), kappa=10.0)
+    assert wf.toy_thresholds(SPEC, cfg, np.array([0, 1])) == wf.toy_thresholds(SPEC, cfg, [1, 0, 1])
+    a = wf.check_partial_death_criterion(cfg, SPEC, np.zeros(3), np.array([0]), range(3), 0.9)
+    assert a == wf.check_partial_death_criterion(cfg, SPEC, np.zeros(3), [0, 0], [2, 1, 0], 0.9)
 
 
 def test_limit_R_lower_bound_values():
