@@ -196,6 +196,7 @@ def _integrate_rows(
     opts: SolverOptions,
     kappa=None,
     stop=None,
+    between=None,
 ) -> _Rows:
     """The one step loop: integrate each row of initial, shape (B, N), on its own clock.
 
@@ -206,12 +207,19 @@ def _integrate_rows(
     arithmetic per row.  kappa is None (config.kappa) or one coupling per row.
     stop(times, thetas, rows) -> one bool per row is evaluated on the rows
     that reach a sample time (on every row at t=0), rows being their indices
-    in initial; a row whose value is true ends there.  Rows that end are
-    dropped from the arrays.  Each sample event is recorded as one block (the
-    rows due, their sample time, their states); at the end the blocks are
-    ordered by row and every R comes from one model.order_parameter call.
-    Returns those columns as a _Rows, whose items are, per row, its
-    trajectory and failure message (None when it reached the horizon or stopped).
+    in initial; a row whose value is true ends there.  between(times, thetas,
+    rows) -> (one bool per row, wake) is evaluated after a step on the rows
+    that took it and are not at a sample time, after the first step and then
+    once some row has reached the model time wake it last returned (never
+    again after an infinite wake); a row whose value is true ends there, and
+    its state at that time is recorded as its last sample.  Neither hook
+    changes a step size, nor a sample of a row it does not end.  Rows that
+    end are dropped from the arrays.  Each sample event is recorded as one
+    block (the rows due, their sample time, their states); at the end the
+    blocks are ordered by row and every R comes from one
+    model.order_parameter call.  Returns those columns as a _Rows, whose
+    items are, per row, its trajectory and failure message (None when it
+    reached the horizon or stopped).
     """
     theta = model._finite_phases(initial, config.n, ndim=2)
     b, n = theta.shape
@@ -233,6 +241,7 @@ def _integrate_rows(
     t = [0.0] * b
     h = [h_start] * b
     nxt = [1] * b  # index of the next sample time
+    wake = math.inf if between is None else 0.0  # model time from which between is called again
     k1 = model.vector_field(config, spec, theta, kap)
     ended = [False] * b if stop is None else [bool(s) for s in stop(np.zeros(b), theta, np.arange(b))]
 
@@ -291,6 +300,16 @@ def _integrate_rows(
             if failures[row] is not None:
                 _log.debug("row %d: %s", row, failures[row])
                 ended[i] = True
+        if wake < math.inf and max(t) >= wake:
+            mid = [i for i in took if not ended[i] and t[i] < targets[nxt[i]] - tol_t]
+            if mid:
+                snap = theta[mid]
+                stops, wake = between(np.array([t[i] for i in mid]), snap, np.array([rows[i] for i in mid]))
+                gone = np.flatnonzero(stops).tolist()
+                if gone:
+                    blocks.append(([rows[mid[j]] for j in gone], [t[mid[j]] for j in gone], snap[gone]))
+                    for j in gone:
+                        ended[mid[j]] = True
         due = [i for i in took if not ended[i] and not t[i] < targets[nxt[i]] - tol_t]
         while due:
             snap = theta[due]
@@ -500,7 +519,9 @@ def verify_theorem_conclusions(traj: Trajectory, config: SystemConfig, mu: float
     from thresholds (sinusoidal_threshold, _trapping_rate), and kappa*rate -
     omega_max must stay positive after rounding.  Each check is one masked
     array reduction, (e) one per trapped oscillator over its later trapped
-    partners; times outside a mask reach exp as 0, so none overflows.
+    partners; times outside a mask reach exp as 0, so none overflows.  The
+    entrance time pi / (kappa*rate - omega_max) is reported as None where it
+    overflows (no finite time; the conclusion then asks nothing).
     """
     r0 = float(traj.r_series[0])
     omega_inf = config.omega_max
@@ -559,7 +580,7 @@ def verify_theorem_conclusions(traj: Trajectory, config: SystemConfig, mu: float
             "R0": r0,
             "mu": mu,
             "threshold": threshold,
-            "entrance_time": tau,
+            "entrance_time": tau if tau < math.inf else None,
             "slack": slack,
             "co_trapped_pairs": pair_count,
         },

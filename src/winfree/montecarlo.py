@@ -181,6 +181,15 @@ def empirical_order_param_cdf(
 
 # Solver-error allowance of the early exit's ball, in units of sqrt(N) * opts.tolerance (see _Ball).
 _SLACK_TOLERANCES = 100.0
+# Between samples a death block tries the ball at the first step after each of
+# these times, in sample strides (see _death_block).  A check costs about one
+# step of the block, and a row decided in a later stride has already run a
+# stride or more, so the checks go where the sample grid costs most: the first
+# stride, where the criterion-5 rows are decided at t = 1.4-4.7 of a stride of
+# 5.  Checking every eighth of a stride throughout made 16-row blocks near
+# kappa_c (N = 20 and 50, 1.05 kappa_c, whose rows converge after t = 6) 5-9%
+# slower on a 2-vCPU x86-64 VM; these three checks cost them about 2%.
+_CHECK_TIMES = (0.125, 0.375, 0.875)
 
 
 @dataclass(frozen=True)
@@ -293,27 +302,28 @@ def _death_block(
     """Death hits of a block from one integration, each row stopped once its hit is decided.
 
     The stop hook keeps each row's phase bands [lo, hi] over its samples.  With
-    a ball (see _Ball and _contraction_ball) it stops a row at a sample where
-    the ball is certified and the row's hit is already fixed: no hit when a
-    band is >= 2 pi or R_max < r_floor; a hit when R_min >= r_floor and every
-    band widened by the ball, [min(lo, lift - rho), max(hi, lift + rho)],
-    stays below 2 pi.  Any other row runs on, and a row that reaches the
-    horizon is judged from its bands, its final R and its failure: the block
-    reads columns and builds no Trajectory.
+    a ball (see _Ball and _contraction_ball) a row stops where the ball is
+    certified and its hit is already fixed: no hit when a band is >= 2 pi or
+    R_max < r_floor; a hit when R_min >= r_floor and every band widened by the
+    ball, [min(lo, lift - rho), max(hi, lift + rho)], stays below 2 pi.  The
+    ball is tried on each row at every sample, and, through the step loop's
+    between hook, at the first step after each of _CHECK_TIMES on the rows
+    between samples with rho < pi/2 - max|theta*|, without which no ball is
+    certified; ball.certified decides every stop.  A state between samples
+    is not a sample: it widens the bands through its ball only, so the bands,
+    and the hit, read the samples alone.  Any other row runs on, and a row
+    that reaches the horizon is judged from its bands, its final R and its
+    failure: the block reads columns and builds no Trajectory.
     """
     ball, note = _contraction_ball(config, spec, opts)
     lo, hi = draws.copy(), draws.copy()
     stopped = np.zeros(len(draws), dtype=bool)
+    midway = np.zeros(len(draws), dtype=bool)  # stopped between samples
     verdict = np.zeros(len(draws), dtype=bool)
     stop_t, stop_e, band_margin, r_margin = [], [], [], []
 
-    def settled(times, thetas, rows):
-        lo[rows] = np.minimum(lo[rows], thetas)
-        hi[rows] = np.maximum(hi[rows], thetas)
+    def decide(times, lift, e, rows):
         stops = np.zeros(len(rows), dtype=bool)
-        if ball is None:
-            return stops
-        lift, e = ball.nearest(thetas)
         rho = e + ball.slack
         ok = np.flatnonzero(ball.certified(rho))
         if not ok.size:
@@ -333,13 +343,40 @@ def _death_block(
         r_margin.extend((r_min[hit] - r_floor).tolist())
         return stops
 
-    runs = integrate._integrate_rows(config, spec, draws, opts, stop=settled)
+    def settled(times, thetas, rows):
+        lo[rows] = np.minimum(lo[rows], thetas)
+        hi[rows] = np.maximum(hi[rows], thetas)
+        if ball is None:
+            return np.zeros(len(rows), dtype=bool)
+        return decide(times, *ball.nearest(thetas), rows)
+
+    if ball is not None:
+        room = 0.5 * np.pi - np.max(np.abs(ball.theta)) - ball.slack  # e beyond it is certified at no radius
+        wakes = iter([opts.sample_stride * w for w in _CHECK_TIMES])
+        wake = next(wakes)
+
+    def between(times, thetas, rows):
+        nonlocal wake
+        stops = np.zeros(len(rows), dtype=bool)
+        if np.max(times) < wake:  # the step loop calls from the first step on
+            return stops, wake
+        wake = next(wakes, math.inf)
+        lift, e = ball.nearest(thetas)
+        near = np.flatnonzero(e < room)
+        if near.size:
+            stops[near] = decide(times[near], lift[near], e[near], rows[near])
+            midway[rows[near]] = stops[near]
+        return stops, wake
+
+    runs = integrate._integrate_rows(config, spec, draws, opts, stop=settled,
+                                     between=None if ball is None else between)
     ran = np.array([failure is None for failure in runs.failures])
     hits = np.where(stopped, verdict, ran & np.all(hi - lo < 2.0 * np.pi, axis=1) & (runs.final_r >= r_floor))
     _log.debug(
-        "death block: %d rows, %d stopped with a hit, %d without, %d to the horizon; stops at t=%g..%g, "
-        "max e %.3g; min margins 2pi-band %.3g, R_min-r_floor %.3g; %s",
+        "death block: %d rows, %d stopped with a hit, %d without, %d to the horizon; %d stopped between samples, "
+        "%d accepted steps; stops at t=%g..%g, max e %.3g; min margins 2pi-band %.3g, R_min-r_floor %.3g; %s",
         len(hits), len(band_margin), len(stop_t) - len(band_margin), len(hits) - len(stop_t),
+        np.count_nonzero(midway), sum(runs.accepted),
         min(stop_t, default=math.nan), max(stop_t, default=math.nan), max(stop_e, default=math.nan),
         min(band_margin, default=math.nan), min(r_margin, default=math.nan),
         note if ball is not None else f"no early exit ({note})",
@@ -361,14 +398,18 @@ def empirical_death_probability(
     failures count as non-death (conservative).
 
     A sample stops early once the rest of its run cannot change its count:
-    at a sample time where it lies inside a sup-norm ball about the stable
+    at a sample time, or at a step between samples in the first stride (see
+    _CHECK_TIMES), where it lies inside a sup-norm ball about the stable
     equilibrium theta* on which the flow contracts (a closed-form bound on the
     Jacobian's log-norm is < 0), widened by a solver-error slack of
     100*sqrt(N)*opts.tolerance, and its phase bands so far and that ball
     already fix its count.  theta* comes from the largest all-plus root of
     the R equation, which Newton's method finds on the concave all-plus
     branch once per block of samples.  A sample the ball cannot decide yet
-    integrates on, in the same run.  The early exit applies to the sinusoidal
+    integrates on, in the same run; a state between samples only widens its
+    bands through the ball, so the count reads the samples alone.  On the
+    criterion-5 system every sample stops between t = 1.4 and 4.7, before its
+    first sample at t = 5.  The early exit applies to the sinusoidal
     family with kappa > 0 and DP45; other families, kappa <= 0, rk4_fixed,
     kappa below kappa_c (no theta*) and a ball not certified even at zero
     distance run every sample to the horizon.  Either way the counts are

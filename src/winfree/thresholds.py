@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -39,6 +39,11 @@ class BoundParams:
     kappa: Optional[float] = None
     omega_max: Optional[float] = None
     sup_I: Optional[float] = None
+
+    def __post_init__(self):
+        nan = [f.name for f in fields(self) if getattr(self, f.name) is not None and math.isnan(getattr(self, f.name))]
+        if nan:
+            raise DomainError(f"bound parameters must not be NaN: {', '.join(nan)}")
 
 
 def kc_coefficient(r0) -> float | np.ndarray:

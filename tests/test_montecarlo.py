@@ -1,5 +1,7 @@
+import itertools
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -299,7 +301,9 @@ def test_death_samples_end_at_the_stable_equilibrium(monkeypatch, n):
     # for kappa > 0 only the all-plus signature can give a stable equilibrium:
     # every sample the death estimator counts must end on it (mod 2 pi) when
     # run to the horizon, the early exit must give each row its full-horizon
-    # hit, and a row it stopped must stay in the ball it certified
+    # hit, and a row it stopped must stay in the ball it certified.  A row
+    # stopped between samples records its certified state, at its stop time,
+    # as its last sample
     runs, integrate_rows = [], integrate._integrate_rows
 
     def recorded(*args, **kwargs):
@@ -313,7 +317,7 @@ def test_death_samples_end_at_the_stable_equilibrium(monkeypatch, n):
     plus = wf.Signature(np.ones(n, dtype=int))
     draws = montecarlo._draws(502, n, 0, 16)
     brackets = _solved_brackets(monkeypatch)
-    stopped = 0
+    stopped = midway = 0
     for kappa in (1.01 * kc, 1.05 * kc, 1.5 * kc, 3.0 * np.max(np.abs(omega))):
         cfg = wf.SystemConfig(n=n, omega=omega, kappa=kappa)
         stable = []
@@ -354,11 +358,17 @@ def test_death_samples_end_at_the_stable_equilibrium(monkeypatch, n):
                 if early.times[-1] == opts.horizon:
                     continue
                 stopped += 1
-                assert np.array_equal(early.states, traj.states[:k + 1])
+                before = k + 1  # the samples up to the stop
+                if early.times[-1] != traj.times[k]:
+                    midway += 1
+                    assert traj.times[k - 1] < early.times[-1] < traj.times[k]
+                    before = k
+                assert np.array_equal(early.times[:before], traj.times[:before])
+                assert np.array_equal(early.states[:before], traj.states[:before])
                 offset = wf.wrap_to_pi(early.states[-1] - stable[0])
                 rho = np.max(np.abs(offset)) + ball.slack
                 assert np.all(np.abs(traj.states[k:] - (early.states[-1] - offset)) <= rho), (n, kappa)
-    assert stopped > 0
+    assert stopped > midway > 0
 
 
 @pytest.mark.parametrize("n", [1, 3, 20])
@@ -442,7 +452,8 @@ def test_death_block_logs_its_early_exit_only_at_debug(monkeypatch, caplog):
                      "126 recorded phases per row")
     assert sized_few == sized_fallback == ("_death_block: 3 samples, 3 per chunk, 64 rows per block, "
                                            "1 blocks per chunk, 126 recorded phases per row")
-    assert first.startswith("death block: 64 rows, 64 stopped with a hit, 0 without, 0 to the horizon; stops at t=")
+    assert re.match(r"death block: 64 rows, 64 stopped with a hit, 0 without, 0 to the horizon; "
+                    r"\d+ stopped between samples, \d+ accepted steps; stops at t=", first)
     assert second.startswith("death block: 6 rows, 6 stopped with a hit")
     for field in ("max e ", "min margins 2pi-band ", ", R_min-r_floor ", "; R* 1.", " Newton steps, f'(R*) -"):
         assert field in first
@@ -451,8 +462,9 @@ def test_death_block_logs_its_early_exit_only_at_debug(monkeypatch, caplog):
     assert above_r_star.startswith("death block: 3 rows, 0 stopped with a hit, 3 without, 0 to the horizon; ")
     assert above_r_star.endswith("min margins 2pi-band nan, R_min-r_floor nan; R* 1.9184899600827539 after 3 "
                                  "Newton steps, f'(R*) -0.908")
-    assert fallback == ("death block: 3 rows, 0 stopped with a hit, 0 without, 3 to the horizon; stops at t=nan..nan, "
-                        "max e nan; min margins 2pi-band nan, R_min-r_floor nan; no early exit (kappa <= 0)")
+    assert fallback == ("death block: 3 rows, 0 stopped with a hit, 0 without, 3 to the horizon; 0 stopped between "
+                        "samples, 254 accepted steps; stops at t=nan..nan, max e nan; min margins 2pi-band nan, "
+                        "R_min-r_floor nan; no early exit (kappa <= 0)")
 
 
 def test_contraction_ball_memory_stays_linear_in_n():
@@ -510,6 +522,64 @@ def test_undecided_rows_integrate_on_in_the_one_run(monkeypatch, caplog):
         assert len(runs[0][i][0].times) > k + 1, i
     assert hits == _full_horizon_hits(full, 0.0)
     assert caplog.records[-1].getMessage().startswith("death block: 64 rows, ")
+
+
+def _recorded_runs(monkeypatch, between=True):
+    """Record each _integrate_rows call's rows; between=False drops the between hook (sample checks only)."""
+    runs, integrate_rows = [], integrate._integrate_rows
+
+    def recorded(*args, **kwargs):
+        if not between:
+            kwargs.pop("between", None)
+        runs.append(integrate_rows(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(integrate, "_integrate_rows", recorded)
+    return runs
+
+
+def test_death_block_hits_equal_runs_to_the_horizon(monkeypatch):
+    # every (N, kappa / kappa_c) pair twice, with the tolerance, stride and
+    # r_floor combinations taken in turn: the hits of blocks that stop rows at
+    # samples and between them are those of the same rows run to the horizon
+    # with no ball
+    combos = itertools.cycle(itertools.product((1e-6, 1e-8), (0.5, 5.0), (0.0, 1.0, 1.9)))
+    rng = np.random.default_rng(3601)
+    runs = _recorded_runs(monkeypatch)
+    midway = 0
+    for n, ratio, _ in itertools.product((2, 5, 20, 50), (0.9, 1.001, 1.02, 1.2, 2.0, 4.0), range(2)):
+        tol, stride, r_floor = next(combos)
+        omega = rng.uniform(-1.0, 1.0, n)
+        cfg = wf.SystemConfig(n=n, omega=omega, kappa=ratio * wf.critical_coupling(omega))
+        opts = wf.dp45_options(horizon=20.0, sample_stride=stride, abs_tol=tol, rel_tol=tol, max_dt=0.5)
+        draws = montecarlo._draws(int(rng.integers(2**32)), n, 0, 8)
+        runs.clear()
+        hits = montecarlo._death_block(cfg, SPEC, opts, r_floor, draws)
+        sampled = set(integrate._sample_times(opts).tolist())
+        midway += sum(traj.times[-1] not in sampled for traj, _ in runs[0])
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "_contraction_ball", lambda *args: (None, "patched"))
+            assert hits == montecarlo._death_block(cfg, SPEC, opts, r_floor, draws), (n, ratio, tol, stride, r_floor)
+    assert midway > 0
+
+
+def test_criterion_5_rows_stop_between_samples(monkeypatch):
+    # on the criterion-5 system the ball decides every row before its first
+    # sample, t = 5: each row stops there, after fewer accepted steps than
+    # the same row takes when the ball is tried at samples only
+    omega = np.random.default_rng(501).uniform(-1.0, 1.0, 50)
+    cfg = wf.SystemConfig(n=50, omega=omega, kappa=2.5)
+    r_floor = wf.limit_R_lower_bound(1.0, 2.5) - 0.02
+    opts = wf.dp45_options(horizon=500.0, sample_stride=5.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
+    draws = montecarlo._draws(502, 50, 0, 200)
+    runs = _recorded_runs(monkeypatch)
+    hits = montecarlo._death_block(cfg, SPEC, opts, r_floor, draws)
+    monkeypatch.undo()
+    sample_only = _recorded_runs(monkeypatch, between=False)
+    assert montecarlo._death_block(cfg, SPEC, opts, r_floor, draws) == hits == [True] * 200
+    for (early, _), (late, _) in zip(runs[0], sample_only[0]):
+        assert early.times[-1] < late.times[-1] == 5.0
+        assert early.accepted_steps < late.accepted_steps
 
 
 def test_escape_verdict_reads_how_each_row_ended():

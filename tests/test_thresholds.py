@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import math
 import textwrap
@@ -171,6 +172,13 @@ def test_sincos_death_time_rejects_an_underflowing_decay_rate():
     # kappa * N * epsilon (5 - epsilon) / 25 underflows to 0, so T0 would divide by 0
     with pytest.raises(DomainError, match="decay rate"):
         wf.sincos_death_time(10, 1e-300, 1e-300)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(BoundParams)])
+def test_bound_params_refuse_nan(name):
+    # a NaN passed through the bounds' min/max and comparisons and came out a finite value
+    with pytest.raises(DomainError, match=f"must not be NaN: {name}"):
+        BoundParams(**{name: math.nan})
 
 
 def test_probability_bound_sincos_main():
