@@ -139,6 +139,7 @@ def _system_config(cfg: dict) -> SystemConfig:
     if "omega" in cfg:
         omega = cfg["omega"]
         n = cfg.get("n", len(omega))
+        _quantile_frequencies(0, cfg.get("gamma", 1.0))  # omega replaces gamma, which is still checked
     else:
         n = cfg.get("n", 100)
         omega = _quantile_frequencies(n, cfg.get("gamma", 1.0))
@@ -185,7 +186,7 @@ def _initial_state(cfg: dict, n: int) -> np.ndarray:
 
 def _write_json(cfg: dict, payload: dict, default_path: str) -> None:
     path = cfg.get("output", default_path)
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)  # NaN and Infinity are not JSON
     if path != "-":
         with open(path, "w") as fh:
             fh.write(text + "\n")

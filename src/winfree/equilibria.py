@@ -64,7 +64,7 @@ class EquilibriumRecord:
             "signature": self.signature.sigma.tolist(),
             "divergence": self.divergence,
             "stability": self.stability,
-            "max_eig_real": self.max_eig_real,
+            "max_eig_real": None if math.isnan(self.max_eig_real) else self.max_eig_real,  # nan: Indeterminate
         }
 
 
@@ -133,9 +133,10 @@ def _scaled_squares(config: SystemConfig) -> tuple[np.ndarray, float]:
     omega_j^2 / (kappa r)^2 is unchanged to the last bit while kappa^2 and
     max omega^2 stay normal for every system whose (omega/kappa)^2 does not
     vanish, even where kappa^2 itself would underflow (kappa = 1e-170) or
-    overflow (kappa = 2^520).
+    overflow (kappa = 2^520); where it vanishes, kappa^2 stays <= 2^1022.
     """
-    e = (math.frexp(config.omega_max)[1] + math.frexp(abs(config.kappa))[1]) // 2
+    k = math.frexp(abs(config.kappa))[1]
+    e = max((math.frexp(config.omega_max)[1] + k) // 2, k - 511)
     return np.ldexp(config.omega, -e) ** 2, math.ldexp(config.kappa, -e) ** 2
 
 
@@ -412,7 +413,7 @@ def _stable_root(config: SystemConfig) -> tuple[float, int, float] | None:
     reaches the branch point max|omega|/|kappa| has left the branch: either
     way f < 0 on the whole branch, which has no root (kappa < kappa_c).  For
     kappa > 0 the root's equilibrium is the only one that can be stable.
-    Frequencies must not vanish (as for solve_R_equation).
+    Where every (omega_j/kappa)^2 is 0, also by underflow, it returns (2.0, 0, -1.0).
     """
     omega2, kappa2 = _scaled_squares(config)
     branch = config.omega_max / abs(config.kappa)

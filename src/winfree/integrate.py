@@ -10,7 +10,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import model, thresholds
+from . import equilibria, model, thresholds
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -37,6 +37,8 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 
 _DP_E = _DP_B5 - _DP_B4
 
 _MIN_STEP_FRACTION = 1e-14
+# Solver-error allowance of the contraction ball, in units of sqrt(N) * opts.tolerance (see _Ball).
+_SLACK_TOLERANCES = 100.0
 # horizon / sample_stride cap: an N=3 simulate of 10^6 samples (horizon 1,
 # stride 1e-6) takes 164 s and 592 MB RSS on a 2-vCPU machine
 MAX_SAMPLES = 10**6
@@ -335,6 +337,101 @@ def _integrate_rows(
                  tuple(failures), opts.tolerance)
 
 
+@dataclass(frozen=True)
+class _Ball:
+    """Sup-norm balls about an equilibrium theta_star of the sinusoidal family at kappa > 0.
+
+    A phase vector at sup distance e from theta_star (mod 2 pi) lies in the
+    ball of radius rho = e + slack.  With a_i = |theta*_i| + rho < pi/2, every
+    phase of that ball has cos >= cos a_i and |sin| <= sin a_i, so
+    R >= R_min = 1 + mean cos a, and the row-sum log-norm of the Jacobian
+    J_ij = (kappa/N) sin theta_i sin theta_j - delta_ij kappa R cos theta_i
+    is at most log_norm_bound(rho).  When that bound mu satisfies
+    mu * rho + ||f(theta_star)||_inf < 0 the ball is forward-invariant for the
+    exact flow (contraction analysis): every later phase stays within rho of
+    the lift of theta*_i nearest it, and R stays in [R_min, R_max].
+
+    slack covers the solver's error, which the exact flow's ball does not:
+    _integrate_rows accepts a DP45 step when the RMS over the N components of
+    err_i / (abs_tol + rel_tol |theta_i|) is <= 1, so one component's local
+    error can reach sqrt(N) * tolerance * (1 + |theta_i|), with |theta_i| < 3 pi
+    while the row's band stays below 2 pi; inside the ball the flow contracts,
+    so these errors are damped, not summed.  slack = 100 sqrt(N) tolerance
+    allows about nine such steps undamped.
+    """
+
+    theta: np.ndarray  # theta_star, each entry in (-pi/2, pi/2)
+    kappa: float
+    slack: float
+    residual: float  # ||f(theta_star)||_inf, which the root solve leaves
+
+    def nearest(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of states (..., N): the lifts of theta_star nearest it, and its sup distance e."""
+        offset = model.wrap_to_pi(states - self.theta)
+        return states - offset, np.max(np.abs(offset), axis=-1)
+
+    def log_norm_bound(self, rho) -> np.ndarray:
+        """max_i [-kappa R_min cos a_i + (kappa/N) sin a_i sum_j sin a_j] per radius rho, a = |theta*| + rho.
+
+        A bound on the row-sum log-norm of the Jacobian over the ball of
+        radius rho; it holds while every a_i < pi/2.
+        """
+        a = np.abs(self.theta) + np.asarray(rho)[..., None]
+        cos_a, sin_a = np.cos(a), np.sin(a)
+        r_min = 1.0 + np.mean(cos_a, axis=-1, keepdims=True)  # R_min of r_range
+        off = self.kappa / self.theta.size * sin_a * np.sum(sin_a, axis=-1, keepdims=True)
+        return np.max(-self.kappa * r_min * cos_a + off, axis=-1)
+
+    def r_range(self, rho) -> tuple[np.ndarray, np.ndarray]:
+        """(R_min, R_max) of the order parameter over the ball of radius rho."""
+        rho = np.asarray(rho)[..., None]
+        r_min = 1.0 + np.mean(np.cos(np.abs(self.theta) + rho), axis=-1)
+        r_max = 1.0 + np.mean(np.cos(np.maximum(np.abs(self.theta) - rho, 0.0)), axis=-1)
+        return r_min, r_max
+
+    def certified(self, rho) -> np.ndarray:
+        """Whether the ball of radius rho is forward-invariant, per radius."""
+        rho = np.asarray(rho)
+        inside = np.all(np.abs(self.theta) + rho[..., None] < 0.5 * np.pi, axis=-1)
+        return inside & (self.log_norm_bound(rho) * rho + self.residual < 0.0)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # kappa * R can overflow near 1e308: a nan bound certifies no ball
+def _contraction_ball(
+    config: SystemConfig, spec: InteractionSpec, opts: SolverOptions
+) -> tuple[Optional[_Ball], str]:
+    """The contraction ball about the stable equilibrium and how theta_star was found; or None and why not.
+
+    theta_star comes from the largest all-plus root R* of the R equation
+    (for kappa > 0 only that signature can give a stable equilibrium), found
+    by Newton's method on the concave all-plus branch (equilibria._stable_root,
+    R* = 2 at omega = 0).  The note gives R*, the Newton steps and f'(R*), the
+    fold margin: it tends to 0 as kappa falls to kappa_c.  The slack rests on
+    the DP45 error test of _integrate_rows, so rk4_fixed gets no ball, nor
+    does a system whose ball is not certified even at e = 0 (kappa just above
+    kappa_c, where the stable and the saddle equilibrium are about to merge).
+    """
+    if spec.family != "sinusoidal":
+        return None, f"family {spec.family}"
+    if config.kappa <= 0.0:
+        return None, "kappa <= 0"
+    if opts.method != "dormand_prince45":
+        return None, f"method {opts.method}"
+    slack = _SLACK_TOLERANCES * math.sqrt(config.n) * opts.tolerance
+    if not slack < 0.5 * np.pi:  # no ball this wide is certified; an infinite tolerance stops here
+        return None, "no certified ball at e = 0"
+    root = equilibria._stable_root(config)
+    if root is None:
+        return None, "no all-plus root"
+    r_star, steps, slope = root
+    theta = equilibria._equilibrium_theta(config, np.ones(config.n, dtype=int), r_star)
+    residual = float(np.max(np.abs(model.vector_field(config, spec, theta))))
+    ball = _Ball(theta, config.kappa, slack, residual)
+    if not ball.certified(slack):  # the smallest ball any row can have
+        return None, "no certified ball at e = 0"
+    return ball, f"R* {r_star:.17g} after {steps} Newton steps, f'(R*) {slope:.3g}"
+
+
 def simulate(
     config: SystemConfig,
     spec: InteractionSpec,
@@ -514,14 +611,14 @@ def verify_theorem_conclusions(traj: Trajectory, config: SystemConfig, mu: float
     (a) R(t) >= R0 - mu at all samples; (c) the cos(theta_i) >= -1+mu band is
     forward-invariant and reaches cos >= 1-mu within the entrance time; (e) the
     frequency-ordered gap bounds with exponential envelopes, for co-trapped
-    pairs, checked at sample times.  Slack is 10x the solver tolerance.  The
-    domain of mu, the threshold kappa must exceed and the trapping rate come
-    from thresholds (sinusoidal_threshold, _trapping_rate), and kappa*rate -
-    omega_max must stay positive after rounding.  Each check is one masked
-    array reduction, (e) one per trapped oscillator over its later trapped
-    partners; times outside a mask reach exp as 0, so none overflows.  The
-    entrance time pi / (kappa*rate - omega_max) is reported as None where it
-    overflows (no finite time; the conclusion then asks nothing).
+    pairs, checked at sample times.  Slack is 10x the solver tolerance, and
+    must be finite.  The domain of mu, the threshold kappa must exceed and the
+    trapping rate come from thresholds (sinusoidal_threshold, _trapping_rate),
+    and kappa*rate - omega_max must stay positive after rounding.  Each check
+    is one masked array reduction, (e) one per trapped oscillator over its
+    later trapped partners; times outside a mask reach exp as 0, so none
+    overflows.  The entrance time pi / (kappa*rate - omega_max) is reported as
+    None where it overflows (no finite time; the conclusion then asks nothing).
     """
     r0 = float(traj.r_series[0])
     omega_inf = config.omega_max
@@ -534,6 +631,8 @@ def verify_theorem_conclusions(traj: Trajectory, config: SystemConfig, mu: float
             f"kappa={kappa} > {threshold}, but kappa*rate - omega_max rounds to {speed}"
         raise PreconditionError(f"hypothesis kappa > omega_max/((R0-mu)*sqrt(mu*(2-mu))) fails: {why}")
     slack = 10.0 * traj.solver_tol
+    if not slack < math.inf:  # every check would pass whatever the trajectory
+        raise PreconditionError(f"slack 10 x solver tolerance must be finite, got {slack}")
     times = traj.times
     column = times[:, None]
     cos_states = np.cos(traj.states)

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import equilibria, integrate, model, thresholds
+from . import integrate, model, thresholds
 from .errors import ConfigurationError, DomainError
 from .integrate import SolverOptions
 from .model import InteractionSpec, SystemConfig
@@ -179,8 +179,6 @@ def empirical_order_param_cdf(
     return _estimate(sum(hits), mc.samples)
 
 
-# Solver-error allowance of the early exit's ball, in units of sqrt(N) * opts.tolerance (see _Ball).
-_SLACK_TOLERANCES = 100.0
 # Between samples a death block tries the ball at the first step after each of
 # these times, in sample strides (see _death_block).  A check costs about one
 # step of the block, and a row decided in a later stride has already run a
@@ -190,106 +188,6 @@ _SLACK_TOLERANCES = 100.0
 # kappa_c (N = 20 and 50, 1.05 kappa_c, whose rows converge after t = 6) 5-9%
 # slower on a 2-vCPU x86-64 VM; these three checks cost them about 2%.
 _CHECK_TIMES = (0.125, 0.375, 0.875)
-
-
-@dataclass(frozen=True)
-class _Ball:
-    """Sup-norm balls about an equilibrium theta_star of the sinusoidal family at kappa > 0.
-
-    A phase vector at sup distance e from theta_star (mod 2 pi) lies in the
-    ball of radius rho = e + slack.  With a_i = |theta*_i| + rho < pi/2, every
-    phase of that ball has cos >= cos a_i and |sin| <= sin a_i, so
-    R >= R_min = 1 + mean cos a, and the row-sum log-norm of the Jacobian
-    J_ij = (kappa/N) sin theta_i sin theta_j - delta_ij kappa R cos theta_i
-    is at most log_norm_bound(rho).  When that bound mu satisfies
-    mu * rho + ||f(theta_star)||_inf < 0 the ball is forward-invariant for the
-    exact flow (contraction analysis): every later phase stays within rho of
-    the lift of theta*_i nearest it, and R stays in [R_min, R_max].
-
-    slack covers the solver's error, which the exact flow's ball does not:
-    DP45 accepts a step when the RMS over the N components of
-    err_i / (abs_tol + rel_tol |theta_i|) is <= 1, so one component's local
-    error can reach sqrt(N) * tolerance * (1 + |theta_i|), with |theta_i| < 3 pi
-    while the row's band stays below 2 pi; inside the ball the flow contracts,
-    so these errors are damped, not summed.  slack = 100 sqrt(N) tolerance
-    allows about nine such steps undamped.
-    """
-
-    theta: np.ndarray  # theta_star, each entry in (-pi/2, pi/2)
-    kappa: float
-    slack: float
-    residual: float  # ||f(theta_star)||_inf, which the root solve leaves
-
-    def nearest(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row of states (..., N): the lifts of theta_star nearest it, and its sup distance e."""
-        offset = model.wrap_to_pi(states - self.theta)
-        return states - offset, np.max(np.abs(offset), axis=-1)
-
-    def log_norm_bound(self, rho) -> np.ndarray:
-        """max_i [-kappa R_min cos a_i + (kappa/N) sin a_i sum_j sin a_j] per radius rho, a = |theta*| + rho.
-
-        A bound on the row-sum log-norm of the Jacobian over the ball of
-        radius rho; it holds while every a_i < pi/2.
-        """
-        a = np.abs(self.theta) + np.asarray(rho)[..., None]
-        cos_a, sin_a = np.cos(a), np.sin(a)
-        r_min = 1.0 + np.mean(cos_a, axis=-1, keepdims=True)  # R_min of r_range
-        off = self.kappa / self.theta.size * sin_a * np.sum(sin_a, axis=-1, keepdims=True)
-        return np.max(-self.kappa * r_min * cos_a + off, axis=-1)
-
-    def r_range(self, rho) -> tuple[np.ndarray, np.ndarray]:
-        """(R_min, R_max) of the order parameter over the ball of radius rho."""
-        rho = np.asarray(rho)[..., None]
-        r_min = 1.0 + np.mean(np.cos(np.abs(self.theta) + rho), axis=-1)
-        r_max = 1.0 + np.mean(np.cos(np.maximum(np.abs(self.theta) - rho, 0.0)), axis=-1)
-        return r_min, r_max
-
-    def certified(self, rho) -> np.ndarray:
-        """Whether the ball of radius rho is forward-invariant, per radius."""
-        rho = np.asarray(rho)
-        inside = np.all(np.abs(self.theta) + rho[..., None] < 0.5 * np.pi, axis=-1)
-        return inside & (self.log_norm_bound(rho) * rho + self.residual < 0.0)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # kappa * R can overflow near 1e308: a nan bound certifies no ball
-def _contraction_ball(
-    config: SystemConfig, spec: InteractionSpec, opts: SolverOptions
-) -> tuple[Optional[_Ball], str]:
-    """The early exit's ball about the stable equilibrium and how theta_star was found; or None and why not.
-
-    theta_star comes from the largest all-plus root R* of the R equation
-    (for kappa > 0 only that signature can give a stable equilibrium), found
-    by Newton's method on the concave all-plus branch (equilibria._stable_root),
-    or is 0 with R = 2 when every frequency vanishes.  The note gives R*, the
-    Newton steps and f'(R*), the fold margin: it tends to 0 as kappa falls to
-    kappa_c.  The slack rests on DP45's error control, so rk4_fixed runs to the
-    horizon, as does a system whose ball is not certified even at e = 0 (kappa
-    just above kappa_c, where the stable and the saddle equilibrium are about
-    to merge).
-    """
-    if spec.family != "sinusoidal":
-        return None, f"family {spec.family}"
-    if config.kappa <= 0.0:
-        return None, "kappa <= 0"
-    if opts.method != "dormand_prince45":
-        return None, f"method {opts.method}"
-    slack = _SLACK_TOLERANCES * math.sqrt(config.n) * opts.tolerance
-    if not slack < 0.5 * np.pi:  # no ball this wide is certified; an infinite tolerance stops here
-        return None, "no certified ball at e = 0"
-    plus = np.ones(config.n, dtype=int)
-    if equilibria._frequencies_vanish(config):
-        root = 2.0, 0, -1.0  # f(r) = 2 - r
-    else:
-        root = equilibria._stable_root(config)
-        if root is None:
-            return None, "no all-plus root"
-    r_star, steps, slope = root
-    theta = equilibria._equilibrium_theta(config, plus, r_star)
-    residual = float(np.max(np.abs(model.vector_field(config, spec, theta))))
-    ball = _Ball(theta, config.kappa, slack, residual)
-    if not ball.certified(slack):  # the smallest ball any row can have
-        return None, "no certified ball at e = 0"
-    return ball, f"R* {r_star:.17g} after {steps} Newton steps, f'(R*) {slope:.3g}"
 
 
 def _death_block(
@@ -302,7 +200,7 @@ def _death_block(
     """Death hits of a block from one integration, each row stopped once its hit is decided.
 
     The stop hook keeps each row's phase bands [lo, hi] over its samples.  With
-    a ball (see _Ball and _contraction_ball) a row stops where the ball is
+    a ball (integrate._contraction_ball) a row stops where the ball is
     certified and its hit is already fixed: no hit when a band is >= 2 pi or
     R_max < r_floor; a hit when R_min >= r_floor and every band widened by the
     ball, [min(lo, lift - rho), max(hi, lift + rho)], stays below 2 pi.  The
@@ -315,7 +213,7 @@ def _death_block(
     that reaches the horizon is judged from its bands, its final R and its
     failure: the block reads columns and builds no Trajectory.
     """
-    ball, note = _contraction_ball(config, spec, opts)
+    ball, note = integrate._contraction_ball(config, spec, opts)
     lo, hi = draws.copy(), draws.copy()
     stopped = np.zeros(len(draws), dtype=bool)
     midway = np.zeros(len(draws), dtype=bool)  # stopped between samples
@@ -413,7 +311,7 @@ def empirical_death_probability(
     family with kappa > 0 and DP45; other families, kappa <= 0, rk4_fixed,
     kappa below kappa_c (no theta*) and a ball not certified even at zero
     distance run every sample to the horizon.  Either way the counts are
-    those of the full runs (see _death_block and _Ball).
+    those of the full runs (see _death_block and integrate._Ball).
     """
     recorded = len(integrate._sample_times(opts))
     hits = _map_samples(_death_block, (config, spec, opts, r_floor), config.n, recorded, mc)

@@ -684,16 +684,33 @@ def _numeric_settings(argv):
             and cli._FAMILY_OF.get(key, family) == family]
 
 
+def _strict_json(argv, out) -> bool:
+    """Whether an exit-0 run's stdout is JSON with no NaN or Infinity token.
+
+    sweep prints a "wrote" line, and critical-coupling a plain line before its JSON.
+    """
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    if argv[0] == "sweep":
+        return True
+    try:
+        json.loads(out.split("\n", 1)[1] if argv[0] == "critical-coupling" else out, parse_constant=refuse)
+    except ValueError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("base", _SWEEP_BASES)
 def test_hostile_values_exit_cleanly(tmp_path, monkeypatch, capsys, base):
     # 0, -1 and the non-finite values for each numeric setting: main returns 0, 2 or 3 (2 with one
-    # "configuration error:" line), raises nothing and emits no RuntimeWarning; no bounds run given a
-    # NaN returns 0
+    # "configuration error:" line), raises nothing and emits no RuntimeWarning; a run that returns 0
+    # prints strict JSON, and no run given a NaN returns 0
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("WINFREE_SEED", raising=False)
     argv = _SWEEP_BASES[base]
     assert main([*argv, "--output", "-"]) == 0, capsys.readouterr().err
-    capsys.readouterr()
+    assert _strict_json(argv, capsys.readouterr().out)
     bad = []
     for key in _numeric_settings(argv):
         for value in _HOSTILE[cli._SETTINGS[key]]:
@@ -704,10 +721,10 @@ def test_hostile_values_exit_cleanly(tmp_path, monkeypatch, capsys, base):
                     code = main(run)
                 except (Exception, SystemExit) as exc:  # every escape from main is a finding
                     code = repr(exc)
-            err = capsys.readouterr().err
+            out, err = capsys.readouterr()
             clean = code in (0, 3) or (code == 2 and err.startswith("configuration error: ") and err.count("\n") == 1)
             warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-            if not clean or warned or (argv[0] == "bounds" and value == "nan" and code == 0):
+            if not clean or warned or (code == 0 and (value == "nan" or not _strict_json(argv, out))):
                 bad.append((run[1:], code, err, warned))
     assert bad == []
 
@@ -754,7 +771,8 @@ def test_quant_is_over_every_power_cosine_power(capsys):
     (["montecarlo", "--kind", "order-param-cdf", "--n", "-1", "--samples", "4"], "n"),
     (["simulate", "--n", "3", "--gamma", "inf"], "gamma"),
     (["sweep", "--n", "3", "--kappa-grid", "1", "--gamma-grid", "0.5,-inf", "--horizon", "1"], "gamma"),
-], ids=["power_0", "power_1024", "n_0", "n_-1", "gamma_inf", "gamma_grid_inf"])
+    (["verify", "--omega", "0.02,-0.02,0.01", "--kappa", "3", "--horizon", "1", "--gamma", "nan"], "gamma"),
+], ids=["power_0", "power_1024", "n_0", "n_-1", "gamma_inf", "gamma_grid_inf", "gamma_nan_beside_omega"])
 def test_out_of_domain_inputs_exit_2_before_any_work(tmp_path, monkeypatch, capsys, argv, setting):
     # these used to end in a traceback (exit 1), an estimate of 0.0, or a numpy warning before the error
     monkeypatch.chdir(tmp_path)

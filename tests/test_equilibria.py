@@ -236,6 +236,21 @@ def test_equilibria_json_round_trip(tmp_path):
         assert item["stability"] == rec.stability
 
 
+def test_indeterminate_record_writes_null_for_its_eigenvalue(tmp_path):
+    # R = 1 lies on the boundary kappa R = max|omega|: the record keeps its nan,
+    # and its JSON, which has no NaN, holds null there
+    records = wf.enumerate_equilibria(wf.SystemConfig(n=3, omega=np.ones(3), kappa=1.0))
+    path = tmp_path / "eq.json"
+    wf.equilibria_to_json(records, path)
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    data = json.loads(path.read_text(), parse_constant=refuse)
+    assert [item["max_eig_real"] is None for item in data] == [math.isnan(rec.max_eig_real) for rec in records]
+    assert records[0].stability == "Indeterminate" and math.isnan(records[0].max_eig_real)
+
+
 def test_theta_canonical_range():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -991,6 +1006,17 @@ def test_stable_root_is_the_largest_all_plus_root_of_the_grid_solver(monkeypatch
         for ratio in (0.999, 0.99999):
             cfg = wf.SystemConfig(n=n, omega=omega, kappa=ratio * kc)
             assert equilibria._stable_root(cfg) is None, (n, seed, ratio)
+
+
+@pytest.mark.parametrize("n", [1, 5, 50])
+@pytest.mark.parametrize("kappa", [1e-170, 1.0, 2.0**520], ids=["1e-170", "1", "2^520"])
+def test_stable_root_where_the_frequencies_vanish(n, kappa):
+    # at omega = 0, and where omega_j^2 underflows, f(r) = 2 - r to rounding:
+    # Newton from r = 2 stops there at once, so the contraction ball needs no
+    # omega = 0 case of its own
+    for omega in (np.zeros(n), np.resize([1e-200, 0.0, -1e-200], n)):
+        root = equilibria._stable_root(wf.SystemConfig(n=n, omega=omega, kappa=kappa))
+        assert root == (2.0, 0, -1.0), (omega, root)
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-6])

@@ -43,6 +43,30 @@ def test_module_level_private_functions_are_referenced():
     assert sorted(f"{module}:{name}" for module, name in private if name not in named) == []
 
 
+# each module imports at module level only modules before it
+LAYERS = ("errors", "model", "thresholds", "equilibria", "integrate", "montecarlo", "cli")
+
+
+def _package_imports(path: pathlib.Path) -> set:
+    """The package modules path imports at module level (from . import m, from .m import x)."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else [alias.name for alias in node.names])
+    return names
+
+
+def test_module_level_imports_follow_the_layers():
+    # no module imports a later one, and montecarlo reads the contraction ball
+    # from integrate rather than building it from equilibria's private names
+    imports = {path.stem: _package_imports(path) for path in MODULES}
+    assert sorted(imports) == sorted(LAYERS)
+    later = {name: sorted(m for m in imported if LAYERS.index(m) >= LAYERS.index(name))
+             for name, imported in imports.items()}
+    assert {name: modules for name, modules in later.items() if modules} == {}
+    assert "equilibria" not in imports["montecarlo"]
+
+
 EXPORTED_FUNCTIONS = sorted(name for name, obj in vars(winfree).items() if inspect.isfunction(obj))
 
 

@@ -334,7 +334,7 @@ def test_death_samples_end_at_the_stable_equilibrium(monkeypatch, n):
         for traj, failure in full:
             if _full_horizon_hits([(traj, failure)], 0.0)[0]:
                 assert np.max(np.abs(wf.wrap_to_pi(traj.states[-1] - stable[0]))) < 1e-9, (n, kappa)
-        ball, _ = montecarlo._contraction_ball(cfg, SPEC, opts)
+        ball, _ = integrate._contraction_ball(cfg, SPEC, opts)
         if ball is not None:
             # theta* from the Newton root, within the branch solver's ROOT_TOL of its
             # root (d theta_i / dR = -tan theta_i / R), and at least as accurate as
@@ -382,7 +382,7 @@ def test_log_norm_bound_holds_for_the_jacobian(n):
     opts = wf.dp45_options(horizon=10.0, sample_stride=1.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
     for ratio in (1.05, 1.5, 4.0):
         cfg = wf.SystemConfig(n=n, omega=omega, kappa=ratio * wf.critical_coupling(omega))
-        ball, why = montecarlo._contraction_ball(cfg, SPEC, opts)
+        ball, why = integrate._contraction_ball(cfg, SPEC, opts)
         assert ball is not None, why
         room = 0.5 * np.pi - np.max(np.abs(ball.theta))
         for rho in (0.05 * room, 0.5 * room, 0.95 * room):
@@ -424,9 +424,9 @@ def test_death_estimate_without_early_exit_or_at_its_edges(case):
     est = wf.empirical_death_probability(cfg, spec, opts, wf.McConfig(samples=24, seed=5))
     assert est == montecarlo._estimate(sum(want), 24)
     if case in ("omega0", "n1"):
-        assert montecarlo._contraction_ball(cfg, spec, opts)[0] is not None
+        assert integrate._contraction_ball(cfg, spec, opts)[0] is not None
     else:
-        assert montecarlo._contraction_ball(cfg, spec, opts)[0] is None
+        assert integrate._contraction_ball(cfg, spec, opts)[0] is None
 
 
 def test_death_block_logs_its_early_exit_only_at_debug(monkeypatch, caplog):
@@ -473,10 +473,10 @@ def test_contraction_ball_memory_stays_linear_in_n():
     omega = np.random.default_rng([501, 200]).uniform(-1.0, 1.0, 200)
     cfg = wf.SystemConfig(n=200, omega=omega, kappa=1.5 * wf.critical_coupling(omega))
     opts = wf.dp45_options(horizon=10.0, sample_stride=1.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
-    montecarlo._contraction_ball(cfg, SPEC, opts)  # one-time set-up outside the trace
+    integrate._contraction_ball(cfg, SPEC, opts)  # one-time set-up outside the trace
     tracemalloc.start()
     try:
-        ball, note = montecarlo._contraction_ball(cfg, SPEC, opts)
+        ball, note = integrate._contraction_ball(cfg, SPEC, opts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -501,7 +501,7 @@ def test_undecided_rows_integrate_on_in_the_one_run(monkeypatch, caplog):
     opts = wf.dp45_options(horizon=100.0, sample_stride=1.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
     draws = montecarlo._draws(502, 3, 0, 64)
     full = integrate_rows(cfg, SPEC, draws, opts)
-    ball, _ = montecarlo._contraction_ball(cfg, SPEC, opts)
+    ball, _ = integrate._contraction_ball(cfg, SPEC, opts)
     undecided = {}
     for i, (traj, _) in enumerate(full):
         lift, e = ball.nearest(traj.states)
@@ -558,7 +558,7 @@ def test_death_block_hits_equal_runs_to_the_horizon(monkeypatch):
         sampled = set(integrate._sample_times(opts).tolist())
         midway += sum(traj.times[-1] not in sampled for traj, _ in runs[0])
         with monkeypatch.context() as m:
-            m.setattr(montecarlo, "_contraction_ball", lambda *args: (None, "patched"))
+            m.setattr(integrate, "_contraction_ball", lambda *args: (None, "patched"))
             assert hits == montecarlo._death_block(cfg, SPEC, opts, r_floor, draws), (n, ratio, tol, stride, r_floor)
     assert midway > 0
 

@@ -203,6 +203,14 @@ def test_kappa_at_the_threshold_is_refused_with_both_values():
         wf.verify_theorem_conclusions(traj, replace(config, kappa=threshold), 0.5)
 
 
+@pytest.mark.parametrize("solver_tol", [1e308, math.inf])
+def test_a_non_finite_slack_is_refused(solver_tol):
+    # slack = 10 x solver_tol is inf: every check would pass whatever the trajectory
+    traj, config = _seeded_run([0.25, -0.25])
+    with pytest.raises(PreconditionError, match="slack 10 x solver tolerance must be finite, got inf"):
+        wf.verify_theorem_conclusions(replace(traj, solver_tol=solver_tol), config, 0.5)
+
+
 def test_memory_peak_stays_a_small_multiple_of_the_phases():
     # N = 200 gives 19900 co-trapped pairs: one (samples, pairs) array would
     # be 100 times the phases
