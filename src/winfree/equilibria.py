@@ -121,8 +121,11 @@ def _require_coupling(config: SystemConfig) -> None:
 
 
 def _frequencies_vanish(config: SystemConfig) -> bool:
-    """True when every (omega_j/kappa)^2 is 0, also when it underflows: those systems are omega = 0."""
-    with np.errstate(under="ignore"):
+    """True when every (omega_j/kappa)^2 is 0, also when it underflows: those systems are omega = 0.
+
+    A ratio that overflows is inf, so it does not vanish.
+    """
+    with np.errstate(under="ignore", over="ignore"):
         return not np.any((config.omega / config.kappa) ** 2)
 
 
@@ -131,9 +134,12 @@ def _scaled_squares(config: SystemConfig) -> tuple[np.ndarray, float]:
 
     The exponent lies midway between those of max|omega| and |kappa|, so every
     omega_j^2 / (kappa r)^2 is unchanged to the last bit while kappa^2 and
-    max omega^2 stay normal for every system whose (omega/kappa)^2 does not
-    vanish, even where kappa^2 itself would underflow (kappa = 1e-170) or
-    overflow (kappa = 2^520); where it vanishes, kappa^2 stays <= 2^1022.
+    max omega^2 stay normal for every system whose (omega/kappa)^2 is finite
+    and does not vanish, even where kappa^2 itself would underflow
+    (kappa = 1e-170) or overflow (kappa = 2^520); where it vanishes, kappa^2
+    stays <= 2^1022.  Where it overflows (omega = 1e150 beside kappa = 1e-300)
+    the squares overflow and underflow too: callers test the branch point
+    max|omega|/|kappa| first.
     """
     k = math.frexp(abs(config.kappa))[1]
     e = max((math.frexp(config.omega_max)[1] + k) // 2, k - 511)
@@ -415,11 +421,11 @@ def _stable_root(config: SystemConfig) -> tuple[float, int, float] | None:
     kappa > 0 the root's equilibrium is the only one that can be stable.
     Where every (omega_j/kappa)^2 is 0, also by underflow, it returns (2.0, 0, -1.0).
     """
-    omega2, kappa2 = _scaled_squares(config)
     branch = config.omega_max / abs(config.kappa)
     r = 2.0
     if branch >= r:
         return None
+    omega2, kappa2 = _scaled_squares(config)
     with np.errstate(divide="ignore", invalid="ignore"):  # x >= 1 within rounding of the branch point: nan or inf
         for steps in range(100):  # at most 6 steps from 1.05 kappa_c up, about 25 at kappa_c
             x = omega2 / (kappa2 * r * r)
@@ -762,9 +768,11 @@ def build_W_polynomial(config: SystemConfig, exact: bool = False) -> WPolynomial
     signatures by repeated norms (A + p_j B)(A - p_j B) = A^2 - (r^2 - w_j) B^2,
     which eliminates each radical in turn and leaves exact polynomial
     coefficients.  One elimination serves both builds: the float build
-    (float64 coefficients) and the exact build (N <= 4), which rounds omega and
-    kappa to nearby rationals and returns the coefficients as Fractions in an
-    object array.
+    (float64 coefficients) and the exact build (N <= 4), which rounds each
+    ratio omega_j/kappa, the only thing W reads, to a nearby rational (so
+    scaling omega and kappa by one power of two changes no coefficient) and
+    returns the coefficients as Fractions in an object array.  DomainError
+    where some (omega_j/kappa)^2 is not finite.
     """
     _require_coupling(config)
     if _frequencies_vanish(config):
@@ -772,13 +780,16 @@ def build_W_polynomial(config: SystemConfig, exact: bool = False) -> WPolynomial
     n = config.n
     if n > 8:
         raise SizeLimitError("W polynomial limited to N <= 8")
-    branch_w = (config.omega / config.kappa) ** 2
+    with np.errstate(over="ignore"):
+        ratios = config.omega / config.kappa
+        branch_w = ratios**2
+    if not np.all(np.isfinite(branch_w)):
+        raise DomainError("(omega_j/kappa)^2 must be finite")
     if exact:
         if n > 4:
             raise SizeLimitError("exact-rational W path limited to N <= 4")
         one = Fraction(1)
-        kappa = Fraction(config.kappa).limit_denominator(10**12)
-        w = [(Fraction(om).limit_denominator(10**12) / kappa) ** 2 for om in config.omega.tolist()]
+        w = [Fraction(x).limit_denominator(10**12) ** 2 for x in ratios.tolist()]
     else:
         one, w = 1.0, branch_w
     poly_w = [np.array([-wj, 0 * one, one]) for wj in w]

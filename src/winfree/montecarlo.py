@@ -179,17 +179,6 @@ def empirical_order_param_cdf(
     return _estimate(sum(hits), mc.samples)
 
 
-# Between samples a death block tries the ball at the first step after each of
-# these times, in sample strides (see _death_block).  A check costs about one
-# step of the block, and a row decided in a later stride has already run a
-# stride or more, so the checks go where the sample grid costs most: the first
-# stride, where the criterion-5 rows are decided at t = 1.4-4.7 of a stride of
-# 5.  Checking every eighth of a stride throughout made 16-row blocks near
-# kappa_c (N = 20 and 50, 1.05 kappa_c, whose rows converge after t = 6) 5-9%
-# slower on a 2-vCPU x86-64 VM; these three checks cost them about 2%.
-_CHECK_TIMES = (0.125, 0.375, 0.875)
-
-
 def _death_block(
     config: SystemConfig,
     spec: InteractionSpec,
@@ -204,12 +193,12 @@ def _death_block(
     certified and its hit is already fixed: no hit when a band is >= 2 pi or
     R_max < r_floor; a hit when R_min >= r_floor and every band widened by the
     ball, [min(lo, lift - rho), max(hi, lift + rho)], stays below 2 pi.  The
-    ball is tried on each row at every sample, and, through the step loop's
-    between hook, at the first step after each of _CHECK_TIMES on the rows
-    between samples with rho < pi/2 - max|theta*|, without which no ball is
-    certified; ball.certified decides every stop.  A state between samples
-    is not a sample: it widens the bands through its ball only, so the bands,
-    and the hit, read the samples alone.  Any other row runs on, and a row
+    ball is tried on each row at every sample, and, through the between hook
+    that the step loop calls once per check time (integrate._CHECK_TIMES),
+    on the rows between samples with rho < pi/2 - max|theta*|, without which
+    no ball is certified; ball.certified decides every stop.  A state
+    between samples is not a sample: it widens the bands through its ball
+    only, so the bands, and the hit, read the samples alone.  Any other row runs on, and a row
     that reaches the horizon is judged from its bands, its final R and its
     failure: the block reads columns and builds no Trajectory.
     """
@@ -250,21 +239,15 @@ def _death_block(
 
     if ball is not None:
         room = 0.5 * np.pi - np.max(np.abs(ball.theta)) - ball.slack  # e beyond it is certified at no radius
-        wakes = iter([opts.sample_stride * w for w in _CHECK_TIMES])
-        wake = next(wakes)
 
     def between(times, thetas, rows):
-        nonlocal wake
         stops = np.zeros(len(rows), dtype=bool)
-        if np.max(times) < wake:  # the step loop calls from the first step on
-            return stops, wake
-        wake = next(wakes, math.inf)
         lift, e = ball.nearest(thetas)
         near = np.flatnonzero(e < room)
         if near.size:
             stops[near] = decide(times[near], lift[near], e[near], rows[near])
             midway[rows[near]] = stops[near]
-        return stops, wake
+        return stops
 
     runs = integrate._integrate_rows(config, spec, draws, opts, stop=settled,
                                      between=None if ball is None else between)
@@ -296,12 +279,12 @@ def empirical_death_probability(
     failures count as non-death (conservative).
 
     A sample stops early once the rest of its run cannot change its count:
-    at a sample time, or at a step between samples in the first stride (see
-    _CHECK_TIMES), where it lies inside a sup-norm ball about the stable
-    equilibrium theta* on which the flow contracts (a closed-form bound on the
-    Jacobian's log-norm is < 0), widened by a solver-error slack of
-    100*sqrt(N)*opts.tolerance, and its phase bands so far and that ball
-    already fix its count.  theta* comes from the largest all-plus root of
+    at a sample time, or at one of the step loop's three checks between
+    samples in the first stride (integrate._CHECK_TIMES), where it lies
+    inside a sup-norm ball about the stable equilibrium theta* on which the
+    flow contracts (a closed-form bound on the Jacobian's log-norm is < 0),
+    widened by a solver-error slack of 100*sqrt(N)*opts.tolerance, and its
+    phase bands so far and that ball already fix its count.  theta* comes from the largest all-plus root of
     the R equation, which Newton's method finds on the concave all-plus
     branch once per block of samples.  A sample the ball cannot decide yet
     integrates on, in the same run; a state between samples only widens its

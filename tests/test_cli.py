@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -726,6 +727,36 @@ def test_hostile_values_exit_cleanly(tmp_path, monkeypatch, capsys, base):
             warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
             if not clean or warned or (code == 0 and (value == "nan" or not _strict_json(argv, out))):
                 bad.append((run[1:], code, err, warned))
+    assert bad == []
+
+
+# (omega, kappa) pairs the one-setting-at-a-time sweep never makes: omega/kappa overflows, vanishes, and both
+# are subnormal
+_SCALE_PAIRS = [("1e150,-1e150", "1e-300"), ("1e-300,-1e-300", "1e300"), ("1e-310,-2e-310", "3e-310")]
+
+
+def test_scale_pairs_exit_cleanly(tmp_path, monkeypatch, capsys):
+    # every command that reads omega, with kappa where it reads one: main returns 0, 2 or 3, emits no
+    # RuntimeWarning, and a run that returns 0 prints strict JSON
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("WINFREE_SEED", raising=False)
+    commands = [["simulate", "--horizon", "1"], ["equilibria"], ["critical-coupling"], ["verify", "--horizon", "1"],
+                ["kappa-pc", "--horizon", "1"], ["montecarlo", "--kind", "death", "--samples", "4", "--horizon", "1"]]
+    bad = []
+    for (omega, kappa), argv in itertools.product(_SCALE_PAIRS, commands):
+        run = [*argv, f"--omega={omega}", "--output", "-"]
+        if "kappa" in cli._COMMANDS[argv[0]]:
+            run.append(f"--kappa={kappa}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(run)
+            except (Exception, SystemExit) as exc:
+                code = repr(exc)
+        out, err = capsys.readouterr()
+        warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        if code not in (0, 2, 3) or warned or (code == 0 and not _strict_json(argv, out)):
+            bad.append((run, code, err, warned))
     assert bad == []
 
 

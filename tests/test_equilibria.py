@@ -136,6 +136,40 @@ def test_w_polynomial_exact_matches_float():
         assert max(diffs) < 1e-9
 
 
+@pytest.mark.parametrize("omega,kappa", [([0.1, -0.2], 1.0), ([1e-13, -2e-13], 1e-12), ([0.3, -0.45, 0.15], 0.7)])
+def test_exact_w_polynomial_reads_only_the_frequency_ratios(omega, kappa):
+    # W reads omega_j/kappa alone, and scaling omega and kappa by 2^-45 or 2^45
+    # keeps those ratios to the last bit: the exact build gives the same
+    # Fractions at each scale, and they match the float build (rounding omega
+    # and kappa apart divided by kappa = 0 at 2^-45, and at kappa = 1e-12
+    # built W for omega = 0)
+    builds = []
+    for shift in (-45, 0, 45):
+        cfg = wf.SystemConfig(n=len(omega), omega=np.ldexp(omega, shift), kappa=math.ldexp(kappa, shift))
+        builds.append((wf.build_W_polynomial(cfg, exact=True).coeffs.tolist(), wf.build_W_polynomial(cfg).coeffs))
+    (exact, floats), *scaled = builds
+    assert all(isinstance(c, Fraction) for c in exact)
+    for other_exact, other_floats in scaled:
+        assert other_exact == exact
+        assert other_floats.tobytes() == floats.tobytes()
+    assert np.max(np.abs(floats - np.array(exact, dtype=float))) <= 1e-15 * np.max(np.abs(floats))
+
+
+@pytest.mark.parametrize("omega,kappa", [([1e150, -1e150], 1e-300), ([1e160, 0.5], 1.0)])
+def test_overflowing_frequency_ratios_give_no_w_and_no_warning(omega, kappa):
+    # omega/kappa (or its square) overflows: the frequencies do not vanish,
+    # no root lies on [max|omega|/|kappa|, 2], W is refused, and none of this
+    # prints a RuntimeWarning (the suite turns one into an error)
+    cfg = wf.SystemConfig(n=2, omega=np.array(omega), kappa=kappa)
+    assert not equilibria._frequencies_vanish(cfg)
+    assert equilibria._stable_root(cfg) is None
+    assert solve_R_equation(cfg, Signature(np.array([1, -1]))) == []
+    assert wf.enumerate_equilibria(cfg) == []
+    for exact in (False, True):
+        with pytest.raises(DomainError, match="must be finite"):
+            wf.build_W_polynomial(cfg, exact=exact)
+
+
 def test_equilibrium_R_values_are_w_roots():
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -43,6 +43,23 @@ def test_module_level_private_functions_are_referenced():
     assert sorted(f"{module}:{name}" for module, name in private if name not in named) == []
 
 
+def test_module_level_names_are_read():
+    # a module-level constant that no code reads (a tableau row the step loop never uses) is dead code
+    root = pathlib.Path(__file__).resolve().parents[1]
+    assigned = {(path.name, target.id) for path in pathlib.Path(winfree.__file__).parent.glob("*.py")
+                for node in ast.parse(path.read_text()).body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in ast.walk(node) if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)}
+    read = set()
+    for path in (p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(assigned) > 50
+    assert sorted(f"{module}:{name}" for module, name in assigned if name not in read) == []
+
+
 # each module imports at module level only modules before it
 LAYERS = ("errors", "model", "thresholds", "equilibria", "integrate", "montecarlo", "cli")
 

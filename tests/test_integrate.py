@@ -315,6 +315,34 @@ def test_ensemble_rows_do_not_depend_on_batch(spec, opts):
 
 
 @pytest.mark.parametrize("opts", [
+    wf.dp45_options(horizon=10.0, sample_stride=2.0, abs_tol=1e-7, rel_tol=1e-7, max_dt=0.5),
+    wf.rk4_options(0.05, 10.0, 2.0),
+], ids=["dp45", "rk4"])
+def test_a_between_hook_that_ends_no_row_changes_no_row(opts):
+    # the step loop calls between once per check time, on rows between
+    # samples of which some have reached it; a hook that ends no row leaves
+    # every row's samples, step counts and failure bitwise those of a run
+    # without the hook, beside rows that stop at samples and one that fails
+    rng = np.random.default_rng(38)
+    cfg = wf.SystemConfig(n=6, omega=rng.uniform(-1, 1, 6), kappa=1.0)
+    initial = rng.uniform(-np.pi, np.pi, (7, 6))
+    kappas = [0.0, 0.5, 1.0, 1e308, 2.0, 3.0, 4.0]
+
+    def stop(times, thetas, rows):
+        return (times >= 4.0) & (wf.order_parameter(SPEC, thetas) >= 1.7)
+
+    hook = _recording(lambda times, thetas, rows: np.zeros(len(rows), dtype=bool))
+    plain = integrate._integrate_rows(cfg, SPEC, initial, opts, kappa=kappas, stop=stop)
+    hooked = integrate._integrate_rows(cfg, SPEC, initial, opts, kappa=kappas, stop=stop, between=hook)
+    assert [_pair_bytes(pair) for pair in hooked] == [_pair_bytes(pair) for pair in plain]
+    assert plain[3][1] is not None and min(traj.times[-1] for traj, _ in plain) < 10.0
+    checks = [opts.sample_stride * c for c in integrate._CHECK_TIMES]
+    assert len(hook.calls) == len(checks)
+    for (times, _, _), check in zip(hook.calls, checks):
+        assert np.max(times) >= check and np.all(times % opts.sample_stride > 0.0)
+
+
+@pytest.mark.parametrize("opts", [
     wf.dp45_options(horizon=10.0, sample_stride=0.5, abs_tol=1e-7, rel_tol=1e-7, max_dt=0.5),
     wf.rk4_options(0.05, 10.0, 0.5),
 ], ids=["dp45", "rk4"])

@@ -582,6 +582,31 @@ def test_criterion_5_rows_stop_between_samples(monkeypatch):
         assert early.accepted_steps < late.accepted_steps
 
 
+def test_criterion_5_block_calls_the_between_hook_once_per_check_time(monkeypatch):
+    # the step loop owns the check schedule: it calls the death block's hook
+    # once per check time, each time once the rows between samples have
+    # reached it, and never before the first check time, where the hook
+    # could stop no row
+    omega = np.random.default_rng(501).uniform(-1.0, 1.0, 50)
+    cfg = wf.SystemConfig(n=50, omega=omega, kappa=2.5)
+    r_floor = wf.limit_R_lower_bound(1.0, 2.5) - 0.02
+    opts = wf.dp45_options(horizon=500.0, sample_stride=5.0, abs_tol=1e-6, rel_tol=1e-6, max_dt=0.5)
+    calls, integrate_rows = [], integrate._integrate_rows
+
+    def recorded(*args, between, **kwargs):
+        def hook(times, thetas, rows):
+            calls.append(float(np.max(times)))
+            return between(times, thetas, rows)
+
+        return integrate_rows(*args, between=hook, **kwargs)
+
+    monkeypatch.setattr(integrate, "_integrate_rows", recorded)
+    hits = montecarlo._death_block(cfg, SPEC, opts, r_floor, montecarlo._draws(502, 50, 0, 200))
+    assert hits == [True] * 200
+    assert len(calls) == len(integrate._CHECK_TIMES) == 3
+    assert all(t >= 5.0 * check for t, check in zip(calls, integrate._CHECK_TIMES)), calls
+
+
 def test_escape_verdict_reads_how_each_row_ended():
     # the escape block decides each row from how it ended, not from its R
     # series: a row whose R first reaches 1-delta at the horizon sample was
